@@ -10,6 +10,10 @@ alternates.  Bob wins as soon as a chosen vertex has no legal colour.
 Greedy variants: under GREEDY_BOB, Bob must use the smallest legal colour;
 under GREEDY_BOTH both players must.  This is enforced here, in
 ``legal_colors``, so strategies cannot violate it.
+
+Colour sets are bitmasks with bit c standing for colour c.  GameState keeps,
+per vertex v, the mask ``seen[v]`` of colours present in its closed
+neighbourhood N[v]; ``legal_mask`` turns it into the legal colours.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graph import Graph, iter_bits
+from .graph import Graph, derive_seed, iter_bits
 
 
 class RuleVariant(enum.Enum):
@@ -62,7 +66,9 @@ class MoveRecord:
 class GameState:
     """Mutable position of one game; confined to a single worker."""
 
-    __slots__ = ("graph", "k", "variant", "colors", "round", "played", "played_count", "to_move", "color_pos")
+    __slots__ = (
+        "graph", "k", "variant", "palette", "colors", "round", "played", "played_count", "to_move", "color_pos", "seen"
+    )
 
     def __init__(self, graph: Graph, k: int, variant: RuleVariant = RuleVariant.STANDARD):
         if k < 1:
@@ -70,13 +76,17 @@ class GameState:
         self.graph = graph
         self.k = k
         self.variant = variant
+        self.palette = ((1 << k) - 1) << 1  # colours 1..k
         self.colors = [0] * graph.n  # 0 = uncoloured (round 1 only)
         self.round = 1
         self.played = 0  # bitmask of vertices played this round
         self.played_count = 0
         self.to_move = Player.ALICE
-        # color_pos[c] = bitmask of vertices currently coloured c
-        self.color_pos = [0] * (k + 1)
+        # color_pos[c] = bitmask of vertices currently coloured c (c = 0: uncoloured)
+        self.color_pos = [graph.full_mask] + [0] * k
+        # seen[v] = colour mask of N[v]; it holds v's own colour, which a
+        # recolour must change, and no bit for "uncoloured"
+        self.seen = [0] * graph.n
 
     def is_played(self, v: int) -> bool:
         return bool(self.played >> v & 1)
@@ -85,6 +95,14 @@ class GameState:
         if self.variant is RuleVariant.GREEDY_BOTH:
             return True
         return self.variant is RuleVariant.GREEDY_BOB and self.to_move is Player.BOB
+
+
+def legal_mask(seen: int, palette: int, greedy: bool) -> int:
+    """The legality rule, as a colour mask: the palette colours absent from
+    `seen`, the colour mask of an unplayed vertex's closed neighbourhood.
+    Under greedy rules only the smallest of them."""
+    free = palette & ~seen
+    return free & -free if greedy else free
 
 
 def legal_colors(state: GameState, v: int) -> set[int]:
@@ -96,18 +114,7 @@ def legal_colors(state: GameState, v: int) -> set[int]:
         raise IllegalMoveError(f"vertex {v} out of range")
     if state.is_played(v):
         raise IllegalMoveError(f"vertex {v} already played in round {state.round}")
-    adj = state.graph.adj[v]
-    cur = state.colors[v]
-    out = set()
-    for c in range(1, state.k + 1):
-        if state.round >= 2 and c == cur:
-            continue
-        if adj & state.color_pos[c]:
-            continue
-        out.add(c)
-    if out and state.greedy_applies():
-        return {min(out)}
-    return out
+    return set(iter_bits(legal_mask(state.seen[v], state.palette, state.greedy_applies())))
 
 
 def apply_move(state: GameState, v: int, c: int) -> GameState:
@@ -115,11 +122,24 @@ def apply_move(state: GameState, v: int, c: int) -> GameState:
     if c not in legal_colors(state, v):
         raise IllegalMoveError(f"colour {c} is not legal at vertex {v}")
     old = state.colors[v]
-    if old:
-        state.color_pos[old] &= ~(1 << v)
+    bit = 1 << v
+    pos = state.color_pos
+    pos[old] &= ~bit
+    pos[c] |= bit
     state.colors[v] = c
-    state.color_pos[c] |= 1 << v
-    state.played |= 1 << v
+    closed, seen, new_bit = state.graph.closed, state.seen, 1 << c
+    if old:
+        # u still sees old iff another vertex of N[u] keeps it
+        old_bit, old_pos = 1 << old, pos[old]
+        for u in iter_bits(closed[v]):
+            mask = seen[u] | new_bit
+            if not closed[u] & old_pos:
+                mask &= ~old_bit
+            seen[u] = mask
+    else:
+        for u in iter_bits(closed[v]):
+            seen[u] |= new_bit
+    state.played |= bit
     state.played_count += 1
     state.to_move = state.to_move.other
     if state.played_count == state.graph.n:
@@ -171,8 +191,6 @@ def play_game(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    from .graph import derive_seed
-
     state = GameState(graph, k, variant)
     alice.reset(graph, k, variant, None if seed is None else derive_seed(seed, "alice"))
     bob.reset(graph, k, variant, None if seed is None else derive_seed(seed, "bob"))
@@ -231,11 +249,3 @@ def is_proper(state: GameState) -> bool:
         if c and g.adj[v] & state.color_pos[c]:
             return False
     return True
-
-
-def colors_in_closed_neighborhood(state: GameState, v: int) -> set[int]:
-    out = set()
-    for u in iter_bits(state.graph.closed[v]):
-        if state.colors[u]:
-            out.add(state.colors[u])
-    return out

@@ -61,6 +61,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
+        unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
             kr = obj["k_range"]
             if isinstance(kr, dict):
@@ -135,7 +138,10 @@ def build_strategy(spec: dict, graph: Graph, k: int):
         return RandomLegal()
     params = StrategyParams.from_fractions(graph.n)
     if params_obj:
-        params = dataclasses.replace(params, **params_obj)
+        try:
+            params = dataclasses.replace(params, **params_obj)
+        except (TypeError, ValueError) as e:  # unknown field, or a value StrategyParams rejects
+            raise ConfigError(f"bad params for {name!r}: {e}") from None
     if name == "priorityAlice":
         return PriorityAlice(params)
     if name == "targetBob":

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Iterable
 
@@ -114,8 +115,6 @@ def weight_identity_check(k: int, l: int, form: str = "proof") -> dict[frozenset
 
 
 def _subsets_of_size(ground, size):
-    from itertools import combinations
-
     for combo in combinations(ground, size):
         yield frozenset(combo)
 

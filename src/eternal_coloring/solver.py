@@ -13,10 +13,11 @@ phase 0 = first round, 1 = any later round.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import GameState, Player, RuleVariant, Strategy
+from .engine import GameState, Player, RuleVariant, Strategy, legal_mask
 from .graph import Graph, iter_bits
 
 
@@ -61,26 +62,18 @@ class SolveResult:
         return WitnessStrategy(self, player)
 
 
-def _legal_colors_mask(adj_mask: int, colors: tuple, cur: int, k: int, phase: int, greedy: bool) -> list:
-    out = []
-    for c in range(1, k + 1):
-        if phase == 1 and c == cur:
-            continue
-        ok = True
-        m = adj_mask
-        while m:
-            low = m & -m
-            if colors[low.bit_length() - 1] == c:
-                ok = False
-                break
-            m ^= low
-        if ok:
-            out.append(c)
-            if greedy:
-                break  # colours scanned ascending; first legal is the minimum
-    if greedy and out:
-        return out[:1]
-    return out
+def _legal_colors_mask(closed: tuple, colors: tuple, palette: int, greedy: bool) -> int:
+    """Engine legality rule for an unplayed vertex whose closed neighbourhood
+    is the vertex tuple `closed`, under the colour tuple `colors`."""
+    seen = 0
+    for u in closed:
+        seen |= 1 << colors[u]  # bit 0 (uncoloured) lies outside the palette
+    return legal_mask(seen, palette, greedy)
+
+
+def _closed_tuples(graph: Graph) -> list:
+    # built once per solve: the per-state loop walks tuples faster than bits
+    return [tuple(iter_bits(m)) for m in graph.closed]
 
 
 def solve_eternal(
@@ -104,7 +97,8 @@ def solve_eternal(
         raise ValueError("colour-symmetry reduction is only sound for STANDARD rules")
 
     full = graph.full_mask
-    adj = graph.adj
+    closed = _closed_tuples(graph)
+    palette = ((1 << k) - 1) << 1
     canon = _canonical_colors if color_symmetry else (lambda t: t)
 
     initial: StateKey = (canon(tuple([0] * n)), 0, ALICE, 0)
@@ -127,12 +121,12 @@ def solve_eternal(
             mlist = []
             unplayed = ~played & full
             for v in iter_bits(unplayed):
-                legal = _legal_colors_mask(adj[v], colors, colors[v], k, phase, greedy)
+                legal = _legal_colors_mask(closed[v], colors, palette, greedy)
                 if not legal:
                     slist.append(BOBWIN)
                     mlist.append(((v, None), BOBWIN))
                     continue
-                for c in legal:
+                for c in iter_bits(legal):
                     new_colors = list(colors)
                     new_colors[v] = c
                     new_played = played | (1 << v)
@@ -173,8 +167,6 @@ def solve_eternal(
     in_attr = [False] * num
     rank = [None] * num
     remaining = out_count[:]  # for Alice nodes: successors not yet attracted
-    from collections import deque
-
     queue = deque()
     for sid in bobwin_preds:
         colors, played, mover, phase = states[sid]
@@ -332,7 +324,8 @@ def solve_one_round(graph: Graph, k: int, state_cap: int = 10**8) -> Player:
     n = graph.n
     if (k + 1) ** n * 2 > state_cap:
         raise SolverInfeasible("one-round state space exceeds cap")
-    adj = graph.adj
+    closed = _closed_tuples(graph)
+    palette = ((1 << k) - 1) << 1
     full = graph.full_mask
     memo: dict[tuple, bool] = {}
 
@@ -347,13 +340,13 @@ def solve_one_round(graph: Graph, k: int, state_cap: int = 10**8) -> Player:
         result = None
         any_move = False
         for v in iter_bits(~played & full):
-            legal = _legal_colors_mask(adj[v], colors, 0, k, 0, False)
+            legal = _legal_colors_mask(closed[v], colors, palette, False)
             if not legal:
                 if mover == BOB:
                     result = False
                     break
                 continue
-            for c in legal:
+            for c in iter_bits(legal):
                 any_move = True
                 nc = list(colors)
                 nc[v] = c

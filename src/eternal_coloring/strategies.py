@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from math import ceil
 from typing import Optional
 
-from .engine import GameState, MoveRecord, Player, RuleVariant, Strategy, legal_colors
+from .engine import GameState, MoveRecord, Player, Strategy, legal_colors, legal_mask
 from .graph import Graph, iter_bits, mask_of
+from .partitions import build_color_plan
 
 
 @dataclass
@@ -67,56 +68,27 @@ class StrategyParams:
         )
 
 
-class NeighborhoodColors:
-    """Incremental per-vertex colour census over closed neighbourhoods.
-
-    counts[v][c] = number of vertices in N(v) (closed) currently coloured c;
-    missing[v] = number of palette colours absent from N(v).
-    """
-
-    def __init__(self, graph: Graph, k: int):
-        self.graph = graph
-        self.k = k
-        self.counts = [[0] * (k + 1) for _ in range(graph.n)]
-        self.missing = [k] * graph.n
-
-    def update(self, v: int, old: int, new: int) -> None:
-        for u in iter_bits(self.graph.closed[v]):
-            row = self.counts[u]
-            if old:
-                row[old] -= 1
-                if row[old] == 0:
-                    self.missing[u] += 1
-            row[new] += 1
-            if row[new] == 1:
-                self.missing[u] -= 1
-
-
 def smallest_legal(state: GameState, v: int) -> Optional[int]:
-    legal = legal_colors(state, v)
-    return min(legal) if legal else None
+    low = legal_mask(state.seen[v], state.palette, True)  # the greedy cut, under any variant
+    return low.bit_length() - 1 if low else None
 
 
 def unplayed_vertices(state: GameState):
     return iter_bits(~state.played & state.graph.full_mask)
 
 
-def baseline_move(state: GameState, policy: str, rng: Optional[random.Random] = None) -> tuple[int, Optional[int]]:
-    """One baseline move: 'greedyFirstFit' or 'randomLegal' (needs rng)."""
-    if policy == "greedyFirstFit":
-        v = next(unplayed_vertices(state))
-        return v, smallest_legal(state, v)
-    if policy == "randomLegal":
-        if rng is None:
-            raise ValueError("randomLegal needs an rng")
-        pairs = []
-        for v in unplayed_vertices(state):
-            for c in sorted(legal_colors(state, v)):
-                pairs.append((v, c))
-        if not pairs:
-            return next(unplayed_vertices(state)), None
-        return pairs[rng.randrange(len(pairs))]
-    raise ValueError(f"unknown baseline policy {policy!r}")
+def first_fit(state: GameState) -> tuple[int, Optional[int]]:
+    """Lowest-index unplayed vertex with its smallest legal colour."""
+    v = next(unplayed_vertices(state))
+    return v, smallest_legal(state, v)
+
+
+def uncolored_taking(state: GameState, mask: int, c: int) -> Optional[int]:
+    """Lowest-index uncoloured vertex of mask where colour c is legal (round 1)."""
+    for u in iter_bits(mask & state.color_pos[0]):
+        if not state.seen[u] >> c & 1:
+            return u
+    return None
 
 
 class GreedyFirstFit(Strategy):
@@ -125,7 +97,7 @@ class GreedyFirstFit(Strategy):
     name = "greedyFirstFit"
 
     def select(self, state: GameState):
-        return baseline_move(state, "greedyFirstFit")
+        return first_fit(state)
 
 
 class RandomLegal(Strategy):
@@ -141,7 +113,10 @@ class RandomLegal(Strategy):
         self.rng = random.Random(seed if seed is not None else self._init_seed)
 
     def select(self, state: GameState):
-        return baseline_move(state, "randomLegal", self.rng)
+        pairs = [(v, c) for v in unplayed_vertices(state) for c in sorted(legal_colors(state, v))]
+        if not pairs:
+            return next(unplayed_vertices(state)), None
+        return pairs[self.rng.randrange(len(pairs))]
 
 
 # ---------------------------------------------------------------------------
@@ -199,22 +174,6 @@ def dangerous_vertices(book: RoundBook, graph: Graph, threshold: int) -> set[int
     return set(iter_bits(danger))
 
 
-def mirror_of(graph: Graph, w: int, s, excluded) -> Optional[int]:
-    """Lowest-index vertex outside s and excluded with identical adjacency to s as w."""
-    s_mask = s if isinstance(s, int) else mask_of(s)
-    ex_mask = excluded if isinstance(excluded, int) else mask_of(excluded)
-    if s_mask >> w & 1:
-        raise ValueError("w must lie outside s")
-    want = graph.adj[w] & s_mask
-    skip = s_mask | ex_mask | (1 << w)
-    for v in range(graph.n):
-        if skip >> v & 1:
-            continue
-        if graph.adj[v] & s_mask == want:
-            return v
-    return None
-
-
 class PriorityAlice(Strategy):
     """Alice's priority strategy: urgent vertices, then mirrors, then anything.
 
@@ -236,21 +195,13 @@ class PriorityAlice(Strategy):
     def reset(self, graph, k, variant, seed=None):
         self.graph = graph
         self.k = k
-        self.colors = [0] * graph.n
-        self.tracker = NeighborhoodColors(graph, k)
         self.book = RoundBook(round=1, n=graph.n)
         self.audit_log: list[tuple[int, int, int]] = []  # (round, move idx, priority)
 
     def observe(self, state: GameState, rec: MoveRecord):
         if rec.round > self.book.round:
             self.book = RoundBook(round=rec.round, n=self.graph.n)
-        old = self.colors[rec.vertex]
-        self.colors[rec.vertex] = rec.color
-        self.tracker.update(rec.vertex, old, rec.color)
         record_round_move(self.book, self.graph, rec.player, rec.vertex, self.params.danger_threshold)
-
-    def _playable(self, state: GameState, v: int) -> bool:
-        return bool(legal_colors(state, v))
 
     def select(self, state: GameState):
         if state.round > self.book.round:
@@ -261,15 +212,16 @@ class PriorityAlice(Strategy):
         return v, smallest_legal(state, v)
 
     def _choose(self, state: GameState) -> tuple[int, int]:
-        missing = self.tracker.missing
+        seen, k = state.seen, self.k
         thr = self.params.nearly_full_threshold
         # (1) rescue vertices about to see the whole palette, most urgent
         # first; a vertex already seeing everything is unrescuable (playing it
         # would concede), so it is skipped.
-        urgent = None
+        urgent, urgent_missing = None, thr
         for v in unplayed_vertices(state):
-            if 1 <= missing[v] < thr and (urgent is None or missing[v] < missing[urgent]):
-                urgent = v
+            missing = k - seen[v].bit_count()
+            if 1 <= missing < urgent_missing:
+                urgent, urgent_missing = v, missing
         if urgent is not None:
             return urgent, 1
         # (2) exact mirror of Bob's last non-dangerous move w.r.t. the danger
@@ -315,7 +267,7 @@ class PriorityAlice(Strategy):
         # usable colour, keeping Alice's distinct-colour footprint low.
         d_mask = self.book.danger_mask
         skip = state.played | (1 << w)
-        missing = self.tracker.missing
+        seen = state.seen
         # Pressure = how much of the palette a dangerous vertex already sees.
         # Base n+1 makes the score lexicographic: covering the single vertex
         # closest to seeing everything beats covering every other one.
@@ -333,8 +285,8 @@ class PriorityAlice(Strategy):
             # it, so that counts one pressure level lower.
             score = 0
             for t in iter_bits(covered):
-                e = self.k - missing[t]
-                score += base ** e if self.tracker.counts[t][c] else base ** e // base
+                e = seen[t].bit_count()
+                score += base ** e if seen[t] >> c & 1 else base ** e // base
             if best is None or (-score, c, v) < best:
                 best = (-score, c, v)
         return best[2] if best else None
@@ -364,13 +316,14 @@ class _BlockObligation:
 
     def step(self, bob: "TargetBob", state: GameState) -> Optional[tuple[int, int]]:
         """Next move of the sequence, or None when finished/dropped."""
+        colors, inside = state.colors, bob._inside
         while True:
-            if self.phase == "done" or not bob.uncolored_target:
+            if self.phase == "done" or not bob.target_mask & state.color_pos[0]:
                 return None
             if self.phase == "A":
-                col_a = bob.colors[self.a]
+                col_a = colors[self.a]
                 if col_a == 0:
-                    c = bob._smallest_unused()
+                    c = bob._smallest_unused(state)
                     if c is None:
                         self.phase = "done"
                         bob._log_drop(self, "no unused colour for a")
@@ -378,7 +331,7 @@ class _BlockObligation:
                     self.c_a = c
                     self.phase = "A2"
                     return self.a, c
-                if bob.inside_count[col_a] > 0:
+                if inside(state, col_a):
                     # a was neutralized by a colour already in the target
                     self.phase = "done"
                     bob._log_drop(self, "a coloured inside-target colour")
@@ -387,30 +340,30 @@ class _BlockObligation:
                 self.phase = "A2"
                 continue
             if self.phase == "A2":
-                if bob.inside_count[self.c_a] > 0:
+                if inside(state, self.c_a):
                     self.phase = "B"
                     continue
-                col_b = bob.colors[self.b]
-                if col_b != 0 and bob.inside_count[col_b] == 0:
+                col_b = colors[self.b]
+                if col_b != 0 and not inside(state, col_b):
                     # Alice played b with a colour missing from the target:
                     # copy it in first, c_a next move.
-                    u = bob._playable_in_target(state, col_b)
+                    u = uncolored_taking(state, bob.target_mask, col_b)
                     if u is not None:
                         self.c_b = col_b
                         self.phase = "final_ca"
                         return u, col_b
-                u = bob._playable_in_target(state, self.c_a)
+                u = uncolored_taking(state, bob.target_mask, self.c_a)
                 if u is None:
                     self.phase = "done"
                     bob._log_drop(self, "c_a not introducible")
                     return None
-                self.phase = "done" if (col_b != 0 and bob.inside_count[col_b] > 0) else "B"
+                self.phase = "done" if (col_b != 0 and inside(state, col_b)) else "B"
                 return u, self.c_a
             if self.phase == "final_ca":
-                if bob.inside_count[self.c_a] > 0:
+                if inside(state, self.c_a):
                     self.phase = "done"
                     return None
-                u = bob._playable_in_target(state, self.c_a)
+                u = uncolored_taking(state, bob.target_mask, self.c_a)
                 if u is None:
                     self.phase = "done"
                     bob._log_drop(self, "c_a not introducible")
@@ -418,15 +371,15 @@ class _BlockObligation:
                 self.phase = "done"
                 return u, self.c_a
             if self.phase == "B":
-                col_b = bob.colors[self.b]
+                col_b = colors[self.b]
                 if col_b != 0:
-                    if bob.inside_count[col_b] > 0:
+                    if inside(state, col_b):
                         self.phase = "done"
                         return None
                     self.c_b = col_b
                     self.phase = "B2"
                     continue
-                c = bob._smallest_unused()
+                c = bob._smallest_unused(state)
                 if c is None:
                     self.phase = "done"
                     bob._log_drop(self, "no unused colour for b")
@@ -435,10 +388,10 @@ class _BlockObligation:
                 self.phase = "B2"
                 return self.b, c
             if self.phase == "B2":
-                if bob.inside_count[self.c_b] > 0:
+                if inside(state, self.c_b):
                     self.phase = "done"
                     return None
-                u = bob._playable_in_target(state, self.c_b)
+                u = uncolored_taking(state, bob.target_mask, self.c_b)
                 self.phase = "done"
                 if u is None:
                     bob._log_drop(self, "c_b not introducible")
@@ -475,13 +428,6 @@ class TargetBob(Strategy):
         self.graph = graph
         self.k = k
         self.target_mask = graph.closed[self.target]
-        self.colors = [0] * graph.n
-        self.tracker = NeighborhoodColors(graph, k)
-        self.inside_count = [0] * (k + 1)
-        self.outside_count = [0] * (k + 1)
-        self.uncolored_target = self.target_mask
-        self.global_count = [0] * (k + 1)
-        self.unused = k
         self.intro_time = [0] * (k + 1)  # move index of first appearance; 0 = unused
         self.move_clock = 0
         self.pending: deque[_BlockObligation] = deque()
@@ -491,37 +437,18 @@ class TargetBob(Strategy):
 
     def observe(self, state: GameState, rec: MoveRecord):
         self.move_clock += 1
-        v, new = rec.vertex, rec.color
-        old = self.colors[v]
-        self.colors[v] = new
-        self.tracker.update(v, old, new)
-        inside = bool(self.target_mask >> v & 1)
-        if old:
-            (self.inside_count if inside else self.outside_count)[old] -= 1
-            self.global_count[old] -= 1
-            if self.global_count[old] == 0:
-                self.unused += 1
-        (self.inside_count if inside else self.outside_count)[new] += 1
-        self.global_count[new] += 1
-        if self.global_count[new] == 1:
-            self.unused -= 1
-            if self.intro_time[new] == 0:
-                self.intro_time[new] = self.move_clock
-        if inside:
-            self.uncolored_target &= ~(1 << v)
+        if self.intro_time[rec.color] == 0:
+            self.intro_time[rec.color] = self.move_clock
 
     # -- round-1 helpers ----------------------------------------------------
 
-    def _smallest_unused(self) -> Optional[int]:
-        for c in range(1, self.k + 1):
-            if self.global_count[c] == 0:
-                return c
-        return None
+    def _inside(self, state: GameState, c: int) -> bool:
+        return bool(state.color_pos[c] & self.target_mask)
 
-    def _playable_in_target(self, state: GameState, c: int) -> Optional[int]:
-        for u in iter_bits(self.uncolored_target & ~state.played):
-            if self.graph.adj[u] & state.color_pos[c] == 0:
-                return u
+    def _smallest_unused(self, state: GameState) -> Optional[int]:
+        for c in range(1, self.k + 1):
+            if not state.color_pos[c]:
+                return c
         return None
 
     def _colors_by_intro(self, pred):
@@ -530,7 +457,7 @@ class TargetBob(Strategy):
         return cs
 
     def _scan_block_pairs(self, state: GameState) -> None:
-        u_mask = self.uncolored_target
+        u_mask = self.target_mask & state.color_pos[0]
         dist = self.params.block_distance
         unplayed = [v for v in unplayed_vertices(state)]
         closed = self.graph.closed
@@ -555,15 +482,15 @@ class TargetBob(Strategy):
         return v, c
 
     def _round1_move(self, state: GameState) -> tuple[int, Optional[int], int]:
+        pos, target_mask = state.color_pos, self.target_mask
         # (1) colours seen >= twice outside, absent inside
-        for c in self._colors_by_intro(
-            lambda c: self.inside_count[c] == 0 and self.outside_count[c] >= 2
-        ):
-            u = self._playable_in_target(state, c)
+        for c in self._colors_by_intro(lambda c: not pos[c] & target_mask and pos[c].bit_count() >= 2):
+            u = uncolored_taking(state, target_mask, c)
             if u is not None:
                 return u, c, 1
         # (2) blocking obligations
-        if self.unused >= self.params.reserve_missing and self.uncolored_target.bit_count() >= self.params.danger_threshold:
+        unused = pos[1:].count(0)
+        if unused >= self.params.reserve_missing and (target_mask & pos[0]).bit_count() >= self.params.danger_threshold:
             self._scan_block_pairs(state)
             while self.pending:
                 mv = self.pending[0].step(self, state)
@@ -571,34 +498,28 @@ class TargetBob(Strategy):
                     return mv[0], mv[1], 2
                 self.pending.popleft()
         # (3) colours seen exactly once outside, absent inside, FIFO
-        for c in self._colors_by_intro(
-            lambda c: self.inside_count[c] == 0 and self.outside_count[c] == 1
-        ):
-            u = self._playable_in_target(state, c)
+        for c in self._colors_by_intro(lambda c: not pos[c] & target_mask and pos[c].bit_count() == 1):
+            u = uncolored_taking(state, target_mask, c)
             if u is not None:
                 return u, c, 3
         # (4) brand-new colours into the target
-        c = self._smallest_unused()
+        c = self._smallest_unused(state)
         if c is not None:
-            avail = self.uncolored_target & ~state.played
+            avail = target_mask & pos[0]
             if avail:
                 u = next(iter_bits(avail))
                 return u, c, 4
         # (5) anything
-        v = next(unplayed_vertices(state))
-        return v, smallest_legal(state, v), 5
+        v, c = first_fit(state)
+        return v, c, 5
 
     def _late_round_move(self, state: GameState):
         # Round 2: claim the target if its closed neighbourhood saw the whole
         # palette (the strategy's designed winning check).  Past that horizon
         # the strategy is out of plan and falls back to greedy play.
-        if (
-            state.round == 2
-            and not state.is_played(self.target)
-            and self.tracker.missing[self.target] == 0
-        ):
+        if state.round == 2 and not state.is_played(self.target) and state.seen[self.target] == state.palette:
             return self.target, None
-        return baseline_move(state, "greedyFirstFit")
+        return first_fit(state)
 
 
 def double_block_distance(state: GameState, pair: tuple[int, int], target: int) -> Optional[int]:
@@ -650,8 +571,6 @@ def bob_even_setup(graph: Graph, l: int, k: int, num_colors: int) -> TargetPlan:
     adjacency trace, and attach the colour-plan sets.  Requires p = 1/k style
     palettes: the colour plan construction needs the exact partition weights.
     """
-    from .partitions import build_color_plan
-
     if l < 1 or l > graph.n:
         raise PlanSetupError(f"l={l} out of range")
     plan = build_color_plan(l, k, num_colors)
@@ -708,18 +627,12 @@ class MultiplicityBob(Strategy):
     def reset(self, graph, k, variant, seed=None):
         self.graph = graph
         self.k = k
-        self.colors = [0] * graph.n
-        self.tracker = NeighborhoodColors(graph, k)
         self.entry_of_vertex = {}
         for e in self.plan.entries:
             for v in iter_bits(e.vertices):
                 self.entry_of_vertex[v] = e.index
-        self.uncolored = [e.vertices for e in self.plan.entries]
-        self.inside_count = [[0] * (k + 1) for _ in self.plan.entries]
-        self.missing = [set(e.colors) for e in self.plan.entries]
         self.end_stage = [False] * len(self.plan.entries)
         self.end_stage_move = [None] * len(self.plan.entries)
-        self.r = [0] * (k + 1)  # global colour multiplicities
         self.designated = [[] for _ in range(k + 1)]
         for e in self.plan.entries:
             for c in e.colors:
@@ -737,43 +650,27 @@ class MultiplicityBob(Strategy):
 
     def observe(self, state: GameState, rec: MoveRecord):
         self.move_clock += 1
-        v, new = rec.vertex, rec.color
-        old = self.colors[v]
-        self.colors[v] = new
-        self.tracker.update(v, old, new)
-        if old:
-            self.r[old] -= 1
-        self.r[new] += 1
-        i = self.entry_of_vertex.get(v)
-        if i is not None:
-            counts = self.inside_count[i]
-            if old:
-                counts[old] -= 1
-                if counts[old] == 0 and old in self.plan.entries[i].colors:
-                    self.missing[i].add(old)
-            counts[new] += 1
-            if counts[new] == 1:
-                self.missing[i].discard(new)
-            self.uncolored[i] &= ~(1 << v)
-            if not self.end_stage[i] and len(self.missing[i]) <= self.params.reserve_missing:
-                self.end_stage[i] = True
-                self.end_stage_move[i] = self.move_clock
+        i = self.entry_of_vertex.get(rec.vertex)
+        if i is not None and not self.end_stage[i] and len(self._missing(state, i)) <= self.params.reserve_missing:
+            self.end_stage[i] = True
+            self.end_stage_move[i] = self.move_clock
         if rec.player is Player.ALICE:
-            self.alice_last_vertex = v
-            self.alice_last_color = new
+            self.alice_last_vertex = rec.vertex
+            self.alice_last_color = rec.color
 
     # -- helpers -------------------------------------------------------------
 
-    def _miss_count(self, c: int) -> int:
-        return sum(1 for i in self.designated[c] if c in self.missing[i])
+    def _is_missing(self, state: GameState, i: int, c: int) -> bool:
+        """Whether c, a designated colour of class i, is absent from it."""
+        return not state.color_pos[c] & self.plan.entries[i].vertices
 
-    def _playable_in(self, state: GameState, i: int, c: int) -> Optional[int]:
-        for u in iter_bits(self.uncolored[i] & ~state.played):
-            if self.graph.adj[u] & state.color_pos[c] == 0:
-                return u
-        return None
+    def _missing(self, state: GameState, i: int) -> list[int]:
+        return [c for c in sorted(self.plan.entries[i].colors) if self._is_missing(state, i, c)]
 
-    def _forced_colors(self, slack: int):
+    def _miss_count(self, state: GameState, c: int) -> int:
+        return sum(1 for i in self.designated[c] if self._is_missing(state, i, c))
+
+    def _forced_colors(self, state: GameState, slack: int):
         """Colours whose multiplicity forces a copy into a missing class.
 
         slack=0 is the strict rule (fires at q = floor(r_c / C_l)); slack=1
@@ -784,10 +681,11 @@ class MultiplicityBob(Strategy):
         for c in range(1, self.k + 1):
             if not self.designated[c]:
                 continue
-            if slack and self.r[c] == 0:
+            r = state.color_pos[c].bit_count()
+            if slack and r == 0:
                 continue  # a colour not yet on the board carries no multiplicity pressure
-            q = min(self._l, self.r[c] // C_l + slack)
-            if q >= 1 and self._miss_count(c) > self._l - q:
+            q = min(self._l, r // C_l + slack)
+            if q >= 1 and self._miss_count(state, c) > self._l - q:
                 out.append(c)
         return out
 
@@ -798,8 +696,8 @@ class MultiplicityBob(Strategy):
         legal = legal_colors(state, vertex)
         fallback = min(legal) if legal else None
         for c in sorted(legal):
-            q = min(self._l, (self.r[c] + 1) // C_l)
-            if q < 1 or self._miss_count(c) <= self._l - q:
+            q = min(self._l, (state.color_pos[c].bit_count() + 1) // C_l)
+            if q < 1 or self._miss_count(state, c) <= self._l - q:
                 return c
         return fallback
 
@@ -811,7 +709,7 @@ class MultiplicityBob(Strategy):
         for i, entry in enumerate(self.plan.entries):
             if self.end_stage[i]:
                 continue
-            u_mask = self.uncolored[i]
+            u_mask = entry.vertices & state.color_pos[0]
             if u_mask.bit_count() < self.params.danger_threshold:
                 continue
             # greedy max-coverage candidate m-set
@@ -841,14 +739,14 @@ class MultiplicityBob(Strategy):
             ob = self.pending[0]
             if ob.intro_left:
                 i = ob.intro_left[0]
-                if ob.color in self.missing[i]:
-                    u = self._playable_in(state, i, ob.color)
+                if self._is_missing(state, i, ob.color):
+                    u = uncolored_taking(state, self.plan.entries[i].vertices, ob.color)
                     if u is not None:
                         ob.intro_left.pop(0)
                         return u, ob.color
                 ob.intro_left.pop(0)
                 continue
-            while ob.pos < len(ob.members) and self.colors[ob.members[ob.pos]] != 0:
+            while ob.pos < len(ob.members) and state.colors[ob.members[ob.pos]] != 0:
                 ob.pos += 1
             if ob.pos >= len(ob.members):
                 self.pending.popleft()
@@ -862,7 +760,7 @@ class MultiplicityBob(Strategy):
                 ob.pos += 1
                 continue
             ob.color = c
-            ob.intro_left = [i for i in self.designated[c] if c in self.missing[i]]
+            ob.intro_left = [i for i in self.designated[c] if self._is_missing(state, i, c)]
             ob.pos += 1
             return a, c
         return None
@@ -876,23 +774,27 @@ class MultiplicityBob(Strategy):
         return v, c
 
     def _round1_move(self, state: GameState):
+        entries = self.plan.entries
         # (1) multiplicity-forced copies
-        for c in self._forced_colors(slack=0):
+        for c in self._forced_colors(state, slack=0):
             for i in self.designated[c]:
-                if c in self.missing[i]:
-                    u = self._playable_in(state, i, c)
+                if self._is_missing(state, i, c):
+                    u = uncolored_taking(state, entries[i].vertices, c)
                     if u is not None:
                         return u, c, 1
         # (2) end-stage service
-        for i, entry in enumerate(self.plan.entries):
-            if not self.end_stage[i] or not self.missing[i]:
+        for i, entry in enumerate(entries):
+            if not self.end_stage[i]:
                 continue
-            if self.alice_last_color in self.missing[i]:
-                u = self._playable_in(state, i, self.alice_last_color)
+            missing = self._missing(state, i)
+            if not missing:
+                continue
+            if self.alice_last_color in missing:
+                u = uncolored_taking(state, entry.vertices, self.alice_last_color)
                 if u is not None:
                     return u, self.alice_last_color, 2
-            for c in sorted(self.missing[i]):
-                u = self._playable_in(state, i, c)
+            for c in missing:
+                u = uncolored_taking(state, entry.vertices, c)
                 if u is not None:
                     return u, c, 2
         # (3) kill looming blocks
@@ -902,26 +804,26 @@ class MultiplicityBob(Strategy):
             if mv is not None:
                 return mv[0], mv[1], 3
         # (4) eager multiplicity copies
-        for c in self._forced_colors(slack=1):
+        for c in self._forced_colors(state, slack=1):
             for i in self.designated[c]:
-                if c in self.missing[i]:
-                    u = self._playable_in(state, i, c)
+                if self._is_missing(state, i, c):
+                    u = uncolored_taking(state, entries[i].vertices, c)
                     if u is not None:
                         return u, c, 4
         # (5) fresh designated colours, preferring Alice's last class
-        order = list(range(len(self.plan.entries)))
+        order = list(range(len(entries)))
         last = self.entry_of_vertex.get(self.alice_last_vertex) if self.alice_last_vertex is not None else None
         if last is not None:
             order.remove(last)
             order.insert(0, last)
         for i in order:
-            for c in sorted(self.missing[i]):
-                u = self._playable_in(state, i, c)
+            for c in self._missing(state, i):
+                u = uncolored_taking(state, entries[i].vertices, c)
                 if u is not None:
                     return u, c, 5
         # (6) anything
-        v = next(unplayed_vertices(state))
-        return v, smallest_legal(state, v), 6
+        v, c = first_fit(state)
+        return v, c, 6
 
     def _late_round_move(self, state: GameState):
         # Round 2 is the plan's payoff; past it the strategy is out of plan.
@@ -929,12 +831,12 @@ class MultiplicityBob(Strategy):
             x = pick_winning_vertex(self, state)
             if x is not None:
                 return x, None
-        return baseline_move(state, "greedyFirstFit")
+        return first_fit(state)
 
 
 def pick_winning_vertex(bob: MultiplicityBob, state: GameState) -> Optional[int]:
     """Ground-set vertex whose closed neighbourhood still shows all colours."""
     for x in bob.plan.ground_set:
-        if not state.is_played(x) and bob.tracker.missing[x] == 0:
+        if not state.is_played(x) and state.seen[x] == state.palette:
             return x
     return None

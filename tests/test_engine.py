@@ -1,6 +1,7 @@
 """Game-engine rules: legality, turn order, round turnover, outcomes, transcripts."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,6 @@ from eternal_coloring.engine import (
     Player,
     RuleVariant,
     apply_move,
-    colors_in_closed_neighborhood,
     is_proper,
     legal_colors,
     play_game,
@@ -20,7 +20,8 @@ from eternal_coloring.engine import (
     transcript_from_json,
     transcript_to_json,
 )
-from eternal_coloring.graph import GnpSpec, Graph, gnp_generate, make_named
+from eternal_coloring.experiments import build_strategy
+from eternal_coloring.graph import GnpSpec, Graph, gnp_generate, iter_bits, make_named
 from eternal_coloring.solver import solve_eternal
 from eternal_coloring.strategies import GreedyFirstFit, RandomLegal
 
@@ -157,28 +158,43 @@ class TestTranscripts:
             replay_transcript(g, 3, RuleVariant.STANDARD, out.transcript[1:])
 
     def test_golden_transcript(self):
-        golden = json.loads((DATA / "golden_transcript.json").read_text())
-        g = Graph.from_text(golden["graph"])
-        out = play_game(
-            g,
-            golden["k"],
-            GreedyFirstFit(),
-            RandomLegal(),
-            RuleVariant(golden["variant"]),
-            golden["max_rounds"],
-            golden["seed"],
-        )
-        assert transcript_to_json(out.transcript) == golden["transcript"]
-        # and the frozen transcript itself replays cleanly
-        final = replay_transcript(g, golden["k"], RuleVariant(golden["variant"]), out.transcript)
-        assert is_proper(final)
+        paths = sorted(DATA.glob("golden_*.json"))
+        assert len(paths) >= 4
+        for path in paths:
+            golden = json.loads(path.read_text())
+            g = Graph.from_text(golden["graph"])
+            k, variant = golden["k"], RuleVariant(golden["variant"])
+            out = play_game(
+                g,
+                k,
+                build_strategy(golden["alice"], g, k),
+                build_strategy(golden["bob"], g, k),
+                variant,
+                golden["max_rounds"],
+                golden["seed"],
+            )
+            assert out.fault is None, path.name
+            assert transcript_to_json(out.transcript) == golden["transcript"], path.name
+            # and the frozen transcript itself replays cleanly
+            final = replay_transcript(g, k, variant, out.transcript)
+            assert is_proper(final), path.name
+
+
+def _reference_legal(state, v):
+    """The per-colour legality rule, restated from the game's definition."""
+    g = state.graph
+    out = {
+        c
+        for c in range(1, state.k + 1)
+        if not (state.round >= 2 and c == state.colors[v])
+        and all(state.colors[u] != c for u in iter_bits(g.adj[v]))
+    }
+    return {min(out)} if out and state.greedy_applies() else out
 
 
 def _scripted_playout(n, p, graph_seed, k, variant, play_seed, max_rounds=3):
     """Random playout instrumented with per-move invariant checks."""
     g = gnp_generate(GnpSpec(n, p, graph_seed))
-    import random
-
     rng = random.Random(play_seed)
     state = GameState(g, k, variant)
     check_safety = k >= g.max_degree() + 2
@@ -194,6 +210,8 @@ def _scripted_playout(n, p, graph_seed, k, variant, play_seed, max_rounds=3):
             seen_this_round = set()
             current_round = state.round
         candidates = [v for v in range(g.n) if not state.is_played(v)]
+        for u in candidates:
+            assert legal_colors(state, u) == _reference_legal(state, u)
         if check_safety:
             assert all(legal_colors(state, v) for v in candidates)
         v = rng.choice(candidates)
@@ -204,6 +222,12 @@ def _scripted_playout(n, p, graph_seed, k, variant, play_seed, max_rounds=3):
         seen_this_round.add(v)
         apply_move(state, v, rng.choice(sorted(legal)))
         assert is_proper(state)
+        for u in range(g.n):
+            recount = 0
+            for w in iter_bits(g.closed[u]):
+                if state.colors[w]:
+                    recount |= 1 << state.colors[w]
+            assert state.seen[u] == recount
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,12 +243,3 @@ def test_random_playout_invariants(n, p, graph_seed, k_extra, variant, play_seed
     g = gnp_generate(GnpSpec(n, p, graph_seed))
     k = max(1, g.max_degree() + 2 + k_extra)
     _scripted_playout(n, p, graph_seed, k, variant, play_seed)
-
-
-def test_colors_in_closed_neighborhood():
-    g = make_named("star", 3)
-    state = GameState(g, 3)
-    apply_move(state, 1, 1)
-    apply_move(state, 2, 2)
-    assert colors_in_closed_neighborhood(state, 0) == {1, 2}
-    assert colors_in_closed_neighborhood(state, 3) == set()

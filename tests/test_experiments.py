@@ -105,6 +105,10 @@ class TestConfig:
             ExperimentConfig.from_json_obj(bad)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json_obj({"graph": {"kind": "empty", "size": 1}})
+        typo = _single_vertex_config(2).to_json_obj()
+        typo["trails"] = 50
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json_obj(typo)
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -144,8 +148,13 @@ class TestBuilders:
         assert isinstance(bob, TargetBob) and bob.target == 2
 
     def test_unknown_strategy(self):
-        with pytest.raises(ConfigError):
-            build_strategy({"name": "psychic"}, make_named("star", 3), 3)
+        for spec in (
+            {"name": "psychic"},
+            {"name": "priorityAlice", "params": {"danger_treshold": 3}},
+            {"name": "targetBob", "params": {"danger_threshold": 0}},
+        ):
+            with pytest.raises(ConfigError):
+                build_strategy(spec, make_named("star", 3), 3)
 
 
 class TestAggregation:

@@ -10,13 +10,13 @@ from eternal_coloring.engine import (
     Player,
     RuleVariant,
     apply_move,
+    legal_colors,
     play_game,
 )
-from eternal_coloring.graph import GnpSpec, Graph, gnp_generate, iter_bits, make_named
+from eternal_coloring.graph import GnpSpec, Graph, gnp_generate, iter_bits, make_named, mask_of
 from eternal_coloring.solver import solve_eternal
 from eternal_coloring.strategies import (
     GreedyFirstFit,
-    NeighborhoodColors,
     PriorityAlice,
     MultiplicityBob,
     TargetBob,
@@ -25,11 +25,9 @@ from eternal_coloring.strategies import (
     RoundBook,
     StrategyParams,
     _BlockObligation,
-    baseline_move,
     bob_even_setup,
     dangerous_vertices,
     double_block_distance,
-    mirror_of,
     record_round_move,
 )
 
@@ -113,27 +111,34 @@ class TestDangerousVertices:
             previous = recomputed
 
 
+def _exact_mirror(graph, w, danger, moves=()):
+    """PriorityAlice._exact_mirror of w against the danger set, after moves."""
+    alice = PriorityAlice(StrategyParams())
+    alice.reset(graph, graph.n + 1, RuleVariant.STANDARD)
+    alice.book.danger_mask = mask_of(danger)
+    state = GameState(graph, graph.n + 1)
+    for v, c in moves:
+        apply_move(state, v, c)
+    return alice._exact_mirror(state, w), state
+
+
 class TestMirrorOf:
     def test_empty_reference_set_everything_mirrors(self):
         g = make_named("complete", 3)
-        assert mirror_of(g, 0, set(), {0}) == 1
+        assert _exact_mirror(g, 0, set(), [(0, 1)])[0] == 1
 
     def test_star_leaves_mirror_each_other(self):
         g = make_named("star", 3)
-        assert mirror_of(g, 1, {0}, {1}) == 2
+        assert _exact_mirror(g, 1, {0}, [(1, 1)])[0] == 2
 
     def test_path_endpoints_mirror_about_the_middle(self):
         g = make_named("path", 3)  # 0 - 1 - 2
-        assert mirror_of(g, 0, {1}, {0}) == 2
+        assert _exact_mirror(g, 0, {1}, [(0, 1)])[0] == 2
 
     def test_none_when_no_mirror_exists(self):
         g = make_named("path", 3)
         # nothing else shares vertex 1's adjacency to {0, 2}
-        assert mirror_of(g, 1, {0, 2}, {1}) is None
-
-    def test_w_inside_reference_set_rejected(self):
-        with pytest.raises(ValueError):
-            mirror_of(make_named("path", 3), 1, {1}, set())
+        assert _exact_mirror(g, 1, {0, 2}, [(1, 1)])[0] is None
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -147,56 +152,35 @@ class TestMirrorOf:
         rng = random.Random(pick)
         w = rng.randrange(n)
         s = {v for v in range(n) if v != w and rng.random() < 0.4}
-        v = mirror_of(g, w, s, {w})
-        if v is not None:
-            assert v != w and v not in s
-            for t in s:
-                assert g.has_edge(v, t) == g.has_edge(w, t)
-
-
-class TestNeighborhoodColors:
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(2, 8), p=st.floats(0, 1), gseed=st.integers(0, 10**6), mseed=st.integers(0, 10**6))
-    def test_incremental_census_matches_recount(self, n, p, gseed, mseed):
-        g = gnp_generate(GnpSpec(n, p, gseed))
-        k = 4
-        rng = random.Random(mseed)
-        tracker = NeighborhoodColors(g, k)
-        colors = [0] * n
-        for _ in range(3 * n):
-            v = rng.randrange(n)
-            new = rng.randrange(1, k + 1)
-            tracker.update(v, colors[v], new)
-            colors[v] = new
-        for v in range(n):
-            seen = {colors[u] for u in iter_bits(g.closed[v]) if colors[u]}
-            assert tracker.missing[v] == k - len(seen)
-            for c in range(1, k + 1):
-                assert tracker.counts[v][c] == sum(
-                    1 for u in iter_bits(g.closed[v]) if colors[u] == c
-                )
+        moves = [(w, 1)] + [(v, 2 + v) for v in range(n) if v != w and rng.random() < 0.3]
+        v, state = _exact_mirror(g, w, s, moves)
+        # the reference: unplayed vertices outside s and w with w's adjacency
+        # to s that still have a legal colour, cheapest colour first
+        mirrors = [
+            (min(legal_colors(state, u)), u)
+            for u in range(n)
+            if u != w and u not in s and not state.is_played(u)
+            and all(g.has_edge(u, t) == g.has_edge(w, t) for t in s)
+            and legal_colors(state, u)
+        ]
+        assert v == (min(mirrors)[1] if mirrors else None)
 
 
 class TestBaselines:
     def test_greedy_first_fit_fresh_triangle(self):
         state = GameState(make_named("complete", 3), 3)
-        assert baseline_move(state, "greedyFirstFit") == (0, 1)
+        assert GreedyFirstFit().select(state) == (0, 1)
 
     def test_greedy_first_fit_respects_properness(self):
         state = GameState(make_named("complete", 3), 3)
         apply_move(state, 0, 1)
-        assert baseline_move(state, "greedyFirstFit") == (1, 2)
+        assert GreedyFirstFit().select(state) == (1, 2)
 
     def test_random_legal_reproducible(self):
         g = gnp_generate(GnpSpec(7, 0.5, 4))
         a = play_game(g, 5, RandomLegal(), RandomLegal(), max_rounds=3, seed=17)
         b = play_game(g, 5, RandomLegal(), RandomLegal(), max_rounds=3, seed=17)
         assert a.transcript == b.transcript
-
-    def test_random_legal_needs_rng(self):
-        state = GameState(make_named("path", 3), 2)
-        with pytest.raises(ValueError):
-            baseline_move(state, "randomLegal")
 
 
 class TestPriorityAlice:
@@ -232,7 +216,7 @@ class TestPriorityAlice:
         for leaf in range(3, 10):
             _observe_move(state, alice, (Player.BOB if leaf % 2 else Player.ALICE, leaf, 2))
         assert state.round == 2
-        assert alice.tracker.missing[0] == 0  # centre already sees everything
+        assert state.seen[0] == state.palette  # centre already sees everything
         v, c = alice.select(state)
         # the centre (index 0, missing 0) is unrescuable and must be skipped;
         # leaf 1 is the lowest-index urgent vertex
@@ -256,8 +240,6 @@ class TestPriorityAlice:
         out = play_game(g, g.max_degree() + 2, alice, bob, max_rounds=3)
         assert out.winner is Player.ALICE
         replay = GameState(g, g.max_degree() + 2)
-        from eternal_coloring.engine import legal_colors
-
         for rec in out.transcript:
             if rec.player is Player.ALICE:
                 assert rec.color == min(legal_colors(replay, rec.vertex))
@@ -349,7 +331,7 @@ class TestTargetBob:
         for mv in [(Player.ALICE, 1, 1), (Player.BOB, 2, 1), (Player.ALICE, 0, 2)]:
             _observe_move(state, bob, mv)
         assert state.round == 2
-        assert bob.tracker.missing[0] == 0
+        assert state.seen[0] == state.palette
         v, c = bob.select(state)
         assert v == 0 and c is None  # claim the stuck target
 
@@ -359,8 +341,8 @@ class TestTargetBob:
         state = GameState(g, 3)
         for mv in [(Player.ALICE, 1, 1), (Player.BOB, 2, 1), (Player.ALICE, 0, 2)]:
             _observe_move(state, bob, mv)
-        assert bob.tracker.missing[0] == 1
-        assert bob.select(state) == baseline_move(state, "greedyFirstFit")
+        assert state.k - state.seen[0].bit_count() == 1
+        assert bob.select(state) == GreedyFirstFit().select(state)
 
     def test_beats_greedy_alice_where_solver_says_bob_wins(self):
         # exact-solver-confirmed Bob wins; the priority strategy realizes them
