@@ -1,6 +1,7 @@
 """Command-line interface: play, solve, audit, experiment, threshold.
 
-Exit codes: 0 success, 2 config error, 3 infeasible solve.
+Exit codes: 0 success, 2 config error (bad input), 3 infeasible solve,
+4 audit with a failed check.
 """
 
 from __future__ import annotations
@@ -27,17 +28,25 @@ from .solver import SolverInfeasible, eternal_game_chromatic_number, solve_etern
 def _graph_spec(text: str) -> dict:
     """Parse 'gnp:n,p,seed' or 'star:5' style graph specs."""
     kind, _, rest = text.partition(":")
+    parts = rest.split(",")
+    try:
+        if kind == "gnp" and len(parts) in (2, 3):
+            spec = {"kind": "gnp", "n": int(parts[0]), "p": float(parts[1])}
+            if len(parts) == 3:
+                spec["seed"] = int(parts[2])
+            return spec
+        if kind in ("star", "path", "cycle", "complete", "empty"):
+            return {"kind": kind, "size": int(rest)}
+    except ValueError as e:  # a number that does not parse
+        raise ConfigError(f"bad graph spec {text!r}: {e}") from None
     if kind == "gnp":
-        parts = rest.split(",")
-        if len(parts) not in (2, 3):
-            raise ConfigError("gnp spec is gnp:n,p[,seed]")
-        spec = {"kind": "gnp", "n": int(parts[0]), "p": float(parts[1])}
-        if len(parts) == 3:
-            spec["seed"] = int(parts[2])
-        return spec
-    if kind in ("star", "path", "cycle", "complete", "empty"):
-        return {"kind": kind, "size": int(rest)}
+        raise ConfigError("gnp spec is gnp:n,p[,seed]")
     raise ConfigError(f"unknown graph spec {text!r}")
+
+
+def _check_positive(flag: str, value) -> None:
+    if value is not None and value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
 
 
 def main(argv=None) -> int:
@@ -87,6 +96,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "play":
+        _check_positive("--k", args.k)
+        _check_positive("--max-rounds", args.max_rounds)
         graph = build_graph(_graph_spec(args.graph))
         alice = build_strategy({"name": args.alice}, graph, args.k)
         bob = build_strategy({"name": args.bob}, graph, args.k)
@@ -106,6 +117,7 @@ def _dispatch(args) -> int:
         )
         return 0
     if args.command == "solve":
+        _check_positive("--k", args.k)
         graph = build_graph(_graph_spec(args.graph))
         variant = RuleVariant(args.variant)
         if args.k is not None:
@@ -128,7 +140,7 @@ def _dispatch(args) -> int:
         params = AuditParams(p=args.p, epsilon=args.epsilon, seed=args.seed)
         report = audit_graph(graph, params)
         print(json.dumps(report.to_json_obj(), indent=2))
-        return 0 if report.all_hold else 0
+        return 0 if report.all_hold else 4
     if args.command == "experiment":
         config = ExperimentConfig.from_file(args.config)
         if args.seed is not None:

@@ -24,6 +24,7 @@ from .strategies import (
     GreedyFirstFit,
     PriorityAlice,
     MultiplicityBob,
+    PlanSetupError,
     TargetBob,
     RandomLegal,
     StrategyParams,
@@ -33,6 +34,10 @@ from .strategies import (
 
 class ConfigError(ValueError):
     pass
+
+
+class TrialError(RuntimeError):
+    """A game of a batch raised; names the (k, trial, seed) that replays it."""
 
 
 @dataclass
@@ -122,10 +127,13 @@ class TrialRecord:
 
 def build_graph(spec: dict, seed: Optional[int] = None) -> Graph:
     kind = spec.get("kind")
-    if kind == "gnp":
-        return gnp_generate(GnpSpec(spec["n"], spec["p"], spec.get("seed", seed if seed is not None else 0)))
-    if kind in ("star", "path", "cycle", "complete", "empty"):
-        return make_named(kind, spec["size"])
+    try:
+        if kind == "gnp":
+            return gnp_generate(GnpSpec(spec["n"], spec["p"], spec.get("seed", seed if seed is not None else 0)))
+        if kind in ("star", "path", "cycle", "complete", "empty"):
+            return make_named(kind, spec["size"])
+    except ValueError as e:  # a size or probability out of range
+        raise ConfigError(f"bad graph {spec}: {e}") from None
     raise ConfigError(f"unknown graph kind {kind!r}")
 
 
@@ -147,7 +155,10 @@ def build_strategy(spec: dict, graph: Graph, k: int):
     if name == "targetBob":
         return TargetBob(params, target=spec.get("target", 0))
     if name == "multiplicityBob":
-        plan = bob_even_setup(graph, spec.get("l", 1), spec.get("k_inv", 2), spec.get("num_colors", k))
+        try:
+            plan = bob_even_setup(graph, spec.get("l", 1), spec.get("k_inv", 2), spec.get("num_colors", k))
+        except PlanSetupError as e:
+            raise ConfigError(f"multiplicityBob plan: {e}") from None
         return MultiplicityBob(plan, params)
     raise ConfigError(f"unknown strategy {name!r}")
 
@@ -156,15 +167,18 @@ def run_trial(config: ExperimentConfig, graph: Graph, k: int, trial: int) -> Tri
     seed = derive_seed(config.master_seed, trial, k)
     alice = build_strategy(config.alice, graph, k)
     bob = build_strategy(config.bob, graph, k)
-    outcome = play_game(
-        graph,
-        k,
-        alice,
-        bob,
-        variant=RuleVariant(config.variant),
-        max_rounds=config.max_rounds,
-        seed=seed,
-    )
+    try:
+        outcome = play_game(
+            graph,
+            k,
+            alice,
+            bob,
+            variant=RuleVariant(config.variant),
+            max_rounds=config.max_rounds,
+            seed=seed,
+        )
+    except Exception as e:  # a strategy crashed: say which game, so it can be replayed
+        raise TrialError(f"game k={k} trial={trial} seed={seed} raised {type(e).__name__}: {e}") from e
     if outcome.fault is not None:
         winner = "fault"
     else:

@@ -266,30 +266,38 @@ class PriorityAlice(Strategy):
         # number of mildly-pressured ones.  Ties break towards the smallest
         # usable colour, keeping Alice's distinct-colour footprint low.
         d_mask = self.book.danger_mask
-        skip = state.played | (1 << w)
-        seen = state.seen
+        seen, adj = state.seen, self.graph.adj
         # Pressure = how much of the palette a dangerous vertex already sees.
         # Base n+1 makes the score lexicographic: covering the single vertex
         # closest to seeing everything beats covering every other one.
+        # Covering a pressured vertex with a colour it already sees is a pure
+        # slot-burn; covering it with a colour new to it also fills it, so
+        # that counts one pressure level lower.  Weights depend on t only.
         base = self.graph.n + 1
-        best = None
-        for v in range(self.graph.n):
-            if skip >> v & 1:
-                continue
+        burn, fill = {}, {}
+        for t in iter_bits(d_mask):
+            burn[t] = base ** seen[t].bit_count()
+            fill[t] = burn[t] // base
+        # best = max score, then min colour; v ascends, so ties keep the lower v
+        best, best_score, best_c = None, 0, 0
+        rest = ~(state.played | 1 << w) & self.graph.full_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             c = smallest_legal(state, v)
             if c is None:
                 continue
-            covered = self.graph.adj[v] & d_mask
-            # Covering a pressured vertex with a colour it already sees is a
-            # pure slot-burn; covering it with a colour new to it also fills
-            # it, so that counts one pressure level lower.
             score = 0
-            for t in iter_bits(covered):
-                e = seen[t].bit_count()
-                score += base ** e if seen[t] >> c & 1 else base ** e // base
-            if best is None or (-score, c, v) < best:
-                best = (-score, c, v)
-        return best[2] if best else None
+            covered = adj[v] & d_mask
+            while covered:
+                bit = covered & -covered
+                covered ^= bit
+                t = bit.bit_length() - 1
+                score += burn[t] if seen[t] >> c & 1 else fill[t]
+            if best is None or score > best_score or (score == best_score and c < best_c):
+                best, best_score, best_c = v, score, c
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +439,8 @@ class TargetBob(Strategy):
         self.intro_time = [0] * (k + 1)  # move index of first appearance; 0 = unused
         self.move_clock = 0
         self.pending: deque[_BlockObligation] = deque()
-        self.seen_pairs: set[frozenset] = set()
+        self.seen_pairs: set[tuple[int, int]] = set()  # (a, b), a < b
+        self.last_u: Optional[int] = None  # uncoloured part of N[target] at the last scan
         self.audit_log: list[tuple[int, int, int]] = []
         self.drop_log: list[str] = []
 
@@ -457,18 +466,51 @@ class TargetBob(Strategy):
         return cs
 
     def _scan_block_pairs(self, state: GameState) -> None:
+        """Queue every unseen unplayed pair (a, b), a < b, in ascending order,
+        whose union of closed neighbourhoods misses at most block_distance
+        uncoloured vertices of the target's closed neighbourhood.
+
+        Round 1 (the only round that scans) only shrinks the uncoloured target
+        part u and the unplayed set, so a pair's miss count never rises and a
+        pair that qualified at the last scan is seen already.  A pair new to
+        the queue thus misses a vertex of `gone`, the part of u coloured since
+        the last scan: only such pairs are tested.  The first scan of a game
+        tests them all.
+        """
         u_mask = self.target_mask & state.color_pos[0]
-        dist = self.params.block_distance
-        unplayed = [v for v in unplayed_vertices(state)]
-        closed = self.graph.closed
-        for i, a in enumerate(unplayed):
-            miss_a = u_mask & ~closed[a]
-            for b in unplayed[i + 1 :]:
-                if (miss_a & ~closed[b]).bit_count() <= dist:
-                    key = frozenset((a, b))
-                    if key not in self.seen_pairs:
-                        self.seen_pairs.add(key)
-                        self.pending.append(_BlockObligation(a, b))
+        last_u = self.last_u
+        if u_mask == last_u:
+            return
+        self.last_u = u_mask
+        gone = None if last_u is None else last_u & ~u_mask
+        dist, closed = self.params.block_distance, self.graph.closed
+        miss = [u_mask & ~c for c in closed]  # miss[x] = u minus N[x]
+        seen_pairs, pending = self.seen_pairs, self.pending
+        rest = ~state.played & self.graph.full_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low  # rest = unplayed vertices above a
+            a = low.bit_length() - 1
+            if gone is None:
+                cand = rest
+            else:
+                hit = gone & ~closed[a]
+                if not hit:
+                    continue
+                cand = 0  # the b that miss some vertex of `gone` a misses too
+                while hit:
+                    bit = hit & -hit
+                    hit ^= bit
+                    cand |= ~closed[bit.bit_length() - 1]
+                cand &= rest
+            miss_a = miss[a]
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                b = bit.bit_length() - 1
+                if (miss_a & miss[b]).bit_count() <= dist and (a, b) not in seen_pairs:
+                    seen_pairs.add((a, b))
+                    pending.append(_BlockObligation(a, b))
 
     def _log_drop(self, ob: _BlockObligation, why: str) -> None:
         self.drop_log.append(f"pair ({ob.a},{ob.b}) dropped: {why}")
@@ -573,7 +615,10 @@ def bob_even_setup(graph: Graph, l: int, k: int, num_colors: int) -> TargetPlan:
     """
     if l < 1 or l > graph.n:
         raise PlanSetupError(f"l={l} out of range")
-    plan = build_color_plan(l, k, num_colors)
+    try:
+        plan = build_color_plan(l, k, num_colors)
+    except ValueError as e:  # k or num_colors admits no colour plan
+        raise PlanSetupError(str(e)) from e
     ground = tuple(range(l))
     ground_mask = mask_of(ground)
     classes: dict[frozenset, int] = {}

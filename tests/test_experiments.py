@@ -9,12 +9,14 @@ from eternal_coloring.cli import main
 from eternal_coloring.experiments import (
     ConfigError,
     ExperimentConfig,
+    TrialError,
     build_graph,
     build_strategy,
     emit_outputs,
     estimate_threshold,
     records_to_csv,
     run_experiment,
+    run_trial,
     win_rates,
 )
 from eternal_coloring.graph import derive_seed, make_named
@@ -77,6 +79,29 @@ class TestRunExperiment:
             assert r.winner in ("alice", "bob", "fault")
             assert r.fault == (r.winner == "fault")
             assert r.moves_played >= 1
+
+
+class TestTrialError:
+    def test_strategy_crash_names_its_trial(self, monkeypatch):
+        def crash(self, state):
+            raise StopIteration("no move")
+
+        monkeypatch.setattr(TargetBob, "select", crash)
+        config = ExperimentConfig(
+            graph={"kind": "star", "size": 4},
+            k_range=[3],
+            alice={"name": "greedyFirstFit"},
+            bob={"name": "targetBob"},
+            master_seed=5,
+        )
+        graph = build_graph(config.graph)
+        with pytest.raises(TrialError) as info:
+            run_trial(config, graph, 3, 2)
+        seed = derive_seed(5, 2, 3)
+        assert f"k=3 trial=2 seed={seed}" in str(info.value)
+        assert isinstance(info.value.__cause__, StopIteration)
+        with pytest.raises(TrialError, match="k=3 trial=0 "):
+            run_experiment(config)
 
 
 class TestConfig:
@@ -152,6 +177,7 @@ class TestBuilders:
             {"name": "psychic"},
             {"name": "priorityAlice", "params": {"danger_treshold": 3}},
             {"name": "targetBob", "params": {"danger_threshold": 0}},
+            {"name": "multiplicityBob", "k_inv": 0},
         ):
             with pytest.raises(ConfigError):
                 build_strategy(spec, make_named("star", 3), 3)
@@ -210,13 +236,28 @@ class TestCli:
     def test_solve_infeasible_exit_code(self):
         assert main(["solve", "--graph", "path:8", "--k", "5", "--state-cap", "10"]) == 3
 
-    def test_bad_graph_spec_exit_code(self):
-        assert main(["solve", "--graph", "moebius:7", "--k", "2"]) == 2
+    def test_bad_graph_spec_exit_code(self, capsys):
+        for argv in (
+            ["solve", "--graph", "moebius:7", "--k", "2"],
+            ["play", "--graph", "star:0", "--k", "3"],
+            ["play", "--graph", "star:x", "--k", "3"],
+            ["solve", "--graph", "gnp:5,1.5", "--k", "2"],
+            ["play", "--graph", "star:3", "--k", "0"],
+            ["play", "--graph", "star:3", "--k", "3", "--max-rounds", "0"],
+            ["play", "--graph", "empty:3", "--k", "3", "--bob", "multiplicityBob"],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, argv
 
     def test_audit_json(self, capsys):
-        assert main(["audit", "--graph", "complete:6", "--p", "1.0", "--epsilon", "0.5"]) == 0
+        # K_6 fails min_degree (degree 5 < (1 - 0.5/100) * 6), so exit 4
+        assert main(["audit", "--graph", "complete:6", "--p", "1.0", "--epsilon", "0.5"]) == 4
         report = json.loads(capsys.readouterr().out)
+        assert not report["all_hold"]
         assert {"name", "holds", "method", "witness"} <= set(report["checks"][0])
+        assert main(["audit", "--graph", "empty:3", "--p", "0.0", "--epsilon", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["all_hold"]
 
     def test_experiment_and_threshold(self, tmp_path, capsys):
         config = _single_vertex_config(2, trials=3).to_json_obj()

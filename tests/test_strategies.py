@@ -1,6 +1,7 @@
 """Priority strategies: danger tracking, mirrors, Alice, both Bobs, baselines."""
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,8 @@ from eternal_coloring.strategies import (
     dangerous_vertices,
     double_block_distance,
     record_round_move,
+    smallest_legal,
+    unplayed_vertices,
 )
 
 
@@ -318,7 +321,7 @@ class TestTargetBob:
         g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 0), (5, 1), (5, 2), (6, 3), (6, 4)])
         bob = self._bob(g, 9, reserve_missing=3, block_distance=1)
         bob.pending.append(_BlockObligation(5, 6))
-        bob.seen_pairs.add(frozenset((5, 6)))
+        bob.seen_pairs.add((5, 6))
         state = GameState(g, 9)
         v, c, prio = bob._round1_move(state)
         assert (v, c) == (5, 1)  # colour a with the smallest unused colour
@@ -352,6 +355,117 @@ class TestTargetBob:
             bob = TargetBob(StrategyParams(), target=0)
             out = play_game(g, k, GreedyFirstFit(), bob, max_rounds=10)
             assert out.winner is Player.BOB, (kind, size, k)
+
+
+class _LoggedDeque(deque):
+    """A deque that also logs every (a, b) obligation appended to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def append(self, ob):
+        self.log.append((ob.a, ob.b))
+        super().append(ob)
+
+
+class _LoggedTargetBob(TargetBob):
+    def reset(self, graph, k, variant, seed=None):
+        super().reset(graph, k, variant, seed)
+        self.pending = _LoggedDeque()
+
+
+class _ReferenceTargetBob(_LoggedTargetBob):
+    """The full rescan of every unplayed pair on every call: the oracle of the
+    incremental TargetBob._scan_block_pairs."""
+
+    def _scan_block_pairs(self, state):
+        u_mask = self.target_mask & state.color_pos[0]
+        dist = self.params.block_distance
+        unplayed = [v for v in unplayed_vertices(state)]
+        closed = self.graph.closed
+        for i, a in enumerate(unplayed):
+            miss_a = u_mask & ~closed[a]
+            for b in unplayed[i + 1 :]:
+                if (miss_a & ~closed[b]).bit_count() <= dist:
+                    key = frozenset((a, b))
+                    if key not in self.seen_pairs:
+                        self.seen_pairs.add(key)
+                        self.pending.append(_BlockObligation(a, b))
+
+
+class _ReferenceAlice(PriorityAlice):
+    """The per-(v, t) weight loop: the oracle of PriorityAlice._playable_mirror."""
+
+    def _playable_mirror(self, state, w):
+        d_mask = self.book.danger_mask
+        skip = state.played | (1 << w)
+        seen = state.seen
+        base = self.graph.n + 1
+        best = None
+        for v in range(self.graph.n):
+            if skip >> v & 1:
+                continue
+            c = smallest_legal(state, v)
+            if c is None:
+                continue
+            covered = self.graph.adj[v] & d_mask
+            score = 0
+            for t in iter_bits(covered):
+                e = seen[t].bit_count()
+                score += base ** e if seen[t] >> c & 1 else base ** e // base
+            if best is None or (-score, c, v) < best:
+                best = (-score, c, v)
+        return best[2] if best else None
+
+
+_LOCKSTEP_GAMES = [(n, gseed) for n in (13, 17, 21, 25) for gseed in range(3)]
+
+
+class TestLockstepOracles:
+    """The incremental hot loops play exactly as the full recomputations."""
+
+    def test_target_bob_scan_matches_full_rescan(self):
+        queued = drops = 0
+        for n, gseed in _LOCKSTEP_GAMES:
+            g = gnp_generate(GnpSpec(n, 0.5, gseed))
+            for dist in (1, 2, 3):
+                params = StrategyParams(block_distance=dist, danger_threshold=2, reserve_missing=2)
+                for k in (n // 2, n // 2 + 3):
+                    for alice in (GreedyFirstFit(), RandomLegal()):
+                        games = []
+                        for cls in (_LoggedTargetBob, _ReferenceTargetBob):
+                            bob = cls(params, target=gseed % n, audit=True)
+                            out = play_game(g, k, alice, bob, max_rounds=3, seed=gseed)
+                            games.append((out, bob))
+                        (out, bob), (ref_out, ref) = games
+                        case = (n, gseed, dist, k, alice.name)
+                        assert out.transcript == ref_out.transcript, case
+                        assert bob.pending.log == ref.pending.log, case
+                        assert {frozenset(p) for p in bob.seen_pairs} == ref.seen_pairs, case
+                        assert all(a < b for a, b in bob.seen_pairs), case
+                        assert bob.drop_log == ref.drop_log, case
+                        assert bob.audit_log == ref.audit_log, case
+                        queued += len(bob.pending.log)
+                        drops += len(bob.drop_log)
+        assert queued > 1000 and drops > 100  # the scans really ran
+
+    def test_priority_alice_mirror_matches_per_pair_weights(self):
+        tier3 = 0
+        for n, gseed in _LOCKSTEP_GAMES:
+            g = gnp_generate(GnpSpec(n, 0.5, gseed))
+            params = StrategyParams(danger_threshold=2, nearly_full_threshold=2, block_distance=2, reserve_missing=2)
+            for k in (n // 2 + 2, n - 2):
+                games = []
+                for cls in (PriorityAlice, _ReferenceAlice):
+                    alice = cls(params, audit=True)
+                    out = play_game(g, k, alice, TargetBob(params), max_rounds=4, seed=gseed)
+                    games.append((out, alice))
+                (out, alice), (ref_out, ref) = games
+                assert out.transcript == ref_out.transcript, (n, gseed, k)
+                assert alice.audit_log == ref.audit_log, (n, gseed, k)
+                tier3 += sum(1 for *_, prio in alice.audit_log if prio == 3)
+        assert tier3 > 100  # the mirror search really ran
 
 
 class TestDoubleBlockDistance:
