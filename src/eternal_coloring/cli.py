@@ -136,6 +136,10 @@ def _dispatch(args) -> int:
             )
         return 0
     if args.command == "audit":
+        if not 0 <= args.p <= 1:
+            raise ConfigError(f"--p must be in [0, 1], got {args.p}")
+        if not 0 < args.epsilon <= 100:  # a percentage; its colour count grows with it
+            raise ConfigError(f"--epsilon must be in (0, 100], got {args.epsilon}")
         graph = build_graph(_graph_spec(args.graph))
         params = AuditParams(p=args.p, epsilon=args.epsilon, seed=args.seed)
         report = audit_graph(graph, params)

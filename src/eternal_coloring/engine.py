@@ -121,6 +121,11 @@ def apply_move(state: GameState, v: int, c: int) -> GameState:
     """Apply a validated move in place; flips the mover and handles round turnover."""
     if c not in legal_colors(state, v):
         raise IllegalMoveError(f"colour {c} is not legal at vertex {v}")
+    return _place(state, v, c)
+
+
+def _place(state: GameState, v: int, c: int) -> GameState:
+    """apply_move after its legality check: the caller has checked the move."""
     old = state.colors[v]
     bit = 1 << v
     pos = state.color_pos
@@ -131,14 +136,21 @@ def apply_move(state: GameState, v: int, c: int) -> GameState:
     if old:
         # u still sees old iff another vertex of N[u] keeps it
         old_bit, old_pos = 1 << old, pos[old]
-        for u in iter_bits(closed[v]):
+        m = closed[v]
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
             mask = seen[u] | new_bit
             if not closed[u] & old_pos:
                 mask &= ~old_bit
             seen[u] = mask
     else:
-        for u in iter_bits(closed[v]):
-            seen[u] |= new_bit
+        m = closed[v]
+        while m:
+            low = m & -m
+            m ^= low
+            seen[low.bit_length() - 1] |= new_bit
     state.played |= bit
     state.played_count += 1
     state.to_move = state.to_move.other
@@ -213,7 +225,7 @@ def play_game(
         if c not in legal:
             return GameOutcome(winner=None, fault=mover, rounds_completed=state.round - 1, transcript=transcript)
         rec = MoveRecord(state.round, state.played_count, mover, v, c)
-        apply_move(state, v, c)
+        _place(state, v, c)
         transcript.append(rec)
         alice.observe(state, rec)
         bob.observe(state, rec)

@@ -91,11 +91,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 obj = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"bad config JSON: {e}") from None
+        except OSError as e:
+            raise ConfigError(f"cannot read config: {e}") from None
+        except ValueError as e:  # not JSON, or not text
+            raise ConfigError(f"bad config JSON: {e}") from None
         return cls.from_json_obj(obj)
 
     def to_json_obj(self) -> dict:

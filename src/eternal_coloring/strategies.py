@@ -16,7 +16,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Optional
+from typing import Iterator, Optional
 
 from .engine import GameState, MoveRecord, Player, Strategy, legal_colors, legal_mask
 from .graph import Graph, iter_bits, mask_of
@@ -439,7 +439,8 @@ class TargetBob(Strategy):
         self.intro_time = [0] * (k + 1)  # move index of first appearance; 0 = unused
         self.move_clock = 0
         self.pending: deque[_BlockObligation] = deque()
-        self.seen_pairs: set[tuple[int, int]] = set()  # (a, b), a < b
+        self.batches: deque[Iterator[tuple[int, int]]] = deque()  # pairs of each scan, not yet queued
+        self.seen_pairs: set[tuple[int, int]] = set()  # (a, b), a < b, queued so far
         self.last_u: Optional[int] = None  # uncoloured part of N[target] at the last scan
         self.audit_log: list[tuple[int, int, int]] = []
         self.drop_log: list[str] = []
@@ -466,16 +467,16 @@ class TargetBob(Strategy):
         return cs
 
     def _scan_block_pairs(self, state: GameState) -> None:
-        """Queue every unseen unplayed pair (a, b), a < b, in ascending order,
-        whose union of closed neighbourhoods misses at most block_distance
-        uncoloured vertices of the target's closed neighbourhood.
+        """Queue a batch of every unseen unplayed pair (a, b), a < b, in
+        ascending order, whose union of closed neighbourhoods misses at most
+        block_distance uncoloured vertices of the target's closed
+        neighbourhood.
 
-        Round 1 (the only round that scans) only shrinks the uncoloured target
-        part u and the unplayed set, so a pair's miss count never rises and a
-        pair that qualified at the last scan is seen already.  A pair new to
-        the queue thus misses a vertex of `gone`, the part of u coloured since
-        the last scan: only such pairs are tested.  The first scan of a game
-        tests them all.
+        The batch is a snapshot: its pairs are tested against the board of
+        this call, but only when `_head` asks for them.  Batches drain FIFO,
+        so when a pair is tested `seen_pairs` holds every pair of the batches
+        before it and of its own batch before it, just as if all pairs had
+        been tested here, and the queue is the same pair for pair.
         """
         u_mask = self.target_mask & state.color_pos[0]
         last_u = self.last_u
@@ -483,10 +484,21 @@ class TargetBob(Strategy):
             return
         self.last_u = u_mask
         gone = None if last_u is None else last_u & ~u_mask
+        self.batches.append(self._block_pairs(u_mask, gone, ~state.played & self.graph.full_mask))
+
+    def _block_pairs(self, u_mask: int, gone: Optional[int], rest: int) -> Iterator[tuple[int, int]]:
+        """The new qualifying pairs of one scan, tested as they are drawn.
+
+        Round 1 (the only round that scans) only shrinks the uncoloured target
+        part u and the unplayed set, so a pair's miss count never rises and a
+        pair that qualified at the last scan is seen already.  A pair new to
+        the queue thus misses a vertex of `gone`, the part of u coloured since
+        the last scan: only such pairs are tested.  The first scan of a game
+        (gone None) tests them all.
+        """
         dist, closed = self.params.block_distance, self.graph.closed
         miss = [u_mask & ~c for c in closed]  # miss[x] = u minus N[x]
-        seen_pairs, pending = self.seen_pairs, self.pending
-        rest = ~state.played & self.graph.full_mask
+        seen_pairs = self.seen_pairs
         while rest:
             low = rest & -rest
             rest ^= low  # rest = unplayed vertices above a
@@ -510,7 +522,21 @@ class TargetBob(Strategy):
                 b = bit.bit_length() - 1
                 if (miss_a & miss[b]).bit_count() <= dist and (a, b) not in seen_pairs:
                     seen_pairs.add((a, b))
-                    pending.append(_BlockObligation(a, b))
+                    yield a, b
+
+    def _head(self) -> Optional[_BlockObligation]:
+        """The obligation at the head of the queue, drawing the next pair of
+        the oldest unfinished batch when the queue is empty."""
+        pending, batches = self.pending, self.batches
+        while not pending:
+            if not batches:
+                return None
+            pair = next(batches[0], None)
+            if pair is None:
+                batches.popleft()
+            else:
+                pending.append(_BlockObligation(*pair))
+        return pending[0]
 
     def _log_drop(self, ob: _BlockObligation, why: str) -> None:
         self.drop_log.append(f"pair ({ob.a},{ob.b}) dropped: {why}")
@@ -534,8 +560,8 @@ class TargetBob(Strategy):
         unused = pos[1:].count(0)
         if unused >= self.params.reserve_missing and (target_mask & pos[0]).bit_count() >= self.params.danger_threshold:
             self._scan_block_pairs(state)
-            while self.pending:
-                mv = self.pending[0].step(self, state)
+            while (ob := self._head()) is not None:
+                mv = ob.step(self, state)
                 if mv is not None:
                     return mv[0], mv[1], 2
                 self.pending.popleft()

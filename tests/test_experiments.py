@@ -1,9 +1,13 @@
 """Experiment runner: configs, determinism, records, outputs, and the CLI."""
 
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eternal_coloring.cli import main
 from eternal_coloring.experiments import (
@@ -218,6 +222,51 @@ class TestAggregation:
         assert summary["win_rates"]["2"]["alice_survival_rate"] == 1.0
 
 
+TESTS = Path(__file__).resolve().parent
+_MISSING_CONFIG = str(TESTS / "data" / "no_such_config.json")
+
+_FUZZ_GRAPHS = [
+    "star:0", "star:x", "star:3", "gnp:5,1.5", "gnp:4,0.5,1", "gnp:4", "path:3", "cycle:4", "complete:3", "empty:2", "moebius:3"
+]
+_FUZZ_STRATEGIES = ["greedyFirstFit", "randomLegal", "priorityAlice", "targetBob", "multiplicityBob", "nope"]
+_FUZZ_VARIANTS = ["standard", "greedy_bob", "greedy_both", "bogus"]
+_FUZZ_FLOATS = [-1.0, 0.0, 0.5, 1.0, 1.5, 100.0, 101.0, float("inf"), float("nan")]
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv from a small grammar: each subcommand, tiny or malformed graph
+    specs, and flag values on both sides of their ranges."""
+    cmd = draw(st.sampled_from(["play", "solve", "audit", "experiment", "threshold"]))
+    argv = [cmd]
+
+    def flag(name, values):
+        if draw(st.booleans()):
+            argv.extend([name, str(draw(values))])
+
+    if cmd in ("experiment", "threshold"):
+        argv += ["--config", draw(st.sampled_from([_MISSING_CONFIG, os.devnull, str(TESTS)]))]
+        flag("--seed", st.integers(-2, 3))
+        return argv
+    argv += ["--graph", draw(st.sampled_from(_FUZZ_GRAPHS))]
+    if cmd == "audit":
+        flag("--p", st.sampled_from(_FUZZ_FLOATS))
+        flag("--epsilon", st.sampled_from(_FUZZ_FLOATS))
+        flag("--seed", st.integers(-2, 3))
+        return argv
+    if cmd == "play" or draw(st.booleans()):
+        argv += ["--k", str(draw(st.integers(-1, 5)))]
+    flag("--variant", st.sampled_from(_FUZZ_VARIANTS))
+    if cmd == "solve":
+        flag("--state-cap", st.sampled_from([-1, 0, 10, 10**6]))
+    else:
+        flag("--max-rounds", st.integers(-1, 3))
+        flag("--alice", st.sampled_from(_FUZZ_STRATEGIES))
+        flag("--bob", st.sampled_from(_FUZZ_STRATEGIES))
+        flag("--seed", st.integers(-2, 3))
+    return argv
+
+
 class TestCli:
     def test_play_emits_transcript(self, capsys):
         assert main(["play", "--graph", "star:3", "--k", "3", "--max-rounds", "2"]) == 0
@@ -245,10 +294,26 @@ class TestCli:
             ["play", "--graph", "star:3", "--k", "0"],
             ["play", "--graph", "star:3", "--k", "3", "--max-rounds", "0"],
             ["play", "--graph", "empty:3", "--k", "3", "--bob", "multiplicityBob"],
+            ["experiment", "--config", _MISSING_CONFIG, "--out", "unused"],
+            ["threshold", "--config", _MISSING_CONFIG],
+            ["audit", "--graph", "star:3", "--p", "1.5"],
+            ["audit", "--graph", "star:3", "--epsilon", "-1"],
         ):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, argv
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=_cli_argv())
+    def test_fuzzed_argv_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse rejects the flags themselves
+                code = e.code
+        assert code in (0, 2, 3, 4), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
 
     def test_audit_json(self, capsys):
         # K_6 fails min_degree (degree 5 < (1 - 0.5/100) * 6), so exit 4

@@ -376,8 +376,8 @@ class _LoggedTargetBob(TargetBob):
 
 
 class _ReferenceTargetBob(_LoggedTargetBob):
-    """The full rescan of every unplayed pair on every call: the oracle of the
-    incremental TargetBob._scan_block_pairs."""
+    """The full rescan of every unplayed pair on every call, queued at once:
+    the oracle of TargetBob's incremental scan and lazy pair batches."""
 
     def _scan_block_pairs(self, state):
         u_mask = self.target_mask & state.color_pos[0]
@@ -426,7 +426,7 @@ class TestLockstepOracles:
     """The incremental hot loops play exactly as the full recomputations."""
 
     def test_target_bob_scan_matches_full_rescan(self):
-        queued = drops = 0
+        queued = drops = lazy = 0
         for n, gseed in _LOCKSTEP_GAMES:
             g = gnp_generate(GnpSpec(n, 0.5, gseed))
             for dist in (1, 2, 3):
@@ -441,6 +441,10 @@ class TestLockstepOracles:
                         (out, bob), (ref_out, ref) = games
                         case = (n, gseed, dist, k, alice.name)
                         assert out.transcript == ref_out.transcript, case
+                        lazy += len(bob.pending.log)
+                        # draw the pairs the game ended before reaching
+                        while bob._head() is not None:
+                            bob.pending.popleft()
                         assert bob.pending.log == ref.pending.log, case
                         assert {frozenset(p) for p in bob.seen_pairs} == ref.seen_pairs, case
                         assert all(a < b for a, b in bob.seen_pairs), case
@@ -449,6 +453,7 @@ class TestLockstepOracles:
                         queued += len(bob.pending.log)
                         drops += len(bob.drop_log)
         assert queued > 1000 and drops > 100  # the scans really ran
+        assert lazy < queued  # and the lazy queue tested fewer pairs in play
 
     def test_priority_alice_mirror_matches_per_pair_weights(self):
         tier3 = 0
