@@ -211,13 +211,32 @@ def find_m_block_sets(
 
 
 def exact_binomial_tails(n: int, p: Fraction, epsilon: Fraction) -> tuple[Fraction, Fraction]:
-    """(P(Bin >= (p+eps)n), P(Bin <= (p-eps)n)) exactly, p rational."""
+    """(P(Bin >= (p+eps)n), P(Bin <= (p-eps)n)) exactly, p rational.
+
+    With p = num/den and q = den - num, the term of j successes is
+    t_j = comb(n, j) num^j q^(n-j) / den^n.  Each tail is summed from its own
+    end, each numerator from its neighbour by an exact integer division, so
+    the middle terms are never formed.
+    """
     num, den = p.numerator, p.denominator
     q = den - num
-    upper_from = math.ceil((p + epsilon) * n)
-    lower_to = math.floor((p - epsilon) * n)
-    upper = sum(comb(n, j) * num**j * q ** (n - j) for j in range(max(upper_from, 0), n + 1))
-    lower = sum(comb(n, j) * num**j * q ** (n - j) for j in range(0, lower_to + 1)) if lower_to >= 0 else 0
+    upper_from = max(math.ceil((p + epsilon) * n), 0)
+    lower_to = min(math.floor((p - epsilon) * n), n)
+    if num == 0 or q == 0:  # p = 0 or 1: all the mass sits at j = 0 or j = n
+        j = 0 if num == 0 else n
+        return Fraction(int(j >= upper_from)), Fraction(int(j <= lower_to))
+    upper = 0
+    if upper_from <= n:
+        t = upper = num**n
+        for j in range(n, upper_from, -1):  # t_j -> t_(j-1)
+            t = t * j * q // ((n - j + 1) * num)
+            upper += t
+    lower = 0
+    if lower_to >= 0:
+        t = lower = q**n
+        for j in range(lower_to):  # t_j -> t_(j+1)
+            t = t * (n - j) * num // ((j + 1) * q)
+            lower += t
     total = den**n
     return Fraction(upper, total), Fraction(lower, total)
 
@@ -225,8 +244,11 @@ def exact_binomial_tails(n: int, p: Fraction, epsilon: Fraction) -> tuple[Fracti
 def hoeffding_check(n: int, p, epsilon) -> dict:
     """Exact binomial tails vs exp(-2 eps^2 n), both sides.
 
-    The bound is compared through a certified float lower bound of the
-    exponential, so a pass certifies the true inequality.
+    The tails are first compared with a float just below the float value of
+    the exponential, taken as a lower bound of the true exponential.  A pass
+    there decides the check with ``decided_by: "certified"``.  Otherwise the
+    tails are compared with the float value itself, which is not certified
+    either way (``decided_by: "float_fallback"``).
     """
     if n > 10**4:
         raise ValueError("exact tail summation capped at n <= 10^4")
@@ -235,15 +257,17 @@ def hoeffding_check(n: int, p, epsilon) -> dict:
     upper, lower = exact_binomial_tails(n, p, epsilon)
     bound_float = math.exp(-2 * float(epsilon) ** 2 * n)
     bound_lo = Fraction(math.nextafter(bound_float, 0.0))
+    decided_by = "certified"
     holds = upper <= bound_lo and lower <= bound_lo
-    if not holds and epsilon > 0:
-        # near-tie fallback: compare against the float value itself
+    if not holds:
+        decided_by = "float_fallback"
         holds = upper <= Fraction(bound_float) and lower <= Fraction(bound_float)
     return {
         "exact_upper": upper,
         "exact_lower": lower,
         "bound": bound_float,
         "holds": holds,
+        "decided_by": decided_by,
     }
 
 

@@ -40,6 +40,22 @@ class TrialError(RuntimeError):
     """A game of a batch raised; names the (k, trial, seed) that replays it."""
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", dict: "an object"}
+
+
+def _check_type(what: str, value, kind: type) -> None:
+    """ConfigError unless value has the JSON type kind: an int is not a bool,
+    and a number is an int or a float."""
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     graph: dict  # {'kind': 'gnp', 'n':, 'p':} or {'kind': 'star'|'path'|..., 'size':}
@@ -55,10 +71,25 @@ class ExperimentConfig:
     output: Optional[str] = None
 
     def __post_init__(self):
+        for name, kind in (
+            ("graph", dict), ("alice", dict), ("bob", dict), ("variant", str), ("trials", int),
+            ("max_rounds", int), ("master_seed", int), ("fresh_graph", bool), ("survival_quantile", float),
+        ):
+            _check_type(name, getattr(self, name), kind)
+        if self.output is not None:
+            _check_type("output", self.output, str)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.max_rounds < 1:
+            raise ConfigError("max_rounds must be >= 1")
         if not self.k_range:
             raise ConfigError("k_range must be nonempty")
+        for k in self.k_range:
+            _check_type("each k of k_range", k, int)
+            if k < 1:
+                raise ConfigError(f"each k of k_range must be >= 1, got {k}")
+        if not 0 <= self.survival_quantile <= 1:
+            raise ConfigError(f"survival_quantile must be in [0, 1], got {self.survival_quantile}")
         try:
             RuleVariant(self.variant)
         except ValueError:
@@ -66,13 +97,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
+        _check_type("a config", obj, dict)
         unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
             kr = obj["k_range"]
             if isinstance(kr, dict):
+                _check_type("k_range min", kr["min"], int)
+                _check_type("k_range max", kr["max"], int)
                 kr = list(range(kr["min"], kr["max"] + 1))
+            elif not isinstance(kr, list):
+                raise ConfigError(f"k_range must be a list or {{min, max}}, got {kr!r}")
             return cls(
                 graph=obj["graph"],
                 k_range=list(kr),
@@ -129,14 +165,20 @@ class TrialRecord:
 
 def build_graph(spec: dict, seed: Optional[int] = None) -> Graph:
     kind = spec.get("kind")
+    if kind not in ("gnp", "star", "path", "cycle", "complete", "empty"):
+        raise ConfigError(f"unknown graph kind {kind!r}")
+    for key, value_kind in ({"n": int, "p": float} if kind == "gnp" else {"size": int}).items():
+        if key not in spec:
+            raise ConfigError(f"graph kind {kind!r} needs {key!r}")
+        _check_type(f"graph {key}", spec[key], value_kind)
+    if kind == "gnp" and "seed" in spec:
+        _check_type("graph seed", spec["seed"], int)
     try:
         if kind == "gnp":
             return gnp_generate(GnpSpec(spec["n"], spec["p"], spec.get("seed", seed if seed is not None else 0)))
-        if kind in ("star", "path", "cycle", "complete", "empty"):
-            return make_named(kind, spec["size"])
+        return make_named(kind, spec["size"])
     except ValueError as e:  # a size or probability out of range
         raise ConfigError(f"bad graph {spec}: {e}") from None
-    raise ConfigError(f"unknown graph kind {kind!r}")
 
 
 def build_strategy(spec: dict, graph: Graph, k: int):
@@ -147,6 +189,10 @@ def build_strategy(spec: dict, graph: Graph, k: int):
     if name == "randomLegal":
         return RandomLegal()
     params = StrategyParams.from_fractions(graph.n)
+    _check_type(f"{name} params", params_obj, dict)
+    for key, value in params_obj.items():
+        if not (key == "block_set_size" and value is None):
+            _check_type(f"{name} params {key}", value, float if key == "epsilon" else int)
     if params_obj:
         try:
             params = dataclasses.replace(params, **params_obj)
@@ -155,10 +201,17 @@ def build_strategy(spec: dict, graph: Graph, k: int):
     if name == "priorityAlice":
         return PriorityAlice(params)
     if name == "targetBob":
-        return TargetBob(params, target=spec.get("target", 0))
+        target = spec.get("target", 0)
+        _check_type("targetBob target", target, int)
+        if not 0 <= target < graph.n:
+            raise ConfigError(f"targetBob target must be a vertex 0..{graph.n - 1}, got {target}")
+        return TargetBob(params, target=target)
     if name == "multiplicityBob":
+        setup = (spec.get("l", 1), spec.get("k_inv", 2), spec.get("num_colors", k))
+        for key, value in zip(("l", "k_inv", "num_colors"), setup):
+            _check_type(f"multiplicityBob {key}", value, int)
         try:
-            plan = bob_even_setup(graph, spec.get("l", 1), spec.get("k_inv", 2), spec.get("num_colors", k))
+            plan = bob_even_setup(graph, *setup)
         except PlanSetupError as e:
             raise ConfigError(f"multiplicityBob plan: {e}") from None
         return MultiplicityBob(plan, params)

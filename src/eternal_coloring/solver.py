@@ -7,14 +7,20 @@ Alice wins iff she can keep the play inside the safe region forever, which in
 a finite game graph means avoiding Bob's attractor to the set of positions
 where a stuck vertex can be (or must be) chosen.
 
-Position key: (colour tuple, played-this-round bitmask, mover, phase) with
-phase 0 = first round, 1 = any later round.
+A position is one int (see ``_pack``).  With width = k.bit_length(), the
+colour of vertex v (0 = uncoloured) is the width-bit field at bit width * v.
+Above the n colour fields come the played-this-round mask (n bits), the mover
+bit (0 = Alice) and the phase bit (0 = first round, 1 = any later round).
+A move is one int too: target id + 1, vertex v and colour c, from the high
+field down (see ``_target_shift``).  Target id -1, with c = 0, is a stuck
+vertex: Bob's win.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .engine import GameState, Player, RuleVariant, Strategy, legal_mask
@@ -22,25 +28,10 @@ from .graph import Graph, iter_bits
 
 
 class SolverInfeasible(RuntimeError):
-    """State-space estimate above the cap; no approximation is attempted."""
+    """State-space bound above the cap; no approximation is attempted."""
 
 
 ALICE, BOB = 0, 1
-
-StateKey = tuple  # (colors tuple, played mask, mover, phase)
-
-
-def _canonical_colors(colors: tuple) -> tuple:
-    """Relabel colours by order of first appearance (colour-symmetric games only)."""
-    mapping: dict[int, int] = {0: 0}
-    nxt = 1
-    out = []
-    for c in colors:
-        if c not in mapping:
-            mapping[c] = nxt
-            nxt += 1
-        out.append(mapping[c])
-    return tuple(out)
 
 
 @dataclass
@@ -50,21 +41,43 @@ class SolveResult:
     graph: Graph
     k: int
     variant: RuleVariant
-    _index: dict
-    _states: list
-    _succ: list
+    _index: dict  # position key -> state id
+    _states: list  # state id -> position key
+    # _attr and _rank are indexed by node = state id + 1; node 0 is the
+    # stuck-vertex sink, in Bob's attractor with rank 0
     _attr: list
     _rank: list
-    _moves: list  # per state: list of ((v, c) or (v, None) for stuck, succ_id)
+    _moves: list  # move ints of every state in turn, each by v, then c ascending
+    _start: list  # state s owns _moves[_start[s]:_start[s + 1]]
     _canonical: bool = False
 
     def witness_strategy(self, player: Player) -> "WitnessStrategy":
         return WitnessStrategy(self, player)
 
 
-def _legal_colors_mask(closed: tuple, colors: tuple, palette: int, greedy: bool) -> int:
+def _pack(colors, played: int, mover: int, phase: int, k: int) -> int:
+    """Position key of a colour sequence, played mask, mover and phase."""
+    width = k.bit_length()
+    n = len(colors)
+    key = played | mover << n | phase << n + 1
+    for c in reversed(colors):
+        key = key << width | c
+    return key
+
+
+def _mover_bit(n: int, k: int) -> int:
+    return 1 << k.bit_length() * n + n
+
+
+def _target_shift(n: int, k: int) -> int:
+    """Low bit of a move int's target field; v sits above the k.bit_length()
+    bits of c, in n.bit_length() bits."""
+    return k.bit_length() + n.bit_length()
+
+
+def _legal_colors_mask(closed: tuple, colors, palette: int, greedy: bool) -> int:
     """Engine legality rule for an unplayed vertex whose closed neighbourhood
-    is the vertex tuple `closed`, under the colour tuple `colors`."""
+    is the vertex tuple `closed`, under the colour sequence `colors`."""
     seen = 0
     for u in closed:
         seen |= 1 << colors[u]  # bit 0 (uncoloured) lies outside the palette
@@ -74,6 +87,21 @@ def _legal_colors_mask(closed: tuple, colors: tuple, palette: int, greedy: bool)
 def _closed_tuples(graph: Graph) -> list:
     # built once per solve: the per-state loop walks tuples faster than bits
     return [tuple(iter_bits(m)) for m in graph.closed]
+
+
+def _relabelled(colors: list, shifts: list, k: int) -> int:
+    """Colour fields of `colors`, colours renamed 1, 2, ... by first appearance."""
+    label = [0] * (k + 1)
+    nxt = 1
+    key = 0
+    for c, s in zip(colors, shifts):
+        if c:
+            lab = label[c]
+            if not lab:
+                lab = label[c] = nxt
+                nxt += 1
+            key |= lab << s
+    return key
 
 
 def solve_eternal(
@@ -87,148 +115,150 @@ def solve_eternal(
 
     color_symmetry canonicalizes colour labels; it is only sound for the
     STANDARD variant (greedy rules depend on colour order) and is rejected
-    otherwise.
+    otherwise.  An instance is refused up front when an upper bound of its
+    reachable positions exceeds state_cap: first-round positions number at
+    most (k+1)^n (the played set is the coloured set, and its parity fixes
+    the mover), later ones at most k^n 2^n, twice that for odd n, where
+    either player may open a round.
     """
     n = graph.n
-    estimate = (k + 1) ** n * (1 << n) * 2
-    if estimate > state_cap:
-        raise SolverInfeasible(f"estimated {estimate} states exceeds cap {state_cap}")
+    bound = (k + 1) ** n + k**n * (1 << n) * (1 + n % 2)
+    if bound > state_cap:
+        raise SolverInfeasible(f"up to {bound} reachable states exceeds cap {state_cap}")
     if color_symmetry and variant is not RuleVariant.STANDARD:
         raise ValueError("colour-symmetry reduction is only sound for STANDARD rules")
 
     full = graph.full_mask
     closed = _closed_tuples(graph)
     palette = ((1 << k) - 1) << 1
-    canon = _canonical_colors if color_symmetry else (lambda t: t)
+    width = k.bit_length()
+    cmask = (1 << width) - 1
+    shifts = [width * v for v in range(n)]
+    pshift = width * n  # the played field
+    mover_bit = _mover_bit(n, k)
+    phase_bit = mover_bit << 1
+    tshift = _target_shift(n, k)
+    greedy_for = (variant is RuleVariant.GREEDY_BOTH, variant is not RuleVariant.STANDARD)  # by mover
 
-    initial: StateKey = (canon(tuple([0] * n)), 0, ALICE, 0)
-    index: dict[StateKey, int] = {initial: 0}
-    states: list[StateKey] = [initial]
-    succ: list[Optional[list]] = [None]
-    moves: list[Optional[list]] = [None]
-    # virtual Bob-win sink is id -1 handled via attractor seed; encode as None succ target
-    BOBWIN = -1
-
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for sid in frontier:
-            colors, played, mover, phase = states[sid]
-            greedy = variant is RuleVariant.GREEDY_BOTH or (
-                variant is RuleVariant.GREEDY_BOB and mover == BOB
-            )
-            slist = []
-            mlist = []
-            unplayed = ~played & full
-            for v in iter_bits(unplayed):
-                legal = _legal_colors_mask(closed[v], colors, palette, greedy)
-                if not legal:
-                    slist.append(BOBWIN)
-                    mlist.append(((v, None), BOBWIN))
-                    continue
-                for c in iter_bits(legal):
-                    new_colors = list(colors)
-                    new_colors[v] = c
-                    new_played = played | (1 << v)
-                    new_phase = phase
-                    if new_played == full:
-                        new_played = 0
-                        new_phase = 1
-                    key = (canon(tuple(new_colors)), new_played, 1 - mover, new_phase)
-                    tid = index.get(key)
-                    if tid is None:
-                        tid = len(states)
-                        index[key] = tid
-                        states.append(key)
-                        succ.append(None)
-                        moves.append(None)
-                        if len(states) > state_cap:
-                            raise SolverInfeasible(f"reachable states exceed cap {state_cap}")
-                        next_frontier.append(tid)
-                    slist.append(tid)
-                    mlist.append(((v, c), tid))
-            succ[sid] = slist
-            moves[sid] = mlist
-        frontier = next_frontier
+    initial = _pack([0] * n, 0, ALICE, 0, k)
+    index: dict[int, int] = {initial: 0}
+    states = [initial]
+    moves: list[int] = []
+    start = [0]
+    sid = 0
+    while sid < len(states):  # ids are handed out in discovery order: breadth-first
+        key = states[sid]
+        sid += 1
+        played = key >> pshift & full
+        greedy = greedy_for[key >> pshift + n & 1]
+        cols = [key >> s & cmask for s in shifts]
+        if color_symmetry:
+            tops = list(accumulate(cols, max, initial=0))  # tops[v]: largest colour before v
+        flipped = key ^ mover_bit
+        m = full & ~played
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            legal = _legal_colors_mask(closed[v], cols, palette, greedy)
+            if not legal:
+                moves.append(v << width)
+                continue
+            s = shifts[v]
+            # the child keys minus v's colour field: v cleared and played, mover flipped
+            base = flipped - (cols[v] << s) + (low << pshift)
+            if played | low == full:
+                base = base - (full << pshift) | phase_bit
+            if color_symmetry:
+                # The state's colours are numbered by first appearance.  A child
+                # whose c is at most keep is numbered so too; keep is 0 when v
+                # holds the first appearance of its old colour, which may be
+                # what numbers the colours after v.
+                old = cols[v]
+                keep = tops[v] + 1 if old <= tops[v] else 0
+                uncoloured = base >> pshift << pshift
+            while legal:
+                cbit = legal & -legal
+                legal ^= cbit
+                c = cbit.bit_length() - 1
+                if color_symmetry and c > keep:
+                    cols[v] = c
+                    child = uncoloured | _relabelled(cols, shifts, k)
+                    cols[v] = old
+                else:
+                    child = base | c << s
+                tid = index.get(child)
+                if tid is None:
+                    tid = len(states)
+                    if tid >= state_cap:
+                        raise SolverInfeasible(f"reachable states exceed cap {state_cap}")
+                    index[child] = tid
+                    states.append(child)
+                moves.append((tid + 1) << tshift | v << width | c)
+        start.append(len(moves))
 
     num = len(states)
-    # predecessor lists for the backward fixed point
-    preds: list[list[int]] = [[] for _ in range(num)]
-    bobwin_preds: list[int] = []
-    out_count = [0] * num
-    for sid in range(num):
-        out_count[sid] = len(succ[sid])
-        for tid in succ[sid]:
-            if tid == BOBWIN:
-                bobwin_preds.append(sid)
-            else:
-                preds[tid].append(sid)
+    # Backward fixed point over nodes t = state id + 1, from the sink t = 0.
+    # Node t's predecessors are pred[pstart[t]:pstart[t + 1]], in move order.
+    pstart = [0] * (num + 2)
+    for mv in moves:
+        pstart[(mv >> tshift) + 1] += 1
+    pstart = list(accumulate(pstart))
+    fill = pstart[:]
+    pred = [0] * len(moves)
+    for u in range(1, num + 1):
+        for mv in moves[start[u - 1]:start[u]]:
+            t = mv >> tshift
+            pred[fill[t]] = u
+            fill[t] += 1
 
-    in_attr = [False] * num
-    rank = [None] * num
-    remaining = out_count[:]  # for Alice nodes: successors not yet attracted
-    queue = deque()
-    for sid in bobwin_preds:
-        colors, played, mover, phase = states[sid]
-        if mover == BOB:
-            if not in_attr[sid]:
-                in_attr[sid] = True
-                rank[sid] = 1
-                queue.append(sid)
-        else:
-            remaining[sid] -= 1
-            if remaining[sid] == 0 and not in_attr[sid]:
-                in_attr[sid] = True
-                rank[sid] = 1
-                queue.append(sid)
+    attr = [False] * (num + 1)
+    rank: list[Optional[int]] = [None] * (num + 1)
+    attr[0], rank[0] = True, 0
+    remaining = [0] + [b - a for a, b in zip(start, start[1:])]  # Alice: moves not yet attracted
+    queue = deque([0])
     while queue:
-        tid = queue.popleft()
-        for sid in preds[tid]:
-            if in_attr[sid]:
+        t = queue.popleft()
+        r = rank[t] + 1
+        for u in pred[pstart[t]:pstart[t + 1]]:
+            if attr[u]:
                 continue
-            mover = states[sid][2]
-            if mover == BOB:
-                in_attr[sid] = True
-                rank[sid] = rank[tid] + 1
-                queue.append(sid)
-            else:
-                remaining[sid] -= 1
-                if remaining[sid] == 0:
-                    in_attr[sid] = True
-                    rank[sid] = rank[tid] + 1
-                    queue.append(sid)
+            if not states[u - 1] & mover_bit:
+                remaining[u] -= 1
+                if remaining[u]:
+                    continue
+            attr[u] = True
+            rank[u] = r
+            queue.append(u)
 
-    winner = Player.BOB if in_attr[0] else Player.ALICE
     return SolveResult(
-        winner=winner,
+        winner=Player.BOB if attr[1] else Player.ALICE,
         states_explored=num,
         graph=graph,
         k=k,
         variant=variant,
         _index=index,
         _states=states,
-        _succ=succ,
-        _attr=in_attr,
+        _attr=attr,
         _rank=rank,
         _moves=moves,
+        _start=start,
         _canonical=color_symmetry,
     )
 
 
 def attractor_is_fixed_point(result: SolveResult) -> bool:
     """Re-apply one attractor step; a correct attractor gains nothing."""
-    in_attr = result._attr
-    for sid, mlist in enumerate(result._moves):
-        mover = _state_mover(result, sid)
-        targets_in = [tid == -1 or in_attr[tid] for _, tid in mlist]
-        should = any(targets_in) if mover == BOB else all(targets_in)
-        if should and not in_attr[sid]:
+    attr, moves, start = result._attr, result._moves, result._start
+    n, k = result.graph.n, result.k
+    tshift, mover_bit = _target_shift(n, k), _mover_bit(n, k)
+    for sid, key in enumerate(result._states):
+        if attr[sid + 1]:
+            continue
+        hits = [attr[mv >> tshift] for mv in moves[start[sid]:start[sid + 1]]]
+        if (True in hits) if key & mover_bit else (False not in hits):
             return False
     return True
-
-
-def _state_mover(result: SolveResult, sid: int) -> int:
-    return result._states[sid][2]
 
 
 class WitnessStrategy(Strategy):
@@ -249,32 +279,32 @@ class WitnessStrategy(Strategy):
             raise ValueError("witness strategy bound to a different instance")
 
     def select(self, state: GameState):
-        key = (
-            tuple(state.colors),
-            state.played,
-            ALICE if state.to_move is Player.ALICE else BOB,
-            0 if state.round == 1 else 1,
-        )
-        sid = self.result._index.get(key)
+        res = self.result
+        mover = ALICE if state.to_move is Player.ALICE else BOB
+        sid = res._index.get(_pack(state.colors, state.played, mover, 0 if state.round == 1 else 1, res.k))
         if sid is None:
             raise RuntimeError("position not in solved table (unreachable under the rules?)")
-        mlist = self.result._moves[sid]
-        attr, rank = self.result._attr, self.result._rank
+        attr, rank = res._attr, res._rank
+        width, tshift = res.k.bit_length(), _target_shift(res.graph.n, res.k)
+        row = res._moves[res._start[sid]:res._start[sid + 1]]
+        best = None
         if self.player is Player.BOB:
-            best = None
-            for (v, c), tid in mlist:
-                r = 0 if tid == -1 else (rank[tid] if attr[tid] else None)
-                if r is None:
-                    continue
-                if best is None or r < best[0]:
-                    best = (r, v, c)
+            # the first move of least rank into the attractor (the sink ranks 0)
+            for mv in row:
+                t = mv >> tshift
+                if attr[t] and (best is None or rank[t] < best_rank):
+                    best, best_rank = mv, rank[t]
             if best is None:
                 raise RuntimeError("Bob witness called outside his winning region")
-            return best[1], best[2]
-        for (v, c), tid in mlist:
-            if tid != -1 and not attr[tid]:
-                return v, c
-        raise RuntimeError("Alice witness called inside Bob's attractor")
+        else:
+            for mv in row:
+                if not attr[mv >> tshift]:
+                    best = mv
+                    break
+            else:
+                raise RuntimeError("Alice witness called inside Bob's attractor")
+        c = best & (1 << width) - 1
+        return best >> width & (1 << tshift - width) - 1, c or None
 
 
 @dataclass

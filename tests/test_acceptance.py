@@ -52,6 +52,18 @@ SOLVE_TABLE = [
     ("star4-k3-gboth", 4, 3, RuleVariant.GREEDY_BOTH, Player.BOB),
     ("star4-k4-gbob", 4, 4, RuleVariant.GREEDY_BOB, Player.ALICE),
 ]
+# reachable positions of each SOLVE_TABLE solve, pinned so that a change to
+# the solver's exploration shows even where the verdict survives it
+SOLVE_TABLE_STATES = {
+    "star5-k1-gboth": 33,
+    "star5-k2-gboth": 95,
+    "star5-k3-gboth": 471,
+    "star7-k2-gboth": 383,
+    "star7-k3-gboth": 1911,
+    "star4-k3-gbob": 2631,
+    "star4-k3-gboth": 417,
+    "star4-k4-gbob": 18078,
+}
 
 
 @pytest.fixture(scope="session")
@@ -93,6 +105,10 @@ def test_criterion_1_star_exact_values(solved, announce):
     ok &= solved["star4-k3-gboth"][0].winner is Player.BOB
     ok &= all(elapsed < 60 for _, _, elapsed in solved.values())
     _verdict(announce, 1, "star exact values", ok)
+
+
+def test_solve_table_state_counts(solved):
+    assert {label: res.states_explored for label, (res, _, _) in solved.items()} == SOLVE_TABLE_STATES
 
 
 def test_criterion_2_subgraph_monotonicity_counterexample(solved, announce):
@@ -137,7 +153,9 @@ def test_criterion_5_hoeffding_grid(announce):
     for n in range(10, 201):
         for i in range(1, 10):  # p = 0.1 .. 0.9
             for j in range(5, 50, 5):  # epsilon = 0.05 .. 0.45
-                ok &= hoeffding_check(n, Fraction(i, 10), Fraction(j, 100))["holds"]
+                check = hoeffding_check(n, Fraction(i, 10), Fraction(j, 100))
+                # every grid point passes the certified comparison, by a relative margin >= 0.47
+                ok &= check["holds"] and check["decided_by"] == "certified"
     _verdict(announce, 5, "exact tails within exponential bound", ok)
 
 

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eternal_coloring.audit import (
     AuditParams,
@@ -17,6 +18,14 @@ from eternal_coloring.audit import (
     hoeffding_check,
 )
 from eternal_coloring.graph import GnpSpec, Graph, gnp_generate, make_named
+
+
+def _direct_tails(n, p, eps):
+    """Both tails as plain sums of comb(n, j) p^j (1-p)^(n-j)."""
+    num, den = p.numerator, p.denominator
+    hi, lo = math.ceil((p + eps) * n), math.floor((p - eps) * n)
+    term = lambda j: Fraction(math.comb(n, j) * num**j * (den - num) ** (n - j), den**n)
+    return sum(term(j) for j in range(max(hi, 0), n + 1)), sum(term(j) for j in range(0, lo + 1))
 
 
 class TestDegreeBounds:
@@ -154,6 +163,30 @@ class TestHoeffding:
         assert upper == sum(pmf[thresh_hi:])
         assert lower == sum(pmf[: thresh_lo + 1])
         assert sum(pmf) == 1
+
+    def test_exact_tails_at_p_zero_and_one(self):
+        for n in (0, 1, 7):
+            for p in (Fraction(0), Fraction(1)):
+                for eps in (Fraction(0), Fraction(1, 4), Fraction(3, 2)):
+                    assert exact_binomial_tails(n, p, eps) == _direct_tails(n, p, eps), (n, p, eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 60),
+        p=st.integers(1, 12).flatmap(lambda b: st.integers(0, b).map(lambda a: Fraction(a, b))),
+        eps=st.fractions(min_value=0, max_value=1, max_denominator=200).filter(lambda e: e < 1),
+    )
+    def test_exact_tails_match_direct_summation(self, n, p, eps):
+        # eps near 1 puts both thresholds beyond 0..n
+        assert exact_binomial_tails(n, p, eps) == _direct_tails(n, p, eps)
+
+    def test_decided_by_names_the_deciding_comparison(self):
+        assert hoeffding_check(10, Fraction(1, 2), Fraction(1, 5))["decided_by"] == "certified"
+        # a tail of exactly 1 against exp(0) = 1: the float just below 1 fails,
+        # and the float 1.0 itself, exact here, decides the check
+        result = hoeffding_check(5, Fraction(0), Fraction(0))
+        assert result["exact_lower"] == 1 and result["bound"] == 1.0
+        assert result["holds"] and result["decided_by"] == "float_fallback"
 
     def test_size_cap(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eternal_coloring.cli import main
 from eternal_coloring.experiments import (
@@ -138,6 +138,13 @@ class TestConfig:
         typo["trails"] = 50
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json_obj(typo)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json_obj([])
+        for key, value in [("trials", "x"), ("k_range", 5), ("max_rounds", "3"), ("master_seed", 1.5), ("trials", True)]:
+            wrong = _single_vertex_config(2).to_json_obj()
+            wrong[key] = value
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_json_obj(wrong)
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -267,6 +274,59 @@ def _cli_argv(draw):
     return argv
 
 
+# config field -> values on both sides of its type and range; the valid ones
+# keep every game tiny (n <= 4, one trial, at most three rounds)
+_FUZZ_CONFIG_FIELDS = {
+    "graph": [
+        {"kind": "star", "size": 2}, {"kind": "empty", "size": 1}, {"kind": "gnp", "n": 4, "p": 0.5},
+        {"kind": "gnp", "n": 3, "p": 1, "seed": 5}, {"kind": "gnp", "n": 4, "p": 1.5}, {"kind": "gnp", "n": "4", "p": 0.5},
+        {"kind": "gnp", "n": 3, "p": 0.5, "seed": "x"}, {"kind": "star"}, {"kind": "star", "size": 0},
+        {"kind": "star", "size": 2.5}, {"kind": "star", "size": True}, {"kind": "torus", "size": 2}, {"kind": []},
+        [], "star:3", None,
+    ],
+    "k_range": [[2], [1, 3], [], [0], [2.5], ["2"], [True], 5, "12", {"min": 1, "max": 3}, {"min": "1", "max": 2}, {"min": 1}],
+    "alice": [
+        {"name": "greedyFirstFit"}, {"name": "randomLegal"}, {"name": "priorityAlice"},
+        {"name": "priorityAlice", "params": {"danger_threshold": 0}}, {"name": "priorityAlice", "params": {"block_budget": "x"}},
+        {"name": "priorityAlice", "params": [1]}, {"name": 5}, {}, [], "greedyFirstFit",
+    ],
+    "bob": [
+        {"name": "greedyFirstFit"}, {"name": "targetBob", "target": 0}, {"name": "targetBob", "target": 99},
+        {"name": "targetBob", "target": -1}, {"name": "targetBob", "target": "x"}, {"name": "multiplicityBob"},
+        {"name": "multiplicityBob", "l": "x"}, {"name": "multiplicityBob", "k_inv": 0}, None,
+    ],
+    "variant": ["standard", "greedy_both", "bogus", 3, None],
+    "trials": [1, 0, -1, "x", 1.5, True, None],
+    "max_rounds": [1, 3, 0, -2, "3", 2.0, True],
+    "master_seed": [0, 7, -3, 1.5, "x", False, None],
+    "fresh_graph": [True, False, 1, "yes"],
+    "survival_quantile": [0.5, 0, 1, 2.0, -0.1, "x", None],
+    "output": [None, "unused", 3],
+}
+_REQUIRED_CONFIG_FIELDS = ("graph", "k_range", "alice", "bob")
+
+
+@st.composite
+def _fuzz_config(draw):
+    """A config JSON value: a wrong top-level type, or a well-formed object
+    with up to two fields redrawn (well-formed, wrongly typed or out of
+    range), maybe a required field dropped and maybe a misspelt key."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([[], "config", 3, None, [{"graph": {"kind": "star", "size": 2}}]]))
+    obj = {
+        name: values[0]
+        for name, values in _FUZZ_CONFIG_FIELDS.items()
+        if name in _REQUIRED_CONFIG_FIELDS or draw(st.booleans())
+    }
+    for name in draw(st.lists(st.sampled_from(sorted(_FUZZ_CONFIG_FIELDS)), max_size=2)):
+        obj[name] = draw(st.sampled_from(_FUZZ_CONFIG_FIELDS[name]))
+    if draw(st.integers(0, 9)) == 0:
+        del obj[draw(st.sampled_from(_REQUIRED_CONFIG_FIELDS))]
+    if draw(st.integers(0, 9)) == 0:
+        obj["trails"] = 1
+    return obj
+
+
 class TestCli:
     def test_play_emits_transcript(self, capsys):
         assert main(["play", "--graph", "star:3", "--k", "3", "--max-rounds", "2"]) == 0
@@ -277,6 +337,9 @@ class TestCli:
     def test_solve_single_k(self, capsys):
         assert main(["solve", "--graph", "empty:1", "--k", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["winner"] == "alice"
+        # beyond the old a-priori estimate (2.7e8 > the default cap), yet small
+        assert main(["solve", "--graph", "star:8", "--variant", "greedy_both", "--k", "3"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"winner": "bob", "statesExplored": 6897}
 
     def test_solve_scan(self, capsys):
         assert main(["solve", "--graph", "star:5", "--variant", "greedy_both"]) == 0
@@ -314,6 +377,19 @@ class TestCli:
                 code = e.code
         assert code in (0, 2, 3, 4), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(obj=_fuzz_config())
+    def test_fuzzed_config_exits_cleanly(self, tmp_path, obj):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["threshold", "--config", str(path)])
+        assert code in (0, 2), (obj, code)
+        assert "Traceback" not in err.getvalue(), obj
+        if code == 2:
+            assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1, obj
 
     def test_audit_json(self, capsys):
         # K_6 fails min_degree (degree 5 < (1 - 0.5/100) * 6), so exit 4

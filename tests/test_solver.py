@@ -1,17 +1,152 @@
 """Exact solver: attractor computation, chromatic scans, witnesses, one-round game."""
 
+from collections import deque
+
 import pytest
 
-from eternal_coloring.engine import Player, RuleVariant, play_game
-from eternal_coloring.graph import Graph, make_named
+from eternal_coloring.engine import Player, RuleVariant, legal_mask, play_game
+from eternal_coloring.graph import Graph, GnpSpec, gnp_generate, iter_bits, make_named
 from eternal_coloring.solver import (
     SolverInfeasible,
+    _pack,
     attractor_is_fixed_point,
     eternal_game_chromatic_number,
     solve_eternal,
     solve_one_round,
 )
 from eternal_coloring.strategies import GreedyFirstFit, RandomLegal
+
+ALICE, BOB = 0, 1
+
+
+def _canonical_colors(colors: tuple) -> tuple:
+    mapping = {0: 0}
+    out = []
+    for c in colors:
+        if c not in mapping:
+            mapping[c] = len(mapping)
+        out.append(mapping[c])
+    return tuple(out)
+
+
+def _reference_solve(graph, k, variant, color_symmetry=False):
+    """The tuple-keyed explorer plus attractor that solve_eternal replaced.
+
+    States are (colour tuple, played mask, mover, phase); each state's moves
+    are ((v, c), target id), with (v, None) and target -1 for a stuck vertex.
+    Returns (winner, states, moves, in_attr, rank), indexed by state id.
+    """
+    n, full = graph.n, graph.full_mask
+    palette = ((1 << k) - 1) << 1
+    canon = _canonical_colors if color_symmetry else (lambda t: t)
+    initial = (canon((0,) * n), 0, ALICE, 0)
+    index, states, moves = {initial: 0}, [initial], [None]
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for sid in frontier:
+            colors, played, mover, phase = states[sid]
+            greedy = variant is RuleVariant.GREEDY_BOTH or (variant is RuleVariant.GREEDY_BOB and mover == BOB)
+            mlist = []
+            for v in iter_bits(~played & full):
+                seen = 0
+                for u in iter_bits(graph.closed[v]):
+                    seen |= 1 << colors[u]
+                legal = legal_mask(seen, palette, greedy)
+                if not legal:
+                    mlist.append(((v, None), -1))
+                    continue
+                for c in iter_bits(legal):
+                    new_colors = list(colors)
+                    new_colors[v] = c
+                    new_played, new_phase = played | (1 << v), phase
+                    if new_played == full:
+                        new_played, new_phase = 0, 1
+                    key = (canon(tuple(new_colors)), new_played, 1 - mover, new_phase)
+                    tid = index.get(key)
+                    if tid is None:
+                        tid = index[key] = len(states)
+                        states.append(key)
+                        moves.append(None)
+                        next_frontier.append(tid)
+                    mlist.append(((v, c), tid))
+            moves[sid] = mlist
+        frontier = next_frontier
+
+    num = len(states)
+    preds = [[] for _ in range(num)]
+    bobwin_preds = []
+    for sid in range(num):
+        for _, tid in moves[sid]:
+            (bobwin_preds if tid == -1 else preds[tid]).append(sid)
+    in_attr, rank = [False] * num, [None] * num
+    remaining = [len(m) for m in moves]
+    queue = deque()
+    for sid in bobwin_preds:
+        if states[sid][2] == ALICE:
+            remaining[sid] -= 1
+        if not in_attr[sid] and (states[sid][2] == BOB or remaining[sid] == 0):
+            in_attr[sid], rank[sid] = True, 1
+            queue.append(sid)
+    while queue:
+        tid = queue.popleft()
+        for sid in preds[tid]:
+            if in_attr[sid]:
+                continue
+            if states[sid][2] == ALICE:
+                remaining[sid] -= 1
+                if remaining[sid]:
+                    continue
+            in_attr[sid], rank[sid] = True, rank[tid] + 1
+            queue.append(sid)
+    winner = Player.BOB if in_attr[0] else Player.ALICE
+    return winner, states, moves, in_attr, rank
+
+
+def _decoded(res):
+    """solve_eternal's tables in the reference's terms, from the layout in
+    the solver's module docstring."""
+    n, width = res.graph.n, res.k.bit_length()
+    base, tshift = width * n, width + n.bit_length()
+    states = []
+    for key in res._states:
+        colors = tuple(key >> width * v & (1 << width) - 1 for v in range(n))
+        played, mover, phase = key >> base & res.graph.full_mask, key >> base + n & 1, key >> base + n + 1 & 1
+        assert key >> base + n + 2 == 0
+        assert _pack(colors, played, mover, phase, res.k) == key
+        states.append((colors, played, mover, phase))
+    moves = []
+    for sid in range(len(states)):
+        row = []
+        for mv in res._moves[res._start[sid]:res._start[sid + 1]]:
+            v, c = mv >> width & (1 << tshift - width) - 1, mv & (1 << width) - 1
+            row.append(((v, c or None), (mv >> tshift) - 1))
+        moves.append(row)
+    return states, moves, res._attr[1:], res._rank[1:]
+
+
+_LOCKSTEP_GRAPHS = (
+    [make_named("star", s) for s in range(1, 6)]
+    + [make_named("path", s) for s in range(2, 6)]
+    + [make_named("cycle", s) for s in range(3, 6)]
+    + [make_named("complete", 3), make_named("empty", 2)]
+    + [gnp_generate(GnpSpec(5, 0.5, 7)), gnp_generate(GnpSpec(6, 0.5, 11))]
+)
+_LOCKSTEP_RULES = [(variant, False) for variant in RuleVariant] + [(RuleVariant.STANDARD, True)]
+
+
+class TestLockstepOracle:
+    @pytest.mark.parametrize("variant, symmetric", _LOCKSTEP_RULES, ids=lambda r: getattr(r, "value", r))
+    def test_tables_match_the_tuple_keyed_reference(self, variant, symmetric):
+        for graph in _LOCKSTEP_GRAPHS:
+            for k in range(1, 5):
+                where = (graph.n, sorted(graph.edges()), k, variant, symmetric)
+                res = solve_eternal(graph, k, variant, color_symmetry=symmetric)
+                winner, states, moves, in_attr, rank = _reference_solve(graph, k, variant, symmetric)
+                assert res.winner is winner and res.states_explored == len(states), where
+                assert _decoded(res) == (states, moves, in_attr, rank), where
+                assert res._attr[0] and res._rank[0] == 0, where
+                assert all(res._index[key] == sid for sid, key in enumerate(res._states)), where
 
 
 class TestSolveEternal:
@@ -29,6 +164,19 @@ class TestSolveEternal:
     def test_state_cap_refusal(self):
         with pytest.raises(SolverInfeasible):
             solve_eternal(make_named("path", 6), 4, state_cap=1000)
+
+    def test_feasibility_bound_bounds_the_reachable_set(self):
+        # 2.7e8 under the old (k+1)^n 2^n 2 estimate, yet 6,897 reachable states
+        res = solve_eternal(make_named("star", 8), 3, RuleVariant.GREEDY_BOTH)
+        assert res.winner is Player.BOB and res.states_explored == 6897
+        # at a cap equal to the bound, neither the bound nor the live cap refuses
+        for graph, k in [(make_named("path", 1), 1), (make_named("star", 3), 3), (make_named("cycle", 4), 2)]:
+            n = graph.n
+            bound = (k + 1) ** n + k**n * 2**n * (1 + n % 2)
+            for variant in RuleVariant:
+                assert solve_eternal(graph, k, variant, state_cap=bound).states_explored <= bound
+            with pytest.raises(SolverInfeasible):
+                solve_eternal(graph, k, state_cap=bound - 1)
 
     def test_attractor_is_a_fixed_point(self):
         for kind, size, k, variant in [
