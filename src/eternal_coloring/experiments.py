@@ -190,13 +190,16 @@ def build_strategy(spec: dict, graph: Graph, k: int):
         return RandomLegal()
     params = StrategyParams.from_fractions(graph.n)
     _check_type(f"{name} params", params_obj, dict)
+    unknown = set(params_obj) - {f.name for f in dataclasses.fields(StrategyParams)}
+    if unknown:
+        raise ConfigError(f"unknown params for {name!r}: {sorted(unknown)}")
     for key, value in params_obj.items():
         if not (key == "block_set_size" and value is None):
-            _check_type(f"{name} params {key}", value, float if key == "epsilon" else int)
+            _check_type(f"{name} params {key}", value, int)
     if params_obj:
         try:
             params = dataclasses.replace(params, **params_obj)
-        except (TypeError, ValueError) as e:  # unknown field, or a value StrategyParams rejects
+        except ValueError as e:  # a value StrategyParams rejects
             raise ConfigError(f"bad params for {name!r}: {e}") from None
     if name == "priorityAlice":
         return PriorityAlice(params)
@@ -342,8 +345,11 @@ def emit_outputs(records: list[TrialRecord], config: ExperimentConfig, out_dir: 
 
 def preflight_output(out_dir: str) -> None:
     """Fail before any trial runs if the output location is unwritable."""
-    os.makedirs(out_dir, exist_ok=True)
-    probe = os.path.join(out_dir, ".write-probe")
-    with open(probe, "w") as fh:
-        fh.write("ok")
-    os.remove(probe)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        probe = os.path.join(out_dir, ".write-probe")
+        with open(probe, "w") as fh:
+            fh.write("ok")
+        os.remove(probe)
+    except OSError as e:  # a file in the way, or no permission
+        raise ConfigError(f"unusable output directory {out_dir!r}: {e}") from None

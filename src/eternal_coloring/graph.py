@@ -69,9 +69,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return iter_bits(self.adj[v])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, sorted."""
         out = []

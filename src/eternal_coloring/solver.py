@@ -75,20 +75,6 @@ def _target_shift(n: int, k: int) -> int:
     return k.bit_length() + n.bit_length()
 
 
-def _legal_colors_mask(closed: tuple, colors, palette: int, greedy: bool) -> int:
-    """Engine legality rule for an unplayed vertex whose closed neighbourhood
-    is the vertex tuple `closed`, under the colour sequence `colors`."""
-    seen = 0
-    for u in closed:
-        seen |= 1 << colors[u]  # bit 0 (uncoloured) lies outside the palette
-    return legal_mask(seen, palette, greedy)
-
-
-def _closed_tuples(graph: Graph) -> list:
-    # built once per solve: the per-state loop walks tuples faster than bits
-    return [tuple(iter_bits(m)) for m in graph.closed]
-
-
 def _relabelled(colors: list, shifts: list, k: int) -> int:
     """Colour fields of `colors`, colours renamed 1, 2, ... by first appearance."""
     label = [0] * (k + 1)
@@ -129,7 +115,8 @@ def solve_eternal(
         raise ValueError("colour-symmetry reduction is only sound for STANDARD rules")
 
     full = graph.full_mask
-    closed = _closed_tuples(graph)
+    # built once per solve: the per-state loop walks tuples faster than bits
+    closed = [tuple(iter_bits(m)) for m in graph.closed]
     palette = ((1 << k) - 1) << 1
     width = k.bit_length()
     cmask = (1 << width) - 1
@@ -160,7 +147,10 @@ def solve_eternal(
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
-            legal = _legal_colors_mask(closed[v], cols, palette, greedy)
+            seen = 0
+            for u in closed[v]:
+                seen |= 1 << cols[u]  # bit 0 (uncoloured) lies outside the palette
+            legal = legal_mask(seen, palette, greedy)
             if not legal:
                 moves.append(v << width)
                 continue
@@ -342,60 +332,3 @@ def eternal_game_chromatic_number(
     first_win = alice_flags.index(True) if True in alice_flags else len(alice_flags)
     monotone = all(alice_flags[first_win:])
     return ChromaticScan(k_star=k_star, winners=winners, monotone=monotone, scanned=scanned)
-
-
-def solve_one_round(graph: Graph, k: int, state_cap: int = 10**8) -> Player:
-    """Classic (single-round) colouring game by plain minimax.
-
-    Alice wins iff every vertex ends up coloured.  In round 1 the coloured
-    set IS the played set and the mover is determined by its parity, so the
-    colour vector alone keys the memo.
-    """
-    n = graph.n
-    if (k + 1) ** n * 2 > state_cap:
-        raise SolverInfeasible("one-round state space exceeds cap")
-    closed = _closed_tuples(graph)
-    palette = ((1 << k) - 1) << 1
-    full = graph.full_mask
-    memo: dict[tuple, bool] = {}
-
-    def alice_wins(colors: tuple, played: int) -> bool:
-        if played == full:
-            return True
-        key = colors
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        mover = ALICE if played.bit_count() % 2 == 0 else BOB
-        result = None
-        any_move = False
-        for v in iter_bits(~played & full):
-            legal = _legal_colors_mask(closed[v], colors, palette, False)
-            if not legal:
-                if mover == BOB:
-                    result = False
-                    break
-                continue
-            for c in iter_bits(legal):
-                any_move = True
-                nc = list(colors)
-                nc[v] = c
-                sub = alice_wins(tuple(nc), played | (1 << v))
-                if mover == ALICE and sub:
-                    result = True
-                    break
-                if mover == BOB and not sub:
-                    result = False
-                    break
-            if result is not None:
-                break
-        if result is None:
-            if mover == ALICE:
-                # no winning move; if she cannot move at all she is stuck
-                result = False
-            else:
-                result = any_move  # Bob had only Alice-winning moves
-        memo[key] = result
-        return result
-
-    return Player.ALICE if alice_wins(tuple([0] * n), 0) else Player.BOB

@@ -23,6 +23,12 @@ from .graph import Graph, iter_bits, mask_of
 from .partitions import build_color_plan
 
 
+# The paper's fractions of n, resolved by StrategyParams.from_fractions.
+EPSILON = 0.05
+BETA = 0.02
+DELTA = 0.05
+
+
 @dataclass
 class StrategyParams:
     """Integer-resolved thresholds for the priority strategies.
@@ -31,40 +37,24 @@ class StrategyParams:
     ``from_fractions`` to resolve them at a concrete n.
     """
 
-    epsilon: float = 0.05
-    danger_threshold: int = 1  # ceil(epsilon/100 * n); also the min-uncoloured gate for blocking
-    nearly_full_threshold: int = 1  # ceil(beta * n)
-    small_color_cutoff: int = 1  # ceil(epsilon/200 * n)
-    block_distance: int = 1  # ceil(delta * n)
-    block_budget: int = 1  # K
-    reserve_missing: int = 10  # 10K
+    danger_threshold: int = 1  # ceil(EPSILON/100 * n); also the min-uncoloured gate for blocking
+    nearly_full_threshold: int = 1  # ceil(BETA * n)
+    block_distance: int = 1  # ceil(DELTA * n)
+    reserve_missing: int = 10  # 10K, with block budget K = 1
     multiplicity: int = 4  # C_l
     block_set_size: Optional[int] = None  # m for multi-target blocks; default 100 * C_l * l
 
     def __post_init__(self):
-        for name in ("danger_threshold", "nearly_full_threshold", "small_color_cutoff", "block_distance"):
+        for name in ("danger_threshold", "nearly_full_threshold", "block_distance"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
     @classmethod
-    def from_fractions(
-        cls,
-        n: int,
-        epsilon: float = 0.05,
-        beta: float = 0.02,
-        delta: float = 0.05,
-        K: int = 1,
-        C_l: int = 4,
-    ) -> "StrategyParams":
+    def from_fractions(cls, n: int) -> "StrategyParams":
         return cls(
-            epsilon=epsilon,
-            danger_threshold=max(1, ceil(epsilon / 100 * n)),
-            nearly_full_threshold=max(1, ceil(beta * n)),
-            small_color_cutoff=max(1, ceil(epsilon / 200 * n)),
-            block_distance=max(1, ceil(delta * n)),
-            block_budget=K,
-            reserve_missing=10 * K,
-            multiplicity=C_l,
+            danger_threshold=max(1, ceil(EPSILON / 100 * n)),
+            nearly_full_threshold=max(1, ceil(BETA * n)),
+            block_distance=max(1, ceil(DELTA * n)),
         )
 
 
@@ -130,12 +120,9 @@ class RoundBook:
 
     round: int
     n: int
-    alice_mask: int = 0
-    bob_mask: int = 0
     diff: list[int] = field(default_factory=list)  # Bob-minus-Alice plays in N(v), per v
     danger_mask: int = 0
     last_bob_vertex: Optional[int] = None
-    moves: list[tuple[Player, int]] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.diff:
@@ -143,35 +130,19 @@ class RoundBook:
 
 
 def record_round_move(book: RoundBook, graph: Graph, player: Player, vertex: int, threshold: int) -> None:
-    book.moves.append((player, vertex))
-    step = 1 if player is Player.BOB else -1
-    if player is Player.BOB:
-        book.bob_mask |= 1 << vertex
-        book.last_bob_vertex = vertex
-    else:
-        book.alice_mask |= 1 << vertex
-    for u in iter_bits(graph.closed[vertex]):
-        book.diff[u] += step
-        if step > 0 and book.diff[u] >= threshold:
-            book.danger_mask |= 1 << u
-
-
-def dangerous_vertices(book: RoundBook, graph: Graph, threshold: int) -> set[int]:
-    """Recompute the danger set from the book's move sequence (audit path).
+    """Count one move into the round's tallies.
 
     A vertex is dangerous once Bob's plays in its closed neighbourhood exceed
     Alice's by at least the threshold at ANY prefix of the round; dangerousness
     is sticky for the rest of the round.
     """
-    diff = [0] * graph.n
-    danger = 0
-    for player, vertex in book.moves:
-        step = 1 if player is Player.BOB else -1
-        for u in iter_bits(graph.closed[vertex]):
-            diff[u] += step
-            if step > 0 and diff[u] >= threshold:
-                danger |= 1 << u
-    return set(iter_bits(danger))
+    step = 1 if player is Player.BOB else -1
+    if player is Player.BOB:
+        book.last_bob_vertex = vertex
+    for u in iter_bits(graph.closed[vertex]):
+        book.diff[u] += step
+        if step > 0 and book.diff[u] >= threshold:
+            book.danger_mask |= 1 << u
 
 
 class PriorityAlice(Strategy):
@@ -590,22 +561,6 @@ class TargetBob(Strategy):
         return first_fit(state)
 
 
-def double_block_distance(state: GameState, pair: tuple[int, int], target: int) -> Optional[int]:
-    """Uncoloured vertices of N(target) outside N(a) u N(b); None if the pair
-    carries a colour already present in N(target) (no longer a threat)."""
-    g = state.graph
-    a, b = pair
-    inside_colors = {state.colors[u] for u in iter_bits(g.closed[target]) if state.colors[u]}
-    for x in (a, b):
-        if state.colors[x] and state.colors[x] in inside_colors:
-            return None
-    uncolored = 0
-    for u in iter_bits(g.closed[target]):
-        if state.colors[u] == 0:
-            uncolored |= 1 << u
-    return (uncolored & ~g.closed[a] & ~g.closed[b]).bit_count()
-
-
 # ---------------------------------------------------------------------------
 # Bob, generalized multi-target plan (even n, p = 1/k')
 # ---------------------------------------------------------------------------
@@ -703,14 +658,12 @@ class MultiplicityBob(Strategy):
             for v in iter_bits(e.vertices):
                 self.entry_of_vertex[v] = e.index
         self.end_stage = [False] * len(self.plan.entries)
-        self.end_stage_move = [None] * len(self.plan.entries)
         self.designated = [[] for _ in range(k + 1)]
         for e in self.plan.entries:
             for c in e.colors:
                 self.designated[c].append(e.index)
         self.alice_last_vertex = None
         self.alice_last_color = None
-        self.move_clock = 0
         self.pending: deque[_KillObligation] = deque()
         self.seen_kills: set[frozenset] = set()
         self.audit_log: list[tuple[int, int, int]] = []
@@ -720,11 +673,9 @@ class MultiplicityBob(Strategy):
         return self.plan.l
 
     def observe(self, state: GameState, rec: MoveRecord):
-        self.move_clock += 1
         i = self.entry_of_vertex.get(rec.vertex)
         if i is not None and not self.end_stage[i] and len(self._missing(state, i)) <= self.params.reserve_missing:
             self.end_stage[i] = True
-            self.end_stage_move[i] = self.move_clock
         if rec.player is Player.ALICE:
             self.alice_last_vertex = rec.vertex
             self.alice_last_color = rec.color
@@ -897,17 +848,11 @@ class MultiplicityBob(Strategy):
         return v, c, 6
 
     def _late_round_move(self, state: GameState):
-        # Round 2 is the plan's payoff; past it the strategy is out of plan.
+        # Round 2 is the plan's payoff: claim a ground-set vertex whose closed
+        # neighbourhood still shows all colours.  Past it the strategy is out
+        # of plan.
         if state.round == 2:
-            x = pick_winning_vertex(self, state)
-            if x is not None:
-                return x, None
+            for x in self.plan.ground_set:
+                if not state.is_played(x) and state.seen[x] == state.palette:
+                    return x, None
         return first_fit(state)
-
-
-def pick_winning_vertex(bob: MultiplicityBob, state: GameState) -> Optional[int]:
-    """Ground-set vertex whose closed neighbourhood still shows all colours."""
-    for x in bob.plan.ground_set:
-        if not state.is_played(x) and state.seen[x] == state.palette:
-            return x
-    return None

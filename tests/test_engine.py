@@ -159,7 +159,7 @@ class TestTranscripts:
 
     def test_golden_transcript(self):
         paths = sorted(DATA.glob("golden_*.json"))
-        assert len(paths) >= 4
+        assert len(paths) >= 5
         for path in paths:
             golden = json.loads(path.read_text())
             g = Graph.from_text(golden["graph"])

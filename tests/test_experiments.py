@@ -192,6 +192,10 @@ class TestBuilders:
         ):
             with pytest.raises(ConfigError):
                 build_strategy(spec, make_named("star", 3), 3)
+        # knobs no strategy reads are unknown, whatever their value's type
+        for key, value in (("epsilon", 0.05), ("small_color_cutoff", 1), ("block_budget", 1)):
+            with pytest.raises(ConfigError, match=rf"unknown params .*'{key}'"):
+                build_strategy({"name": "priorityAlice", "params": {key: value}}, make_named("star", 3), 3)
 
 
 class TestAggregation:
@@ -348,7 +352,11 @@ class TestCli:
     def test_solve_infeasible_exit_code(self):
         assert main(["solve", "--graph", "path:8", "--k", "5", "--state-cap", "10"]) == 3
 
-    def test_bad_graph_spec_exit_code(self, capsys):
+    def test_bad_graph_spec_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_single_vertex_config(2).to_json_obj()))
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
         for argv in (
             ["solve", "--graph", "moebius:7", "--k", "2"],
             ["play", "--graph", "star:0", "--k", "3"],
@@ -358,6 +366,8 @@ class TestCli:
             ["play", "--graph", "star:3", "--k", "3", "--max-rounds", "0"],
             ["play", "--graph", "empty:3", "--k", "3", "--bob", "multiplicityBob"],
             ["experiment", "--config", _MISSING_CONFIG, "--out", "unused"],
+            ["experiment", "--config", str(config), "--out", str(a_file)],
+            ["experiment", "--config", str(config), "--out", str(a_file / "run")],
             ["threshold", "--config", _MISSING_CONFIG],
             ["audit", "--graph", "star:3", "--p", "1.5"],
             ["audit", "--graph", "star:3", "--epsilon", "-1"],

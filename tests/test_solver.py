@@ -12,7 +12,6 @@ from eternal_coloring.solver import (
     attractor_is_fixed_point,
     eternal_game_chromatic_number,
     solve_eternal,
-    solve_one_round,
 )
 from eternal_coloring.strategies import GreedyFirstFit, RandomLegal
 
@@ -261,6 +260,65 @@ class TestWitnesses:
             w.reset(make_named("empty", 2), 2, RuleVariant.STANDARD)
 
 
+def solve_one_round(graph, k, state_cap=10**8):
+    """Classic (single-round) colouring game by plain minimax.
+
+    Alice wins iff every vertex ends up coloured.  In round 1 the coloured
+    set IS the played set and the mover is determined by its parity, so the
+    colour vector alone keys the memo.
+    """
+    n = graph.n
+    if (k + 1) ** n * 2 > state_cap:
+        raise SolverInfeasible("one-round state space exceeds cap")
+    palette = ((1 << k) - 1) << 1
+    full = graph.full_mask
+    memo: dict[tuple, bool] = {}
+
+    def alice_wins(colors: tuple, played: int) -> bool:
+        if played == full:
+            return True
+        key = colors
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        mover = ALICE if played.bit_count() % 2 == 0 else BOB
+        result = None
+        any_move = False
+        for v in iter_bits(~played & full):
+            seen = 0
+            for u in iter_bits(graph.closed[v]):
+                seen |= 1 << colors[u]
+            legal = legal_mask(seen, palette, False)
+            if not legal:
+                if mover == BOB:
+                    result = False
+                    break
+                continue
+            for c in iter_bits(legal):
+                any_move = True
+                nc = list(colors)
+                nc[v] = c
+                sub = alice_wins(tuple(nc), played | (1 << v))
+                if mover == ALICE and sub:
+                    result = True
+                    break
+                if mover == BOB and not sub:
+                    result = False
+                    break
+            if result is not None:
+                break
+        if result is None:
+            if mover == ALICE:
+                # no winning move; if she cannot move at all she is stuck
+                result = False
+            else:
+                result = any_move  # Bob had only Alice-winning moves
+        memo[key] = result
+        return result
+
+    return Player.ALICE if alice_wins(tuple([0] * n), 0) else Player.BOB
+
+
 class TestOneRound:
     def test_empty_graph_one_colour(self):
         assert solve_one_round(make_named("empty", 3), 1) is Player.ALICE
@@ -278,3 +336,17 @@ class TestOneRound:
     def test_cap_refusal(self):
         with pytest.raises(SolverInfeasible):
             solve_one_round(make_named("path", 8), 5, state_cap=10)
+
+    def test_one_round_bob_win_is_an_eternal_bob_win(self):
+        # round 1 of the eternal game is the one-round game, so the classic
+        # game chromatic number bounds the eternal one from below
+        one_round_bob = eternal_only = 0
+        for graph in _LOCKSTEP_GRAPHS:
+            for k in range(1, 5):
+                eternal = solve_eternal(graph, k).winner
+                if solve_one_round(graph, k) is Player.BOB:
+                    assert eternal is Player.BOB, (graph.n, sorted(graph.edges()), k)
+                    one_round_bob += 1
+                elif eternal is Player.BOB:
+                    eternal_only += 1
+        assert (one_round_bob, eternal_only) == (23, 22)  # neither side of the bound is vacuous

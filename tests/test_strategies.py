@@ -1,5 +1,6 @@
 """Priority strategies: danger tracking, mirrors, Alice, both Bobs, baselines."""
 
+import dataclasses
 import random
 from collections import deque
 
@@ -27,8 +28,6 @@ from eternal_coloring.strategies import (
     StrategyParams,
     _BlockObligation,
     bob_even_setup,
-    dangerous_vertices,
-    double_block_distance,
     record_round_move,
     smallest_legal,
     unplayed_vertices,
@@ -52,44 +51,62 @@ class TestStrategyParams:
             StrategyParams(danger_threshold=0)
 
     def test_from_fractions_resolves_by_ceiling(self):
-        p = StrategyParams.from_fractions(101, epsilon=5.0, beta=0.02, delta=0.05, K=2)
-        assert p.danger_threshold == 6  # ceil(5/100 * 101)
-        assert p.nearly_full_threshold == 3  # ceil(0.02 * 101)
-        assert p.small_color_cutoff == 3  # ceil(5/200 * 101)
-        assert p.block_distance == 6  # ceil(0.05 * 101)
-        assert p.reserve_missing == 20
+        p = StrategyParams.from_fractions(2001)
+        assert p.danger_threshold == 2  # ceil(0.05/100 * 2001)
+        assert p.nearly_full_threshold == 41  # ceil(0.02 * 2001)
+        assert p.block_distance == 101  # ceil(0.05 * 2001)
+        assert (p.reserve_missing, p.multiplicity, p.block_set_size) == (10, 4, None)
+        assert StrategyParams.from_fractions(101) == StrategyParams(nearly_full_threshold=3, block_distance=6)
+
+
+def dangerous_vertices(moves, graph, threshold) -> set[int]:
+    """The danger set recomputed from a round's (player, vertex) moves, by the
+    rule in record_round_move's docstring: the oracle of its running tally."""
+    diff = [0] * graph.n
+    danger = set()
+    for player, vertex in moves:
+        step = 1 if player is Player.BOB else -1
+        for u in iter_bits(graph.closed[vertex]):
+            diff[u] += step
+            if step > 0 and diff[u] >= threshold:
+                danger.add(u)
+    return danger
+
+
+def _record(graph, moves, threshold):
+    """A fresh round-1 book with the (player, vertex) moves recorded."""
+    book = RoundBook(round=1, n=graph.n)
+    for player, vertex in moves:
+        record_round_move(book, graph, player, vertex, threshold)
+    return book
 
 
 class TestDangerousVertices:
     def test_empty_round_has_no_danger(self):
         g = make_named("star", 9)
-        book = RoundBook(round=1, n=g.n)
-        assert dangerous_vertices(book, g, 2) == set()
+        book = _record(g, [], 2)
+        assert dangerous_vertices([], g, 2) == set() == set(iter_bits(book.danger_mask))
 
     def test_two_bob_leaves_endanger_only_the_centre(self):
         g = make_named("star", 9)
-        book = RoundBook(round=1, n=g.n)
-        record_round_move(book, g, Player.BOB, 1, threshold=2)
-        record_round_move(book, g, Player.BOB, 2, threshold=2)
+        moves = [(Player.BOB, 1), (Player.BOB, 2)]
+        book = _record(g, moves, 2)
         # each leaf's closed nbhd got one Bob play; the centre's got two
-        assert dangerous_vertices(book, g, 2) == {0}
+        assert dangerous_vertices(moves, g, 2) == {0}
         assert set(iter_bits(book.danger_mask)) == {0}
 
     def test_single_bob_move_threshold_one_endangers_closed_nbhd(self):
         g = make_named("path", 5)
-        book = RoundBook(round=1, n=g.n)
-        record_round_move(book, g, Player.BOB, 2, threshold=1)
-        assert dangerous_vertices(book, g, 1) == {1, 2, 3}
+        moves = [(Player.BOB, 2)]
+        book = _record(g, moves, 1)
+        assert dangerous_vertices(moves, g, 1) == {1, 2, 3} == set(iter_bits(book.danger_mask))
 
     def test_danger_is_sticky_within_round(self):
         g = make_named("star", 9)
-        book = RoundBook(round=1, n=g.n)
-        record_round_move(book, g, Player.BOB, 1, threshold=2)
-        record_round_move(book, g, Player.BOB, 2, threshold=2)
         # Alice compensating afterwards does not un-danger the centre
-        record_round_move(book, g, Player.ALICE, 3, threshold=2)
-        record_round_move(book, g, Player.ALICE, 4, threshold=2)
-        assert dangerous_vertices(book, g, 2) == {0}
+        moves = [(Player.BOB, 1), (Player.BOB, 2), (Player.ALICE, 3), (Player.ALICE, 4)]
+        book = _record(g, moves, 2)
+        assert dangerous_vertices(moves, g, 2) == {0} == set(iter_bits(book.danger_mask))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -104,11 +121,13 @@ class TestDangerousVertices:
         rng = random.Random(mseed)
         book = RoundBook(round=1, n=n)
         order = rng.sample(range(n), n)
+        moves = []
         previous: set[int] = set()
         for v in order:
             player = Player.BOB if rng.random() < 0.5 else Player.ALICE
             record_round_move(book, g, player, v, threshold)
-            recomputed = dangerous_vertices(book, g, threshold)
+            moves.append((player, v))
+            recomputed = dangerous_vertices(moves, g, threshold)
             assert recomputed == set(iter_bits(book.danger_mask))
             assert previous <= recomputed  # monotone within the round
             previous = recomputed
@@ -191,7 +210,6 @@ class TestPriorityAlice:
         defaults = dict(
             danger_threshold=99,
             nearly_full_threshold=1,
-            small_color_cutoff=1,
             block_distance=1,
         )
         defaults.update(params)
@@ -251,7 +269,7 @@ class TestPriorityAlice:
     def test_priority_soundness_audit(self):
         # replay a real game and recompute rule-1 applicability independently
         g = gnp_generate(GnpSpec(11, 0.5, 21))
-        params = StrategyParams.from_fractions(11, beta=0.3)
+        params = dataclasses.replace(StrategyParams.from_fractions(11), nearly_full_threshold=4)
         alice = PriorityAlice(params, audit=True)
         out = play_game(g, g.max_degree() + 2, alice, GreedyFirstFit(), max_rounds=4)
         assert out.winner is Player.ALICE
@@ -278,7 +296,6 @@ class TestTargetBob:
         defaults = dict(
             danger_threshold=1,
             nearly_full_threshold=1,
-            small_color_cutoff=1,
             block_distance=1,
             reserve_missing=3,
         )
@@ -473,33 +490,6 @@ class TestLockstepOracles:
         assert tier3 > 100  # the mirror search really ran
 
 
-class TestDoubleBlockDistance:
-    def test_fully_coloured_target_neighbourhood(self):
-        g = Graph(6, [(0, 1), (0, 2), (0, 3)])
-        state = GameState(g, 4)
-        for v, c in [(0, 1), (1, 2), (2, 3), (3, 4)]:
-            apply_move(state, v, c)
-        assert double_block_distance(state, (4, 5), 0) == 0
-
-    def test_covering_pair_is_a_live_threat(self):
-        g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 0), (5, 1), (5, 2), (6, 3), (6, 4)])
-        state = GameState(g, 4)
-        assert double_block_distance(state, (5, 6), 0) == 0
-
-    def test_pair_covering_all_but_one(self):
-        # N(target) = {0,1,2,3} uncoloured; the pair reaches {1,2} and {3}
-        g = Graph(6, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2), (5, 3)])
-        state = GameState(g, 4)
-        assert double_block_distance(state, (4, 5), 0) == 1
-
-    def test_neutralized_pair_returns_none(self):
-        g = Graph(6, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2), (5, 3)])
-        state = GameState(g, 4)
-        apply_move(state, 3, 1)  # colour 1 now inside N(target)
-        apply_move(state, 4, 1)  # a carries an inside colour: threat dead
-        assert double_block_distance(state, (4, 5), 0) is None
-
-
 class TestBobEvenSetup:
     def test_single_ground_vertex_degenerates_to_inside_outside(self):
         g = make_named("star", 4)
@@ -545,7 +535,6 @@ class TestMultiplicityBob:
         defaults = dict(
             danger_threshold=1,
             nearly_full_threshold=1,
-            small_color_cutoff=1,
             block_distance=1,
             reserve_missing=1,
             multiplicity=4,
