@@ -181,8 +181,23 @@ def build_graph(spec: dict, seed: Optional[int] = None) -> Graph:
         raise ConfigError(f"bad graph {spec}: {e}") from None
 
 
+# the spec keys each strategy reads; any other key is a typo, not a default
+_SPEC_KEYS = {
+    "greedyFirstFit": {"name"},
+    "randomLegal": {"name"},
+    "priorityAlice": {"name", "params"},
+    "targetBob": {"name", "params", "target"},
+    "multiplicityBob": {"name", "params", "l", "k_inv", "num_colors"},
+}
+
+
 def build_strategy(spec: dict, graph: Graph, k: int):
     name = spec.get("name")
+    if not isinstance(name, str) or name not in _SPEC_KEYS:
+        raise ConfigError(f"unknown strategy {name!r}")
+    unknown = set(spec) - _SPEC_KEYS[name]
+    if unknown:
+        raise ConfigError(f"unknown keys for {name!r}: {sorted(unknown)}")
     params_obj = spec.get("params", {})
     if name == "greedyFirstFit":
         return GreedyFirstFit()
@@ -209,16 +224,14 @@ def build_strategy(spec: dict, graph: Graph, k: int):
         if not 0 <= target < graph.n:
             raise ConfigError(f"targetBob target must be a vertex 0..{graph.n - 1}, got {target}")
         return TargetBob(params, target=target)
-    if name == "multiplicityBob":
-        setup = (spec.get("l", 1), spec.get("k_inv", 2), spec.get("num_colors", k))
-        for key, value in zip(("l", "k_inv", "num_colors"), setup):
-            _check_type(f"multiplicityBob {key}", value, int)
-        try:
-            plan = bob_even_setup(graph, *setup)
-        except PlanSetupError as e:
-            raise ConfigError(f"multiplicityBob plan: {e}") from None
-        return MultiplicityBob(plan, params)
-    raise ConfigError(f"unknown strategy {name!r}")
+    setup = (spec.get("l", 1), spec.get("k_inv", 2), spec.get("num_colors", k))
+    for key, value in zip(("l", "k_inv", "num_colors"), setup):
+        _check_type(f"multiplicityBob {key}", value, int)
+    try:
+        plan = bob_even_setup(graph, *setup)
+    except PlanSetupError as e:
+        raise ConfigError(f"multiplicityBob plan: {e}") from None
+    return MultiplicityBob(plan, params)
 
 
 def run_trial(config: ExperimentConfig, graph: Graph, k: int, trial: int) -> TrialRecord:

@@ -136,13 +136,23 @@ def record_round_move(book: RoundBook, graph: Graph, player: Player, vertex: int
     Alice's by at least the threshold at ANY prefix of the round; dangerousness
     is sticky for the rest of the round.
     """
-    step = 1 if player is Player.BOB else -1
+    diff, m = book.diff, graph.closed[vertex]
     if player is Player.BOB:
         book.last_bob_vertex = vertex
-    for u in iter_bits(graph.closed[vertex]):
-        book.diff[u] += step
-        if step > 0 and book.diff[u] >= threshold:
-            book.danger_mask |= 1 << u
+        danger = book.danger_mask
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            diff[u] += 1
+            if diff[u] >= threshold:
+                danger |= low
+        book.danger_mask = danger
+    else:  # Alice's plays only lower the tallies, so they endanger nothing
+        while m:
+            low = m & -m
+            m ^= low
+            diff[low.bit_length() - 1] -= 1
 
 
 class PriorityAlice(Strategy):
@@ -189,7 +199,11 @@ class PriorityAlice(Strategy):
         # first; a vertex already seeing everything is unrescuable (playing it
         # would concede), so it is skipped.
         urgent, urgent_missing = None, thr
-        for v in unplayed_vertices(state):
+        rest = ~state.played & self.graph.full_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             missing = k - seen[v].bit_count()
             if 1 <= missing < urgent_missing:
                 urgent, urgent_missing = v, missing
@@ -232,43 +246,67 @@ class PriorityAlice(Strategy):
         # danger set) quickly stop existing at small n, so we keep the
         # invariant the mirror exists to provide — Alice plays next to a
         # pressured vertex at least as often as Bob does — directly: take the
-        # playable vertex whose neighbourhood covers the most pressure, with
-        # exponential weights so the single most-pressured vertex outranks any
-        # number of mildly-pressured ones.  Ties break towards the smallest
-        # usable colour, keeping Alice's distinct-colour footprint low.
+        # playable vertex whose neighbourhood covers the most pressure, the
+        # single most-pressured vertex outranking any number of
+        # mildly-pressured ones.  Ties break towards the smallest usable
+        # colour, keeping Alice's distinct-colour footprint low, then towards
+        # the lowest vertex.
+        #
+        # A dangerous vertex t is at level L when it sees L colours.  Covering
+        # it with a colour it already sees is a pure slot-burn and counts at
+        # level L; a colour new to it also fills it, which counts one level
+        # lower (and not at all from level 0).  A candidate's cover is its
+        # count per level, compared from the top level down: the score
+        # sum_L count_L * (n+1)**L of the weighted form, since no count
+        # reaches n+1.  So the candidates are cut to the best count level by
+        # level, from the top, until one is left.
         d_mask = self.book.danger_mask
-        seen, adj = state.seen, self.graph.adj
-        # Pressure = how much of the palette a dangerous vertex already sees.
-        # Base n+1 makes the score lexicographic: covering the single vertex
-        # closest to seeing everything beats covering every other one.
-        # Covering a pressured vertex with a colour it already sees is a pure
-        # slot-burn; covering it with a colour new to it also fills it, so
-        # that counts one pressure level lower.  Weights depend on t only.
-        base = self.graph.n + 1
-        burn, fill = {}, {}
-        for t in iter_bits(d_mask):
-            burn[t] = base ** seen[t].bit_count()
-            fill[t] = burn[t] // base
-        # best = max score, then min colour; v ascends, so ties keep the lower v
-        best, best_score, best_c = None, 0, 0
+        seen, adj, palette = state.seen, self.graph.adj, state.palette
+        cands = []  # (v, c): a playable v and its smallest legal colour
         rest = ~(state.played | 1 << w) & self.graph.full_mask
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            c = smallest_legal(state, v)
-            if c is None:
+            free = palette & ~seen[v]
+            if free:
+                cands.append((v, (free & -free).bit_length() - 1))
+        if not cands:
+            return None
+        lvl = [0] * (self.k + 2)  # lvl[L] = the dangerous vertices at level L
+        m = d_mask
+        while m:
+            low = m & -m
+            m ^= low
+            lvl[seen[low.bit_length() - 1].bit_count()] |= low
+        closed, pos = self.graph.closed, state.color_pos
+        sees = {}  # sees[c] = the dangerous vertices already seeing colour c
+        for _, c in cands:
+            if c not in sees:
+                s, p = 0, pos[c]
+                while p:
+                    low = p & -p
+                    p ^= low
+                    s |= closed[low.bit_length() - 1]
+                sees[c] = s & d_mask
+        top = max((L for L, m in enumerate(lvl) if m), default=-1)
+        for level in range(top, -1, -1):
+            hit, miss = lvl[level], lvl[level + 1]
+            if not hit | miss:
                 continue
-            score = 0
-            covered = adj[v] & d_mask
-            while covered:
-                bit = covered & -covered
-                covered ^= bit
-                t = bit.bit_length() - 1
-                score += burn[t] if seen[t] >> c & 1 else fill[t]
-            if best is None or score > best_score or (score == best_score and c < best_c):
-                best, best_score, best_c = v, score, c
-        return best
+            cover = {c: (s & hit) | (miss & ~s) for c, s in sees.items()}
+            best, keep = -1, []
+            for v, c in cands:
+                count = (adj[v] & cover[c]).bit_count()
+                if count > best:
+                    best, keep = count, [(v, c)]
+                elif count == best:
+                    keep.append((v, c))
+            if len(keep) == 1:
+                return keep[0][0]
+            cands = keep
+            sees = {c: sees[c] for _, c in cands}
+        return min(cands, key=lambda vc: (vc[1], vc[0]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Experiment runner: configs, determinism, records, outputs, and the CLI."""
 
+import hashlib
 import io
 import json
 import os
@@ -27,6 +28,9 @@ from eternal_coloring.graph import derive_seed, make_named
 from eternal_coloring.strategies import PriorityAlice, TargetBob
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# trials.csv of configs/bob-even-sweep.json, recorded before the level-pruned
+# PriorityAlice mirror replaced the weighted one
+BOB_EVEN_SWEEP_SHA256 = "80b6ae056e8b08b717ac04705a520d0902b36e877e9de67a4a82d589a14847da"
 
 
 def _single_vertex_config(k, trials=10, max_rounds=10):
@@ -83,6 +87,14 @@ class TestRunExperiment:
             assert r.winner in ("alice", "bob", "fault")
             assert r.fault == (r.winner == "fault")
             assert r.moves_played >= 1
+
+    def test_bob_even_sweep_trials_csv_is_pinned(self):
+        # a regression guard for MultiplicityBob at the paper's even-n size,
+        # and for PriorityAlice against a second Bob; not a paper gate
+        records = run_experiment(ExperimentConfig.from_file(str(CONFIGS / "bob-even-sweep.json")))
+        rates = win_rates(records)
+        assert [rates[k]["bob_win_rate"] for k in (20, 26, 32)] == [1.0, 1.0, 0.0]
+        assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == BOB_EVEN_SWEEP_SHA256
 
 
 class TestTrialError:
@@ -189,8 +201,17 @@ class TestBuilders:
             {"name": "priorityAlice", "params": {"danger_treshold": 3}},
             {"name": "targetBob", "params": {"danger_threshold": 0}},
             {"name": "multiplicityBob", "k_inv": 0},
+            {"name": ["psychic"]},
         ):
             with pytest.raises(ConfigError):
+                build_strategy(spec, make_named("star", 3), 3)
+        # spec keys the named strategy does not read are rejected, not defaulted
+        for spec, key in (
+            ({"name": "targetBob", "traget": 2}, "traget"),
+            ({"name": "greedyFirstFit", "params": {"danger_threshold": 3, "nonsense": 1}}, "params"),
+            ({"name": "priorityAlice", "target": 0, "l": 2}, "l"),
+        ):
+            with pytest.raises(ConfigError, match=rf"unknown keys for '{spec['name']}': .*'{key}'"):
                 build_strategy(spec, make_named("star", 3), 3)
         # knobs no strategy reads are unknown, whatever their value's type
         for key, value in (("epsilon", 0.05), ("small_color_cutoff", 1), ("block_budget", 1)):

@@ -15,7 +15,7 @@ from eternal_coloring.engine import (
     legal_colors,
     play_game,
 )
-from eternal_coloring.graph import GnpSpec, Graph, gnp_generate, iter_bits, make_named, mask_of
+from eternal_coloring.graph import GnpSpec, Graph, derive_seed, gnp_generate, iter_bits, make_named, mask_of
 from eternal_coloring.solver import solve_eternal
 from eternal_coloring.strategies import (
     GreedyFirstFit,
@@ -436,6 +436,27 @@ class _ReferenceAlice(PriorityAlice):
         return best[2] if best else None
 
 
+@st.composite
+def _mirror_positions(draw):
+    """A random proper partial colouring with a played set, a danger mask
+    (empty, full or any) and Bob's last vertex w."""
+    n = draw(st.integers(1, 14))
+    g = gnp_generate(GnpSpec(n, draw(st.sampled_from((0.2, 0.5, 0.8))), draw(st.integers(0, 10**6))))
+    k = draw(st.integers(1, n + 1))
+    colors = [0] * n
+    for v in draw(st.permutations(range(n))):
+        c = draw(st.integers(0, k))  # 0 leaves v uncoloured
+        if c and all(colors[u] != c for u in iter_bits(g.adj[v])):
+            colors[v] = c
+    state = GameState(g, k)
+    state.colors = colors
+    state.color_pos = [mask_of(v for v in range(n) if colors[v] == c) for c in range(k + 1)]
+    state.seen = [mask_of(colors[u] for u in iter_bits(g.closed[v]) if colors[u]) for v in range(n)]
+    state.played = draw(st.integers(0, g.full_mask))
+    danger = draw(st.one_of(st.just(0), st.just(g.full_mask), st.integers(0, g.full_mask)))
+    return g, k, state, danger, draw(st.integers(0, n - 1))
+
+
 _LOCKSTEP_GAMES = [(n, gseed) for n in (13, 17, 21, 25) for gseed in range(3)]
 
 
@@ -478,16 +499,40 @@ class TestLockstepOracles:
             g = gnp_generate(GnpSpec(n, 0.5, gseed))
             params = StrategyParams(danger_threshold=2, nearly_full_threshold=2, block_distance=2, reserve_missing=2)
             for k in (n // 2 + 2, n - 2):
-                games = []
-                for cls in (PriorityAlice, _ReferenceAlice):
-                    alice = cls(params, audit=True)
-                    out = play_game(g, k, alice, TargetBob(params), max_rounds=4, seed=gseed)
-                    games.append((out, alice))
-                (out, alice), (ref_out, ref) = games
-                assert out.transcript == ref_out.transcript, (n, gseed, k)
-                assert alice.audit_log == ref.audit_log, (n, gseed, k)
-                tier3 += sum(1 for *_, prio in alice.audit_log if prio == 3)
+                tier3 += _alice_lockstep(g, k, params, max_rounds=4, seed=gseed)
         assert tier3 > 100  # the mirror search really ran
+
+    def test_priority_alice_mirror_matches_at_defence_scale(self):
+        # the alice-defence setting, where many pressure levels and ties meet
+        g = gnp_generate(GnpSpec(101, 0.5, derive_seed(0, 0, "graph")))
+        params = dataclasses.replace(StrategyParams.from_fractions(101), danger_threshold=3)
+        assert _alice_lockstep(g, 32, params, max_rounds=3, seed=derive_seed(0, 0, 32)) > 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(position=_mirror_positions())
+    def test_playable_mirror_matches_weights_on_any_position(self, position):
+        g, k, state, danger, w = position
+        picks = []
+        for cls in (PriorityAlice, _ReferenceAlice):
+            alice = cls(StrategyParams())
+            alice.reset(g, k, RuleVariant.STANDARD)
+            alice.book.danger_mask = danger
+            picks.append(alice._playable_mirror(state, w))
+        assert picks[0] == picks[1]
+
+
+def _alice_lockstep(g, k, params, max_rounds, seed) -> int:
+    """Play PriorityAlice and _ReferenceAlice against TargetBob, assert the
+    same game, and return how many moves came from the mirror tier."""
+    games = []
+    for cls in (PriorityAlice, _ReferenceAlice):
+        alice = cls(params, audit=True)
+        out = play_game(g, k, alice, TargetBob(params), max_rounds=max_rounds, seed=seed)
+        games.append((out, alice))
+    (out, alice), (ref_out, ref) = games
+    assert out.transcript == ref_out.transcript, (g.n, k, seed)
+    assert alice.audit_log == ref.audit_log, (g.n, k, seed)
+    return sum(1 for *_, prio in alice.audit_log if prio == 3)
 
 
 class TestBobEvenSetup:
