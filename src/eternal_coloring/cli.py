@@ -118,6 +118,7 @@ def _dispatch(args) -> int:
         return 0
     if args.command == "solve":
         _check_positive("--k", args.k)
+        _check_positive("--state-cap", args.state_cap)
         graph = build_graph(_graph_spec(args.graph))
         variant = RuleVariant(args.variant)
         if args.k is not None:

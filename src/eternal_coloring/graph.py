@@ -34,8 +34,8 @@ class GnpSpec:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0,1], got {self.p}")
-        if self.n < 0:
-            raise ValueError("n must be non-negative")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
 
 
 class Graph:

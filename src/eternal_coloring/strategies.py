@@ -6,8 +6,10 @@ Bob's generalized multi-target strategy, plus two baselines.  All asymptotic
 thresholds are explicit integer knobs in StrategyParams so the strategies can
 run at desk scale.
 
-Tie-breaking everywhere: lowest vertex index first, then smallest colour,
-so that games against deterministic opponents are reproducible.
+Ties break deterministically, so that games against deterministic opponents
+are reproducible: lowest vertex index first, then smallest colour, except in
+PriorityAlice's two mirror tiers, which take the smallest colour first, then
+the lowest vertex.
 """
 
 from __future__ import annotations
@@ -314,107 +316,56 @@ class PriorityAlice(Strategy):
 # ---------------------------------------------------------------------------
 
 
-class _BlockObligation:
-    """Pending blocking-move sequence for a pair (a, b) threatening the target.
+def _block_moves(bob: "TargetBob", state: GameState, a: int, b: int) -> Iterator[tuple[int, int]]:
+    """Bob's blocking moves for a pair (a, b) threatening the target.
 
-    Stages: colour a with a fresh colour c_a; introduce c_a into the target
-    neighbourhood (deferring to Alice's pre-emptions); then the same for b.
-    Obsolete obligations are dropped and logged.
+    Stage A gives a a colour c_a not yet in the target's closed neighbourhood
+    (a fresh one if a is uncoloured) and introduces c_a there; stage B does
+    the same for b.  Each stage defers to Alice's pre-emptions.  A sequence
+    that can no longer gain anything ends early and is logged as a drop.
+    The sequence resumes on the same `state`, which play mutates in place.
     """
-
-    __slots__ = ("a", "b", "c_a", "c_b", "phase")
-
-    def __init__(self, a: int, b: int):
-        self.a = a
-        self.b = b
-        self.c_a: Optional[int] = None
-        self.c_b: Optional[int] = None
-        self.phase = "A"
-
-    def step(self, bob: "TargetBob", state: GameState) -> Optional[tuple[int, int]]:
-        """Next move of the sequence, or None when finished/dropped."""
-        colors, inside = state.colors, bob._inside
-        while True:
-            if self.phase == "done" or not bob.target_mask & state.color_pos[0]:
-                return None
-            if self.phase == "A":
-                col_a = colors[self.a]
-                if col_a == 0:
-                    c = bob._smallest_unused(state)
-                    if c is None:
-                        self.phase = "done"
-                        bob._log_drop(self, "no unused colour for a")
-                        return None
-                    self.c_a = c
-                    self.phase = "A2"
-                    return self.a, c
-                if inside(state, col_a):
-                    # a was neutralized by a colour already in the target
-                    self.phase = "done"
-                    bob._log_drop(self, "a coloured inside-target colour")
-                    return None
-                self.c_a = col_a
-                self.phase = "A2"
-                continue
-            if self.phase == "A2":
-                if inside(state, self.c_a):
-                    self.phase = "B"
-                    continue
-                col_b = colors[self.b]
-                if col_b != 0 and not inside(state, col_b):
-                    # Alice played b with a colour missing from the target:
-                    # copy it in first, c_a next move.
-                    u = uncolored_taking(state, bob.target_mask, col_b)
-                    if u is not None:
-                        self.c_b = col_b
-                        self.phase = "final_ca"
-                        return u, col_b
-                u = uncolored_taking(state, bob.target_mask, self.c_a)
-                if u is None:
-                    self.phase = "done"
-                    bob._log_drop(self, "c_a not introducible")
-                    return None
-                self.phase = "done" if (col_b != 0 and inside(state, col_b)) else "B"
-                return u, self.c_a
-            if self.phase == "final_ca":
-                if inside(state, self.c_a):
-                    self.phase = "done"
-                    return None
-                u = uncolored_taking(state, bob.target_mask, self.c_a)
-                if u is None:
-                    self.phase = "done"
-                    bob._log_drop(self, "c_a not introducible")
-                    return None
-                self.phase = "done"
-                return u, self.c_a
-            if self.phase == "B":
-                col_b = colors[self.b]
-                if col_b != 0:
-                    if inside(state, col_b):
-                        self.phase = "done"
-                        return None
-                    self.c_b = col_b
-                    self.phase = "B2"
-                    continue
-                c = bob._smallest_unused(state)
-                if c is None:
-                    self.phase = "done"
-                    bob._log_drop(self, "no unused colour for b")
-                    return None
-                self.c_b = c
-                self.phase = "B2"
-                return self.b, c
-            if self.phase == "B2":
-                if inside(state, self.c_b):
-                    self.phase = "done"
-                    return None
-                u = uncolored_taking(state, bob.target_mask, self.c_b)
-                self.phase = "done"
-                if u is None:
-                    bob._log_drop(self, "c_b not introducible")
-                    return None
-                return u, self.c_b
-            raise AssertionError(f"unknown phase {self.phase}")
+    inside, target = bob._inside, bob.target_mask
+    c_a = state.colors[a]
+    if not c_a:
+        c_a = bob._smallest_unused(state)
+        if c_a is None:
+            bob._log_drop(a, b, "no unused colour for a")
+            return
+        yield a, c_a
+    elif inside(state, c_a):  # a was neutralized by a colour already in the target
+        bob._log_drop(a, b, "a coloured inside-target colour")
+        return
+    # If Alice played b with a colour missing from the target, that colour
+    # goes in first, c_a next, and the sequence ends there.
+    col_b, b_first = state.colors[b], None
+    if col_b and not inside(state, c_a) and not inside(state, col_b):
+        b_first = uncolored_taking(state, target, col_b)
+        if b_first is not None:
+            yield b_first, col_b
+    if not inside(state, c_a):
+        u = uncolored_taking(state, target, c_a)
+        if u is None:
+            bob._log_drop(a, b, "c_a not introducible")
+            return
+        yield u, c_a
+    if b_first is not None:
+        return
+    # Stage B.  Round 1 never recolours, so a b coloured inside ends it here.
+    c_b = state.colors[b]
+    if not c_b:
+        c_b = bob._smallest_unused(state)
+        if c_b is None:
+            bob._log_drop(a, b, "no unused colour for b")
+            return
+        yield b, c_b
+    if inside(state, c_b):
+        return
+    u = uncolored_taking(state, target, c_b)
+    if u is None:
+        bob._log_drop(a, b, "c_b not introducible")
+        return
+    yield u, c_b
 
 
 class TargetBob(Strategy):
@@ -445,19 +396,17 @@ class TargetBob(Strategy):
         self.graph = graph
         self.k = k
         self.target_mask = graph.closed[self.target]
-        self.intro_time = [0] * (k + 1)  # move index of first appearance; 0 = unused
-        self.move_clock = 0
-        self.pending: deque[_BlockObligation] = deque()
-        self.batches: deque[Iterator[tuple[int, int]]] = deque()  # pairs of each scan, not yet queued
-        self.seen_pairs: set[tuple[int, int]] = set()  # (a, b), a < b, queued so far
+        self.intro: list[int] = []  # colours in order of first appearance
+        self.current: Optional[Iterator[tuple[int, int]]] = None  # the live blocking sequence
+        self.batches: deque[Iterator[tuple[int, int]]] = deque()  # pairs of each scan, not yet drawn
+        self.seen_pairs: set[tuple[int, int]] = set()  # (a, b), a < b, drawn so far
         self.last_u: Optional[int] = None  # uncoloured part of N[target] at the last scan
         self.audit_log: list[tuple[int, int, int]] = []
         self.drop_log: list[str] = []
 
     def observe(self, state: GameState, rec: MoveRecord):
-        self.move_clock += 1
-        if self.intro_time[rec.color] == 0:
-            self.intro_time[rec.color] = self.move_clock
+        if rec.color not in self.intro:
+            self.intro.append(rec.color)
 
     # -- round-1 helpers ----------------------------------------------------
 
@@ -470,11 +419,6 @@ class TargetBob(Strategy):
                 return c
         return None
 
-    def _colors_by_intro(self, pred):
-        cs = [c for c in range(1, self.k + 1) if pred(c)]
-        cs.sort(key=lambda c: (self.intro_time[c], c))
-        return cs
-
     def _scan_block_pairs(self, state: GameState) -> None:
         """Queue a batch of every unseen unplayed pair (a, b), a < b, in
         ascending order, whose union of closed neighbourhoods misses at most
@@ -482,10 +426,10 @@ class TargetBob(Strategy):
         neighbourhood.
 
         The batch is a snapshot: its pairs are tested against the board of
-        this call, but only when `_head` asks for them.  Batches drain FIFO,
+        this call, but only when `_block_move` draws them.  Batches drain FIFO,
         so when a pair is tested `seen_pairs` holds every pair of the batches
         before it and of its own batch before it, just as if all pairs had
-        been tested here, and the queue is the same pair for pair.
+        been tested here, and the pairs come in the same order.
         """
         u_mask = self.target_mask & state.color_pos[0]
         last_u = self.last_u
@@ -533,22 +477,27 @@ class TargetBob(Strategy):
                     seen_pairs.add((a, b))
                     yield a, b
 
-    def _head(self) -> Optional[_BlockObligation]:
-        """The obligation at the head of the queue, drawing the next pair of
-        the oldest unfinished batch when the queue is empty."""
-        pending, batches = self.pending, self.batches
-        while not pending:
-            if not batches:
-                return None
-            pair = next(batches[0], None)
-            if pair is None:
-                batches.popleft()
-            else:
-                pending.append(_BlockObligation(*pair))
-        return pending[0]
+    def _block_move(self, state: GameState) -> Optional[tuple[int, int]]:
+        """The next move of the live blocking sequence.  A sequence that
+        ends, or finds no uncoloured target vertex left, gives way to one for
+        the next pair of the oldest unfinished batch."""
+        batches = self.batches
+        while True:
+            if self.current is None:
+                pair = None
+                while batches and (pair := next(batches[0], None)) is None:
+                    batches.popleft()
+                if pair is None:
+                    return None
+                self.current = _block_moves(self, state, *pair)
+            if self.target_mask & state.color_pos[0]:
+                mv = next(self.current, None)
+                if mv is not None:
+                    return mv
+            self.current = None
 
-    def _log_drop(self, ob: _BlockObligation, why: str) -> None:
-        self.drop_log.append(f"pair ({ob.a},{ob.b}) dropped: {why}")
+    def _log_drop(self, a: int, b: int, why: str) -> None:
+        self.drop_log.append(f"pair ({a},{b}) dropped: {why}")
 
     def select(self, state: GameState):
         if state.round >= 2:
@@ -560,25 +509,25 @@ class TargetBob(Strategy):
 
     def _round1_move(self, state: GameState) -> tuple[int, Optional[int], int]:
         pos, target_mask = state.color_pos, self.target_mask
-        # (1) colours seen >= twice outside, absent inside
-        for c in self._colors_by_intro(lambda c: not pos[c] & target_mask and pos[c].bit_count() >= 2):
-            u = uncolored_taking(state, target_mask, c)
-            if u is not None:
-                return u, c, 1
+        # (1) colours seen >= twice outside, absent inside, FIFO
+        for c in self.intro:
+            if not pos[c] & target_mask and pos[c].bit_count() >= 2:
+                u = uncolored_taking(state, target_mask, c)
+                if u is not None:
+                    return u, c, 1
         # (2) blocking obligations
         unused = pos[1:].count(0)
         if unused >= self.params.reserve_missing and (target_mask & pos[0]).bit_count() >= self.params.danger_threshold:
             self._scan_block_pairs(state)
-            while (ob := self._head()) is not None:
-                mv = ob.step(self, state)
-                if mv is not None:
-                    return mv[0], mv[1], 2
-                self.pending.popleft()
+            mv = self._block_move(state)
+            if mv is not None:
+                return mv[0], mv[1], 2
         # (3) colours seen exactly once outside, absent inside, FIFO
-        for c in self._colors_by_intro(lambda c: not pos[c] & target_mask and pos[c].bit_count() == 1):
-            u = uncolored_taking(state, target_mask, c)
-            if u is not None:
-                return u, c, 3
+        for c in self.intro:
+            if not pos[c] & target_mask and pos[c].bit_count() == 1:
+                u = uncolored_taking(state, target_mask, c)
+                if u is not None:
+                    return u, c, 3
         # (4) brand-new colours into the target
         c = self._smallest_unused(state)
         if c is not None:
@@ -658,19 +607,6 @@ def bob_even_setup(graph: Graph, l: int, k: int, num_colors: int) -> TargetPlan:
     return TargetPlan(ground_set=ground, entries=tuple(entries), num_colors=num_colors)
 
 
-class _KillObligation:
-    """Pending kill sequence for an m-set threatening some target class."""
-
-    __slots__ = ("members", "entry_index", "pos", "color", "intro_left")
-
-    def __init__(self, members: list[int], entry_index: int):
-        self.members = members
-        self.entry_index = entry_index
-        self.pos = 0
-        self.color: Optional[int] = None
-        self.intro_left: list[int] = []
-
-
 class MultiplicityBob(Strategy):
     """Bob's generalized strategy driving designated colours into target classes.
 
@@ -702,7 +638,7 @@ class MultiplicityBob(Strategy):
                 self.designated[c].append(e.index)
         self.alice_last_vertex = None
         self.alice_last_color = None
-        self.pending: deque[_KillObligation] = deque()
+        self.pending: deque[Iterator[tuple[int, int]]] = deque()  # kill sequences, FIFO
         self.seen_kills: set[frozenset] = set()
         self.audit_log: list[tuple[int, int, int]] = []
 
@@ -792,37 +728,33 @@ class MultiplicityBob(Strategy):
                 key = (frozenset(members), i)
                 if key not in self.seen_kills:
                     self.seen_kills.add(key)
-                    self.pending.append(_KillObligation(members, i))
+                    self.pending.append(self._kill_moves(state, members))
 
-    def _kill_step(self, state: GameState) -> Optional[tuple[int, int]]:
-        while self.pending:
-            ob = self.pending[0]
-            if ob.intro_left:
-                i = ob.intro_left[0]
-                if self._is_missing(state, i, ob.color):
-                    u = uncolored_taking(state, self.plan.entries[i].vertices, ob.color)
-                    if u is not None:
-                        ob.intro_left.pop(0)
-                        return u, ob.color
-                ob.intro_left.pop(0)
-                continue
-            while ob.pos < len(ob.members) and state.colors[ob.members[ob.pos]] != 0:
-                ob.pos += 1
-            if ob.pos >= len(ob.members):
-                self.pending.popleft()
-                continue
-            a = ob.members[ob.pos]
-            if state.is_played(a):
-                ob.pos += 1
+    def _kill_moves(self, state: GameState, members: list[int]) -> Iterator[tuple[int, int]]:
+        """Kill an m-set: colour each still-uncoloured member with a safe
+        colour, then copy that colour into each class it was missing from.
+        The sequence resumes on the same `state`, which play mutates in place.
+        """
+        for a in members:
+            if state.colors[a] or state.is_played(a):
                 continue
             c = self._safe_kill_color(state, a)
             if c is None:
-                ob.pos += 1
                 continue
-            ob.color = c
-            ob.intro_left = [i for i in self.designated[c] if self._is_missing(state, i, c)]
-            ob.pos += 1
-            return a, c
+            missing = [i for i in self.designated[c] if self._is_missing(state, i, c)]
+            yield a, c
+            for i in missing:
+                if self._is_missing(state, i, c):
+                    u = uncolored_taking(state, self.plan.entries[i].vertices, c)
+                    if u is not None:
+                        yield u, c
+
+    def _kill_move(self, state: GameState) -> Optional[tuple[int, int]]:
+        while self.pending:
+            mv = next(self.pending[0], None)
+            if mv is not None:
+                return mv
+            self.pending.popleft()
         return None
 
     def select(self, state: GameState):
@@ -860,7 +792,7 @@ class MultiplicityBob(Strategy):
         # (3) kill looming blocks
         if any(not es for es in self.end_stage):
             self._scan_kills(state)
-            mv = self._kill_step(state)
+            mv = self._kill_move(state)
             if mv is not None:
                 return mv[0], mv[1], 3
         # (4) eager multiplicity copies

@@ -258,7 +258,7 @@ TESTS = Path(__file__).resolve().parent
 _MISSING_CONFIG = str(TESTS / "data" / "no_such_config.json")
 
 _FUZZ_GRAPHS = [
-    "star:0", "star:x", "star:3", "gnp:5,1.5", "gnp:4,0.5,1", "gnp:4", "path:3", "cycle:4", "complete:3", "empty:2", "moebius:3"
+    "star:0", "star:x", "star:3", "gnp:5,1.5", "gnp:4,0.5,1", "gnp:4", "gnp:0,0.5", "path:3", "cycle:4", "complete:3", "empty:2", "moebius:3"
 ]
 _FUZZ_STRATEGIES = ["greedyFirstFit", "randomLegal", "priorityAlice", "targetBob", "multiplicityBob", "nope"]
 _FUZZ_VARIANTS = ["standard", "greedy_bob", "greedy_both", "bogus"]
@@ -305,8 +305,9 @@ _FUZZ_CONFIG_FIELDS = {
     "graph": [
         {"kind": "star", "size": 2}, {"kind": "empty", "size": 1}, {"kind": "gnp", "n": 4, "p": 0.5},
         {"kind": "gnp", "n": 3, "p": 1, "seed": 5}, {"kind": "gnp", "n": 4, "p": 1.5}, {"kind": "gnp", "n": "4", "p": 0.5},
-        {"kind": "gnp", "n": 3, "p": 0.5, "seed": "x"}, {"kind": "star"}, {"kind": "star", "size": 0},
-        {"kind": "star", "size": 2.5}, {"kind": "star", "size": True}, {"kind": "torus", "size": 2}, {"kind": []},
+        {"kind": "gnp", "n": 3, "p": 0.5, "seed": "x"}, {"kind": "gnp", "n": 0, "p": 0.5},
+        {"kind": "star"}, {"kind": "star", "size": 0}, {"kind": "star", "size": 2.5}, {"kind": "star", "size": True},
+        {"kind": "torus", "size": 2}, {"kind": []},
         [], "star:3", None,
     ],
     "k_range": [[2], [1, 3], [], [0], [2.5], ["2"], [True], 5, "12", {"min": 1, "max": 3}, {"min": "1", "max": 2}, {"min": 1}],
@@ -383,6 +384,11 @@ class TestCli:
             ["play", "--graph", "star:0", "--k", "3"],
             ["play", "--graph", "star:x", "--k", "3"],
             ["solve", "--graph", "gnp:5,1.5", "--k", "2"],
+            ["play", "--graph", "gnp:0,0.5", "--k", "1"],
+            ["audit", "--graph", "gnp:0,0.5"],
+            ["solve", "--graph", "gnp:0,0.5"],
+            ["solve", "--graph", "star:3", "--k", "2", "--state-cap", "-1"],
+            ["solve", "--graph", "star:3", "--k", "2", "--state-cap", "0"],
             ["play", "--graph", "star:3", "--k", "0"],
             ["play", "--graph", "star:3", "--k", "3", "--max-rounds", "0"],
             ["play", "--graph", "empty:3", "--k", "3", "--bob", "multiplicityBob"],

@@ -42,6 +42,8 @@ class TestGnp:
             GnpSpec(5, 1.5, 0)
         with pytest.raises(ValueError):
             GnpSpec(-1, 0.5, 0)
+        with pytest.raises(ValueError):
+            GnpSpec(0, 0.5, 0)
 
 
 class TestNamed:

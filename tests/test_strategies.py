@@ -26,10 +26,11 @@ from eternal_coloring.strategies import (
     RandomLegal,
     RoundBook,
     StrategyParams,
-    _BlockObligation,
     bob_even_setup,
+    first_fit,
     record_round_move,
     smallest_legal,
+    uncolored_taking,
     unplayed_vertices,
 )
 
@@ -337,7 +338,7 @@ class TestTargetBob:
         # vertices 5,6 jointly dominate the uncoloured target nbhd {0..4}
         g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 0), (5, 1), (5, 2), (6, 3), (6, 4)])
         bob = self._bob(g, 9, reserve_missing=3, block_distance=1)
-        bob.pending.append(_BlockObligation(5, 6))
+        bob.batches.append(iter([(5, 6)]))
         bob.seen_pairs.add((5, 6))
         state = GameState(g, 9)
         v, c, prio = bob._round1_move(state)
@@ -374,27 +375,145 @@ class TestTargetBob:
             assert out.winner is Player.BOB, (kind, size, k)
 
 
-class _LoggedDeque(deque):
-    """A deque that also logs every (a, b) obligation appended to it."""
-
-    def __init__(self):
-        super().__init__()
-        self.log = []
-
-    def append(self, ob):
-        self.log.append((ob.a, ob.b))
-        super().append(ob)
-
-
 class _LoggedTargetBob(TargetBob):
+    """TargetBob logging each block pair as its lazy batch yields it."""
+
     def reset(self, graph, k, variant, seed=None):
         super().reset(graph, k, variant, seed)
-        self.pending = _LoggedDeque()
+        self.pair_log = []
+
+    def _block_pairs(self, *scan):
+        for pair in super()._block_pairs(*scan):
+            self.pair_log.append(pair)
+            yield pair
 
 
-class _ReferenceTargetBob(_LoggedTargetBob):
-    """The full rescan of every unplayed pair on every call, queued at once:
-    the oracle of TargetBob's incremental scan and lazy pair batches."""
+class _BlockObligation:
+    """Pending blocking-move sequence for a pair (a, b) threatening the target.
+
+    Stages: colour a with a fresh colour c_a; introduce c_a into the target
+    neighbourhood (deferring to Alice's pre-emptions); then the same for b.
+    Obsolete obligations are dropped and logged.
+    """
+
+    __slots__ = ("a", "b", "c_a", "c_b", "phase")
+
+    def __init__(self, a: int, b: int):
+        self.a = a
+        self.b = b
+        self.c_a = None
+        self.c_b = None
+        self.phase = "A"
+
+    def step(self, bob, state):
+        """Next move of the sequence, or None when finished/dropped."""
+        colors, inside = state.colors, bob._inside
+        while True:
+            if self.phase == "done" or not bob.target_mask & state.color_pos[0]:
+                return None
+            if self.phase == "A":
+                col_a = colors[self.a]
+                if col_a == 0:
+                    c = bob._smallest_unused(state)
+                    if c is None:
+                        self.phase = "done"
+                        bob._log_drop(self.a, self.b, "no unused colour for a")
+                        return None
+                    self.c_a = c
+                    self.phase = "A2"
+                    return self.a, c
+                if inside(state, col_a):
+                    # a was neutralized by a colour already in the target
+                    self.phase = "done"
+                    bob._log_drop(self.a, self.b, "a coloured inside-target colour")
+                    return None
+                self.c_a = col_a
+                self.phase = "A2"
+                continue
+            if self.phase == "A2":
+                if inside(state, self.c_a):
+                    self.phase = "B"
+                    continue
+                col_b = colors[self.b]
+                if col_b != 0 and not inside(state, col_b):
+                    # Alice played b with a colour missing from the target:
+                    # copy it in first, c_a next move.
+                    u = uncolored_taking(state, bob.target_mask, col_b)
+                    if u is not None:
+                        self.c_b = col_b
+                        self.phase = "final_ca"
+                        return u, col_b
+                u = uncolored_taking(state, bob.target_mask, self.c_a)
+                if u is None:
+                    self.phase = "done"
+                    bob._log_drop(self.a, self.b, "c_a not introducible")
+                    return None
+                self.phase = "done" if (col_b != 0 and inside(state, col_b)) else "B"
+                return u, self.c_a
+            if self.phase == "final_ca":
+                if inside(state, self.c_a):
+                    self.phase = "done"
+                    return None
+                u = uncolored_taking(state, bob.target_mask, self.c_a)
+                if u is None:
+                    self.phase = "done"
+                    bob._log_drop(self.a, self.b, "c_a not introducible")
+                    return None
+                self.phase = "done"
+                return u, self.c_a
+            if self.phase == "B":
+                col_b = colors[self.b]
+                if col_b != 0:
+                    if inside(state, col_b):
+                        self.phase = "done"
+                        return None
+                    self.c_b = col_b
+                    self.phase = "B2"
+                    continue
+                c = bob._smallest_unused(state)
+                if c is None:
+                    self.phase = "done"
+                    bob._log_drop(self.a, self.b, "no unused colour for b")
+                    return None
+                self.c_b = c
+                self.phase = "B2"
+                return self.b, c
+            if self.phase == "B2":
+                if inside(state, self.c_b):
+                    self.phase = "done"
+                    return None
+                u = uncolored_taking(state, bob.target_mask, self.c_b)
+                self.phase = "done"
+                if u is None:
+                    bob._log_drop(self.a, self.b, "c_b not introducible")
+                    return None
+                return u, self.c_b
+            raise AssertionError(f"unknown phase {self.phase}")
+
+
+class _ReferenceTargetBob(TargetBob):
+    """TargetBob's round 1 as first written: the full rescan of every unplayed
+    pair on every call, queued at once as hand-stepped obligations, and
+    colours ordered by their recorded first-appearance time.  The oracle of
+    the incremental scan, the lazy pair batches, the blocking generator and
+    the appearance list."""
+
+    def reset(self, graph, k, variant, seed=None):
+        super().reset(graph, k, variant, seed)
+        self.intro_time = [0] * (k + 1)  # move index of first appearance; 0 = unused
+        self.move_clock = 0
+        self.pending = deque()
+        self.pair_log = []
+
+    def observe(self, state, rec):
+        self.move_clock += 1
+        if self.intro_time[rec.color] == 0:
+            self.intro_time[rec.color] = self.move_clock
+
+    def _colors_by_intro(self, pred):
+        cs = [c for c in range(1, self.k + 1) if pred(c)]
+        cs.sort(key=lambda c: (self.intro_time[c], c))
+        return cs
 
     def _scan_block_pairs(self, state):
         u_mask = self.target_mask & state.color_pos[0]
@@ -409,6 +528,33 @@ class _ReferenceTargetBob(_LoggedTargetBob):
                     if key not in self.seen_pairs:
                         self.seen_pairs.add(key)
                         self.pending.append(_BlockObligation(a, b))
+                        self.pair_log.append((a, b))
+
+    def _round1_move(self, state):
+        pos, target_mask = state.color_pos, self.target_mask
+        for c in self._colors_by_intro(lambda c: not pos[c] & target_mask and pos[c].bit_count() >= 2):
+            u = uncolored_taking(state, target_mask, c)
+            if u is not None:
+                return u, c, 1
+        unused = pos[1:].count(0)
+        if unused >= self.params.reserve_missing and (target_mask & pos[0]).bit_count() >= self.params.danger_threshold:
+            self._scan_block_pairs(state)
+            while self.pending:
+                mv = self.pending[0].step(self, state)
+                if mv is not None:
+                    return mv[0], mv[1], 2
+                self.pending.popleft()
+        for c in self._colors_by_intro(lambda c: not pos[c] & target_mask and pos[c].bit_count() == 1):
+            u = uncolored_taking(state, target_mask, c)
+            if u is not None:
+                return u, c, 3
+        c = self._smallest_unused(state)
+        if c is not None:
+            avail = target_mask & pos[0]
+            if avail:
+                return next(iter_bits(avail)), c, 4
+        v, c = first_fit(state)
+        return v, c, 5
 
 
 class _ReferenceAlice(PriorityAlice):
@@ -436,6 +582,57 @@ class _ReferenceAlice(PriorityAlice):
         return best[2] if best else None
 
 
+class _KillObligation:
+    """Pending kill sequence for an m-set threatening some target class."""
+
+    __slots__ = ("members", "pos", "color", "intro_left")
+
+    def __init__(self, members):
+        self.members = members
+        self.pos = 0
+        self.color = None
+        self.intro_left = []
+
+
+class _ReferenceMultiplicityBob(MultiplicityBob):
+    """Kill sequences as hand-stepped obligations: the oracle of
+    MultiplicityBob._kill_moves."""
+
+    def _kill_moves(self, state, members):
+        return _KillObligation(members)
+
+    def _kill_move(self, state):
+        while self.pending:
+            ob = self.pending[0]
+            if ob.intro_left:
+                i = ob.intro_left[0]
+                if self._is_missing(state, i, ob.color):
+                    u = uncolored_taking(state, self.plan.entries[i].vertices, ob.color)
+                    if u is not None:
+                        ob.intro_left.pop(0)
+                        return u, ob.color
+                ob.intro_left.pop(0)
+                continue
+            while ob.pos < len(ob.members) and state.colors[ob.members[ob.pos]] != 0:
+                ob.pos += 1
+            if ob.pos >= len(ob.members):
+                self.pending.popleft()
+                continue
+            a = ob.members[ob.pos]
+            if state.is_played(a):
+                ob.pos += 1
+                continue
+            c = self._safe_kill_color(state, a)
+            if c is None:
+                ob.pos += 1
+                continue
+            ob.color = c
+            ob.intro_left = [i for i in self.designated[c] if self._is_missing(state, i, c)]
+            ob.pos += 1
+            return a, c
+        return None
+
+
 @st.composite
 def _mirror_positions(draw):
     """A random proper partial colouring with a played set, a danger mask
@@ -461,7 +658,8 @@ _LOCKSTEP_GAMES = [(n, gseed) for n in (13, 17, 21, 25) for gseed in range(3)]
 
 
 class TestLockstepOracles:
-    """The incremental hot loops play exactly as the full recomputations."""
+    """The incremental hot loops and the generator sequences play exactly as
+    the full recomputations and hand-stepped obligations of the references."""
 
     def test_target_bob_scan_matches_full_rescan(self):
         queued = drops = lazy = 0
@@ -479,19 +677,42 @@ class TestLockstepOracles:
                         (out, bob), (ref_out, ref) = games
                         case = (n, gseed, dist, k, alice.name)
                         assert out.transcript == ref_out.transcript, case
-                        lazy += len(bob.pending.log)
+                        lazy += len(bob.pair_log)
                         # draw the pairs the game ended before reaching
-                        while bob._head() is not None:
-                            bob.pending.popleft()
-                        assert bob.pending.log == ref.pending.log, case
+                        for batch in bob.batches:
+                            deque(batch, maxlen=0)
+                        assert bob.pair_log == ref.pair_log, case
                         assert {frozenset(p) for p in bob.seen_pairs} == ref.seen_pairs, case
                         assert all(a < b for a, b in bob.seen_pairs), case
                         assert bob.drop_log == ref.drop_log, case
                         assert bob.audit_log == ref.audit_log, case
-                        queued += len(bob.pending.log)
+                        queued += len(bob.pair_log)
                         drops += len(bob.drop_log)
         assert queued > 1000 and drops > 100  # the scans really ran
         assert lazy < queued  # and the lazy queue tested fewer pairs in play
+
+    def test_multiplicity_bob_kills_match_hand_stepped_obligations(self):
+        kills = 0
+        for n, gseed in _LOCKSTEP_GAMES:
+            g = gnp_generate(GnpSpec(n, 0.5, gseed))
+            k = n // 2 + 2
+            for l in (1, 2):
+                plan = bob_even_setup(g, l, 2, k)
+                for m in (3, None):
+                    params = StrategyParams(danger_threshold=2, block_distance=2, reserve_missing=2, block_set_size=m)
+                    for alice in (GreedyFirstFit(), RandomLegal(), PriorityAlice(params)):
+                        games = []
+                        for cls in (MultiplicityBob, _ReferenceMultiplicityBob):
+                            bob = cls(plan, params, audit=True)
+                            out = play_game(g, k, alice, bob, max_rounds=3, seed=gseed)
+                            games.append((out, bob))
+                        (out, bob), (ref_out, ref) = games
+                        case = (n, gseed, l, m, alice.name)
+                        assert out.transcript == ref_out.transcript, case
+                        assert bob.audit_log == ref.audit_log, case
+                        assert bob.seen_kills == ref.seen_kills, case
+                        kills += sum(1 for *_, prio in bob.audit_log if prio == 3)
+        assert kills > 1000  # the kill tier really fired
 
     def test_priority_alice_mirror_matches_per_pair_weights(self):
         tier3 = 0
