@@ -16,7 +16,7 @@ from itertools import combinations
 from math import ceil, comb
 from typing import Optional
 
-from .graph import Graph, iter_bits, mask_of
+from .graph import Graph, mask_of
 
 
 @dataclass
@@ -153,7 +153,7 @@ def count_nearly_full_vertices(
     out = []
     for v in range(graph.n):
         seen = set()
-        for u in iter_bits(graph.closed[v]):
+        for u in graph.closed_list[v]:
             c = coloring[u]
             if c:
                 seen.add(c)
@@ -284,7 +284,7 @@ def _adversarial_colorings(graph: Graph, num_colors: int, seed: int) -> list[lis
     # saturate vertex 0: give its closed neighbourhood as many distinct colours as possible
     sat = [1] * n
     c = 1
-    for u in iter_bits(graph.closed[0]):
+    for u in graph.closed_list[0]:
         sat[u] = c
         c = c % num_colors + 1
     battery.append(sat)

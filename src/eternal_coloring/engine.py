@@ -9,7 +9,7 @@ alternates.  Bob wins as soon as a chosen vertex has no legal colour.
 
 Greedy variants: under GREEDY_BOB, Bob must use the smallest legal colour;
 under GREEDY_BOTH both players must.  This is enforced here, in
-``legal_colors``, so strategies cannot violate it.
+``legal_mask``, so strategies cannot violate it.
 
 Colour sets are bitmasks with bit c standing for colour c.  GameState keeps,
 per vertex v, the mask ``seen[v]`` of colours present in its closed
@@ -110,8 +110,8 @@ def legal_colors(state: GameState, v: int) -> set[int]:
 
     Empty set means the mover choosing v loses the game to Bob.
     """
-    if not 0 <= v < state.graph.n:
-        raise IllegalMoveError(f"vertex {v} out of range")
+    if type(v) is not int or not 0 <= v < state.graph.n:
+        raise IllegalMoveError(f"vertex {v!r} out of range")
     if state.is_played(v):
         raise IllegalMoveError(f"vertex {v} already played in round {state.round}")
     return set(iter_bits(legal_mask(state.seen[v], state.palette, state.greedy_applies())))
@@ -119,8 +119,8 @@ def legal_colors(state: GameState, v: int) -> set[int]:
 
 def apply_move(state: GameState, v: int, c: int) -> GameState:
     """Apply a validated move in place; flips the mover and handles round turnover."""
-    if c not in legal_colors(state, v):
-        raise IllegalMoveError(f"colour {c} is not legal at vertex {v}")
+    if type(c) is not int or c not in legal_colors(state, v):
+        raise IllegalMoveError(f"colour {c!r} is not legal at vertex {v}")
     return _place(state, v, c)
 
 
@@ -132,25 +132,18 @@ def _place(state: GameState, v: int, c: int) -> GameState:
     pos[old] &= ~bit
     pos[c] |= bit
     state.colors[v] = c
-    closed, seen, new_bit = state.graph.closed, state.seen, 1 << c
+    graph, seen, new_bit = state.graph, state.seen, 1 << c
     if old:
         # u still sees old iff another vertex of N[u] keeps it
-        old_bit, old_pos = 1 << old, pos[old]
-        m = closed[v]
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
+        old_bit, old_pos, closed = 1 << old, pos[old], graph.closed
+        for u in graph.closed_list[v]:
             mask = seen[u] | new_bit
             if not closed[u] & old_pos:
                 mask &= ~old_bit
             seen[u] = mask
     else:
-        m = closed[v]
-        while m:
-            low = m & -m
-            m ^= low
-            seen[low.bit_length() - 1] |= new_bit
+        for u in graph.closed_list[v]:
+            seen[u] |= new_bit
     state.played |= bit
     state.played_count += 1
     state.to_move = state.to_move.other
@@ -211,9 +204,11 @@ def play_game(
         mover = state.to_move
         strat = alice if mover is Player.ALICE else bob
         v, c = strat.select(state)
-        if not isinstance(v, int) or not 0 <= v < graph.n or state.is_played(v):
+        # a bool or float is no vertex or colour, though it may index or
+        # compare equal to one
+        if type(v) is not int or not 0 <= v < graph.n or state.is_played(v):
             return GameOutcome(winner=None, fault=mover, rounds_completed=state.round - 1, transcript=transcript)
-        legal = legal_colors(state, v)
+        legal = legal_mask(state.seen[v], state.palette, state.greedy_applies())
         if not legal:
             return GameOutcome(
                 winner=Player.BOB,
@@ -222,7 +217,7 @@ def play_game(
                 transcript=transcript,
                 losing_vertex=v,
             )
-        if c not in legal:
+        if type(c) is not int or c < 0 or not legal >> c & 1:
             return GameOutcome(winner=None, fault=mover, rounds_completed=state.round - 1, transcript=transcript)
         rec = MoveRecord(state.round, state.played_count, mover, v, c)
         _place(state, v, c)

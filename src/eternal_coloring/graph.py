@@ -2,7 +2,8 @@
 
 Graphs are immutable after construction.  Adjacency is stored as one Python
 int per vertex (bit u set in adj[v] iff uv is an edge), so neighbourhood
-intersections are single AND operations.
+intersections are single AND operations.  Each closed neighbourhood is also
+kept as an ascending tuple of vertices, for the per-move walks over it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class GnpSpec:
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "closed", "full_mask")
+    __slots__ = ("n", "adj", "closed", "closed_list", "full_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         self.n = n
@@ -56,6 +57,9 @@ class Graph:
             adj[v] |= 1 << u
         self.adj = adj
         self.closed = [adj[v] | (1 << v) for v in range(n)]
+        # closed_list[v] = the vertices of N[v], ascending: walking a tuple
+        # is cheaper than walking the bits of closed[v]
+        self.closed_list = tuple(tuple(iter_bits(m)) for m in self.closed)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -122,7 +126,7 @@ def closed_neighborhood(g: Graph, v: int) -> set[int]:
     """{v} together with its neighbours (the convention used throughout)."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return set(iter_bits(g.closed[v]))
+    return set(g.closed_list[v])
 
 
 def gnp_generate(spec: GnpSpec) -> Graph:

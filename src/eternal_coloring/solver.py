@@ -24,7 +24,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .engine import GameState, Player, RuleVariant, Strategy, legal_mask
-from .graph import Graph, iter_bits
+from .graph import Graph
 
 
 class SolverInfeasible(RuntimeError):
@@ -115,8 +115,7 @@ def solve_eternal(
         raise ValueError("colour-symmetry reduction is only sound for STANDARD rules")
 
     full = graph.full_mask
-    # built once per solve: the per-state loop walks tuples faster than bits
-    closed = [tuple(iter_bits(m)) for m in graph.closed]
+    closed = graph.closed_list
     palette = ((1 << k) - 1) << 1
     width = k.bit_length()
     cmask = (1 << width) - 1

@@ -138,23 +138,19 @@ def record_round_move(book: RoundBook, graph: Graph, player: Player, vertex: int
     Alice's by at least the threshold at ANY prefix of the round; dangerousness
     is sticky for the rest of the round.
     """
-    diff, m = book.diff, graph.closed[vertex]
+    diff, nbrs = book.diff, graph.closed_list[vertex]
     if player is Player.BOB:
         book.last_bob_vertex = vertex
         danger = book.danger_mask
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
-            diff[u] += 1
-            if diff[u] >= threshold:
-                danger |= low
+        for u in nbrs:
+            d = diff[u] + 1
+            diff[u] = d
+            if d >= threshold:
+                danger |= 1 << u
         book.danger_mask = danger
     else:  # Alice's plays only lower the tallies, so they endanger nothing
-        while m:
-            low = m & -m
-            m ^= low
-            diff[low.bit_length() - 1] -= 1
+        for u in nbrs:
+            diff[u] -= 1
 
 
 class PriorityAlice(Strategy):

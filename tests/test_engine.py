@@ -12,6 +12,7 @@ from eternal_coloring.engine import (
     IllegalMoveError,
     Player,
     RuleVariant,
+    Strategy,
     apply_move,
     is_proper,
     legal_colors,
@@ -20,12 +21,13 @@ from eternal_coloring.engine import (
     transcript_from_json,
     transcript_to_json,
 )
-from eternal_coloring.experiments import build_strategy
-from eternal_coloring.graph import GnpSpec, Graph, gnp_generate, iter_bits, make_named
+from eternal_coloring.experiments import ExperimentConfig, build_graph, build_strategy
+from eternal_coloring.graph import GnpSpec, Graph, derive_seed, gnp_generate, iter_bits, make_named
 from eternal_coloring.solver import solve_eternal
 from eternal_coloring.strategies import GreedyFirstFit, RandomLegal
 
 DATA = Path(__file__).parent / "data"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestLegalColors:
@@ -96,6 +98,13 @@ class TestApplyMove:
         with pytest.raises(IllegalMoveError):
             apply_move(state, 1, 1)
 
+    def test_non_int_move_rejected(self):
+        state = GameState(make_named("path", 3), 3)
+        for v, c in [(0, True), (0, 1.0), (True, 1), (1.0, 1)]:
+            with pytest.raises(IllegalMoveError):
+                apply_move(state, v, c)
+        assert state.played_count == 0
+
 
 class TestPlayGame:
     def test_k1_on_single_vertex_bob_wins_round_2(self):
@@ -120,12 +129,22 @@ class TestPlayGame:
 
     def test_fault_is_not_a_win(self):
         class BadStrategy(GreedyFirstFit):
-            def select(self, state):
-                return 0, 999  # never a legal colour
+            def __init__(self, move):
+                self.move = move
 
-        out = play_game(make_named("path", 4), 3, BadStrategy(), GreedyFirstFit())
-        assert out.winner is None
-        assert out.fault is Player.ALICE
+            def select(self, state):
+                return self.move
+
+        k = 3
+        # vertex 0 opens with every colour legal; a bool or float equal to a
+        # legal colour or vertex is still no colour or vertex
+        bad_colours = [999, 1.0, True, "1", 0, -1, k + 1, None]
+        bad_moves = [(0, c) for c in bad_colours] + [(True, 1), (1.0, 1)]
+        for move in bad_moves:
+            out = play_game(make_named("path", 4), k, BadStrategy(move), GreedyFirstFit())
+            assert out.winner is None, move
+            assert out.fault is Player.ALICE, move
+            assert out.transcript == [], move
 
     def test_seeded_random_play_reproducible(self):
         g = gnp_generate(GnpSpec(8, 0.5, 1))
@@ -243,3 +262,46 @@ def test_random_playout_invariants(n, p, graph_seed, k_extra, variant, play_seed
     g = gnp_generate(GnpSpec(n, p, graph_seed))
     k = max(1, g.max_degree() + 2 + k_extra)
     _scripted_playout(n, p, graph_seed, k, variant, play_seed)
+
+
+def test_defence_scale_bookkeeping_matches_recount():
+    """The board census and Alice's round book, recounted after every move of
+    three rounds at the alice-defence size: G(101, 1/2), k = 32."""
+    config = ExperimentConfig.from_file(str(CONFIGS / "alice-defence.json"))
+    g = build_graph(config.graph, seed=derive_seed(0, 0, "graph"))
+    k, rounds = 32, 3
+    nbrs = [[w for w in range(g.n) if w == u or g.has_edge(u, w)] for u in range(g.n)]
+    alice = build_strategy(config.alice, g, k)
+    bob = build_strategy(config.bob, g, k)
+    threshold = alice.params.danger_threshold
+
+    class CheckedBob(Strategy):
+        # observed after Alice, so her book already holds the move
+        def reset(self, graph, k, variant, seed=None):
+            bob.reset(graph, k, variant, seed)
+            self.round = 0
+
+        def select(self, state):
+            return bob.select(state)
+
+        def observe(self, state, rec):
+            bob.observe(state, rec)
+            if rec.round != self.round:
+                self.round, self.diff, self.danger = rec.round, [0] * g.n, 0
+            for u in nbrs[rec.vertex]:  # u is in N[w] iff w is in N[u]
+                self.diff[u] += 1 if rec.player is Player.BOB else -1
+                if self.diff[u] >= threshold:
+                    self.danger |= 1 << u
+            for u in range(g.n):
+                recount = 0
+                for w in nbrs[u]:
+                    if state.colors[w]:
+                        recount |= 1 << state.colors[w]
+                assert state.seen[u] == recount, (rec, u)
+            assert alice.book.round == rec.round
+            assert alice.book.diff == self.diff, rec
+            assert alice.book.danger_mask == self.danger, rec
+
+    out = play_game(g, k, alice, CheckedBob(), RuleVariant(config.variant), rounds, derive_seed(0, 0, k))
+    assert out.winner is Player.ALICE
+    assert len(out.transcript) == rounds * g.n  # rounds 2 and 3 recolour every vertex

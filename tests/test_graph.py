@@ -109,6 +109,37 @@ class TestGraphBasics:
             Graph.from_text("3 2\n0 1\n")
 
 
+def _assert_closed_list_matches_closed(g):
+    assert type(g.closed_list) is tuple and len(g.closed_list) == g.n
+    for v in range(g.n):
+        assert type(g.closed_list[v]) is tuple
+        assert g.closed_list[v] == tuple(iter_bits(g.closed[v]))
+
+
+class TestClosedList:
+    def test_named_families(self):
+        for kind, sizes in [("star", (1, 2, 5)), ("path", (1, 2, 6)), ("cycle", (3, 7)), ("complete", (1, 5)), ("empty", (1, 4))]:
+            for size in sizes:
+                g = make_named(kind, size)
+                _assert_closed_list_matches_closed(g)
+                _assert_closed_list_matches_closed(Graph.from_text(g.to_text()))
+
+    def test_equality_and_hash_read_adjacency_alone(self):
+        g = gnp_generate(GnpSpec(12, 0.5, 3))
+        h = Graph(g.n, reversed(g.edges()))
+        h.closed_list = ()  # a graph is its adjacency: a derived field must not matter
+        assert g == h and hash(g) == hash(h)
+        assert g != Graph(g.n, g.edges()[1:])
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 30), p=st.floats(0, 1), seed=st.integers(0, 2**32))
+def test_closed_list_matches_closed_mask(n, p, seed):
+    g = gnp_generate(GnpSpec(n, p, seed))
+    _assert_closed_list_matches_closed(g)
+    _assert_closed_list_matches_closed(Graph.from_text(g.to_text()))
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(2, 24), p=st.floats(0, 1), seed=st.integers(0, 2**32))
 def test_degree_sum_is_twice_edges(n, p, seed):
