@@ -131,7 +131,6 @@ def _dispatch(args) -> int:
                     {
                         "k_star": scan.k_star,
                         "winners": {str(k): w.value for k, w in scan.winners.items()},
-                        "monotone": scan.monotone,
                     }
                 )
             )

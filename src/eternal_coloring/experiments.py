@@ -14,7 +14,7 @@ import dataclasses
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -98,32 +98,23 @@ class ExperimentConfig:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
         _check_type("a config", obj, dict)
-        unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+        fields = dataclasses.fields(cls)
+        unknown = set(obj) - {f.name for f in fields}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            kr = obj["k_range"]
-            if isinstance(kr, dict):
-                _check_type("k_range min", kr["min"], int)
-                _check_type("k_range max", kr["max"], int)
-                kr = list(range(kr["min"], kr["max"] + 1))
-            elif not isinstance(kr, list):
-                raise ConfigError(f"k_range must be a list or {{min, max}}, got {kr!r}")
-            return cls(
-                graph=obj["graph"],
-                k_range=list(kr),
-                alice=obj["alice"],
-                bob=obj["bob"],
-                variant=obj.get("variant", "standard"),
-                trials=obj.get("trials", 1),
-                max_rounds=obj.get("max_rounds", 10),
-                master_seed=obj.get("master_seed", 0),
-                fresh_graph=obj.get("fresh_graph", True),
-                survival_quantile=obj.get("survival_quantile", 0.5),
-                output=obj.get("output"),
-            )
-        except KeyError as e:
-            raise ConfigError(f"missing config key: {e}") from None
+        for f in fields:
+            if f.name not in obj and f.default is dataclasses.MISSING:
+                raise ConfigError(f"missing config key: {f.name!r}")
+        kr = obj["k_range"]
+        if isinstance(kr, dict):
+            for end in ("min", "max"):
+                if end not in kr:
+                    raise ConfigError(f"missing config key: {end!r}")
+                _check_type(f"k_range {end}", kr[end], int)
+            kr = range(kr["min"], kr["max"] + 1)
+        elif not isinstance(kr, list):
+            raise ConfigError(f"k_range must be a list or {{min, max}}, got {kr!r}")
+        return cls(**{**obj, "k_range": list(kr)})
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -137,19 +128,7 @@ class ExperimentConfig:
         return cls.from_json_obj(obj)
 
     def to_json_obj(self) -> dict:
-        return {
-            "graph": self.graph,
-            "k_range": list(self.k_range),
-            "alice": self.alice,
-            "bob": self.bob,
-            "variant": self.variant,
-            "trials": self.trials,
-            "max_rounds": self.max_rounds,
-            "master_seed": self.master_seed,
-            "fresh_graph": self.fresh_graph,
-            "survival_quantile": self.survival_quantile,
-            "output": self.output,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass

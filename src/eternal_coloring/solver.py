@@ -43,9 +43,8 @@ class SolveResult:
     variant: RuleVariant
     _index: dict  # position key -> state id
     _states: list  # state id -> position key
-    # _attr and _rank are indexed by node = state id + 1; node 0 is the
-    # stuck-vertex sink, in Bob's attractor with rank 0
-    _attr: list
+    # _rank is indexed by node = state id + 1: a node's attractor rank, None
+    # outside Bob's attractor; node 0 is the stuck-vertex sink, of rank 0
     _rank: list
     _moves: list  # move ints of every state in turn, each by v, then c ascending
     _start: list  # state s owns _moves[_start[s]:_start[s + 1]]
@@ -201,34 +200,31 @@ def solve_eternal(
             pred[fill[t]] = u
             fill[t] += 1
 
-    attr = [False] * (num + 1)
     rank: list[Optional[int]] = [None] * (num + 1)
-    attr[0], rank[0] = True, 0
+    rank[0] = 0
     remaining = [0] + [b - a for a, b in zip(start, start[1:])]  # Alice: moves not yet attracted
     queue = deque([0])
     while queue:
         t = queue.popleft()
         r = rank[t] + 1
         for u in pred[pstart[t]:pstart[t + 1]]:
-            if attr[u]:
+            if rank[u] is not None:
                 continue
             if not states[u - 1] & mover_bit:
                 remaining[u] -= 1
                 if remaining[u]:
                     continue
-            attr[u] = True
             rank[u] = r
             queue.append(u)
 
     return SolveResult(
-        winner=Player.BOB if attr[1] else Player.ALICE,
+        winner=Player.ALICE if rank[1] is None else Player.BOB,
         states_explored=num,
         graph=graph,
         k=k,
         variant=variant,
         _index=index,
         _states=states,
-        _attr=attr,
         _rank=rank,
         _moves=moves,
         _start=start,
@@ -238,13 +234,13 @@ def solve_eternal(
 
 def attractor_is_fixed_point(result: SolveResult) -> bool:
     """Re-apply one attractor step; a correct attractor gains nothing."""
-    attr, moves, start = result._attr, result._moves, result._start
+    rank, moves, start = result._rank, result._moves, result._start
     n, k = result.graph.n, result.k
     tshift, mover_bit = _target_shift(n, k), _mover_bit(n, k)
     for sid, key in enumerate(result._states):
-        if attr[sid + 1]:
+        if rank[sid + 1] is not None:
             continue
-        hits = [attr[mv >> tshift] for mv in moves[start[sid]:start[sid + 1]]]
+        hits = [rank[mv >> tshift] is not None for mv in moves[start[sid]:start[sid + 1]]]
         if (True in hits) if key & mover_bit else (False not in hits):
             return False
     return True
@@ -273,7 +269,7 @@ class WitnessStrategy(Strategy):
         sid = res._index.get(_pack(state.colors, state.played, mover, 0 if state.round == 1 else 1, res.k))
         if sid is None:
             raise RuntimeError("position not in solved table (unreachable under the rules?)")
-        attr, rank = res._attr, res._rank
+        rank = res._rank
         width, tshift = res.k.bit_length(), _target_shift(res.graph.n, res.k)
         row = res._moves[res._start[sid]:res._start[sid + 1]]
         best = None
@@ -281,13 +277,13 @@ class WitnessStrategy(Strategy):
             # the first move of least rank into the attractor (the sink ranks 0)
             for mv in row:
                 t = mv >> tshift
-                if attr[t] and (best is None or rank[t] < best_rank):
+                if rank[t] is not None and (best is None or rank[t] < best_rank):
                     best, best_rank = mv, rank[t]
             if best is None:
                 raise RuntimeError("Bob witness called outside his winning region")
         else:
             for mv in row:
-                if not attr[mv >> tshift]:
+                if rank[mv >> tshift] is None:
                     best = mv
                     break
             else:
@@ -300,8 +296,7 @@ class WitnessStrategy(Strategy):
 class ChromaticScan:
     k_star: Optional[int]
     winners: dict  # k -> Player
-    monotone: bool
-    scanned: list
+    monotone: bool  # says something only under full_scan; a default scan ends at its first Alice win
 
 
 def eternal_game_chromatic_number(
@@ -309,7 +304,6 @@ def eternal_game_chromatic_number(
     variant: RuleVariant = RuleVariant.STANDARD,
     state_cap: int = 10**8,
     full_scan: bool = False,
-    color_symmetry: bool = False,
 ) -> ChromaticScan:
     """Smallest k with an Alice win; k = Delta + 2 always suffices.
 
@@ -320,14 +314,13 @@ def eternal_game_chromatic_number(
     winners: dict[int, Player] = {}
     k_star = None
     for k in range(1, k_max + 1):
-        res = solve_eternal(graph, k, variant, state_cap=state_cap, color_symmetry=color_symmetry)
+        res = solve_eternal(graph, k, variant, state_cap=state_cap)
         winners[k] = res.winner
         if res.winner is Player.ALICE and k_star is None:
             k_star = k
             if not full_scan:
                 break
-    scanned = sorted(winners)
-    alice_flags = [winners[k] is Player.ALICE for k in scanned]
+    alice_flags = [w is Player.ALICE for w in winners.values()]  # by ascending k
     first_win = alice_flags.index(True) if True in alice_flags else len(alice_flags)
     monotone = all(alice_flags[first_win:])
-    return ChromaticScan(k_star=k_star, winners=winners, monotone=monotone, scanned=scanned)
+    return ChromaticScan(k_star=k_star, winners=winners, monotone=monotone)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import ceil
 from typing import Iterator, Optional
 
-from .engine import GameState, MoveRecord, Player, Strategy, legal_colors, legal_mask
+from .engine import GameState, MoveRecord, Player, Strategy, legal_mask
 from .graph import Graph, iter_bits, mask_of
 from .partitions import build_color_plan
 
@@ -105,7 +105,8 @@ class RandomLegal(Strategy):
         self.rng = random.Random(seed if seed is not None else self._init_seed)
 
     def select(self, state: GameState):
-        pairs = [(v, c) for v in unplayed_vertices(state) for c in sorted(legal_colors(state, v))]
+        seen, palette, greedy = state.seen, state.palette, state.greedy_applies()
+        pairs = [(v, c) for v in unplayed_vertices(state) for c in iter_bits(legal_mask(seen[v], palette, greedy))]
         if not pairs:
             return next(unplayed_vertices(state)), None
         return pairs[self.rng.randrange(len(pairs))]
@@ -161,8 +162,10 @@ class PriorityAlice(Strategy):
          in its closed neighbourhood;
       2. if Bob's previous move w is not dangerous, a playable mirror of w
          with respect to the current danger set;
-      3. the lowest-index unplayed vertex.
-    The chosen vertex always gets the smallest legal colour.
+      3. the playable vertex covering the most pressure, or, before Bob
+         has moved this round, the lowest-index unplayed vertex.
+    The chosen vertex always gets the smallest legal colour.  One pass over
+    the unplayed vertices feeds all three tiers.
     """
 
     name = "priorityAlice"
@@ -185,61 +188,56 @@ class PriorityAlice(Strategy):
     def select(self, state: GameState):
         if state.round > self.book.round:
             self.book = RoundBook(round=state.round, n=self.graph.n)
-        v, prio = self._choose(state)
+        v, c, prio = self._choose(state)
         if self.audit:
             self.audit_log.append((state.round, state.played_count, prio))
-        return v, smallest_legal(state, v)
+        return v, c
 
-    def _choose(self, state: GameState) -> tuple[int, int]:
-        seen, k = state.seen, self.k
-        thr = self.params.nearly_full_threshold
-        # (1) rescue vertices about to see the whole palette, most urgent
-        # first; a vertex already seeing everything is unrescuable (playing it
-        # would concede), so it is skipped.
-        urgent, urgent_missing = None, thr
+    def _choose(self, state: GameState) -> tuple[int, Optional[int], int]:
+        # One pass over the unplayed vertices lists every playable v with its
+        # smallest legal colour, and finds the most urgent rescue on the way.
+        seen, palette = state.seen, state.palette
+        cands = []  # (v, c): a playable v and its smallest legal colour
+        urgent, urgent_missing = None, self.params.nearly_full_threshold
         rest = ~state.played & self.graph.full_mask
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            missing = k - seen[v].bit_count()
-            if 1 <= missing < urgent_missing:
-                urgent, urgent_missing = v, missing
+            free = palette & ~seen[v]
+            if free:
+                vc = (v, (free & -free).bit_length() - 1)
+                cands.append(vc)
+                missing = free.bit_count()  # the colours N[v] does not see yet
+                if missing < urgent_missing:
+                    urgent, urgent_missing = vc, missing
+        # (1) rescue vertices about to see the whole palette, most urgent
+        # first; a vertex already seeing everything is unrescuable (playing it
+        # would concede), so it is not a candidate.
         if urgent is not None:
-            return urgent, 1
+            return (*urgent, 1)
+        # Bob's last move of this round; the book starts afresh each round, so
+        # w, when set, is played and no candidate.
+        w = self.book.last_bob_vertex
         # (2) exact mirror of Bob's last non-dangerous move w.r.t. the danger
         # set (choice among mirrors is free: take the cheapest colour).
-        w = self.book.last_bob_vertex
-        if w is not None and not (self.book.danger_mask >> w & 1):
-            v = self._exact_mirror(state, w)
-            if v is not None:
-                return v, 2
+        d_mask = self.book.danger_mask
+        if w is not None and not d_mask >> w & 1:
+            adj = self.graph.adj
+            want = adj[w] & d_mask
+            mirrors = [(c, v) for v, c in cands if not d_mask >> v & 1 and adj[v] & d_mask == want]
+            if mirrors:
+                c, v = min(mirrors)
+                return v, c, 2
         # (3) the arbitrary move is free, so spend it where the pressure is:
         # cover the most-pressured neighbourhoods, coolest colour on ties.
-        if w is not None:
-            v = self._playable_mirror(state, w)
-            if v is not None:
-                return v, 3
-        return next(unplayed_vertices(state)), 3
+        if w is not None and cands:
+            v, c = self._playable_mirror(state, cands)
+        else:
+            v, c = first_fit(state)
+        return v, c, 3
 
-    def _exact_mirror(self, state: GameState, w: int) -> Optional[int]:
-        d_mask = self.book.danger_mask
-        want = self.graph.adj[w] & d_mask
-        skip = d_mask | state.played | (1 << w)
-        best = None
-        for v in range(self.graph.n):
-            if skip >> v & 1:
-                continue
-            if self.graph.adj[v] & d_mask != want:
-                continue
-            c = smallest_legal(state, v)
-            if c is None:
-                continue
-            if best is None or (c, v) < best:
-                best = (c, v)
-        return best[1] if best else None
-
-    def _playable_mirror(self, state: GameState, w: int) -> Optional[int]:
+    def _playable_mirror(self, state: GameState, cands: list[tuple[int, int]]) -> tuple[int, int]:
         # Best-effort mirror.  Exact mirrors (identical adjacency to the whole
         # danger set) quickly stop existing at small n, so we keep the
         # invariant the mirror exists to provide — Alice plays next to a
@@ -256,21 +254,10 @@ class PriorityAlice(Strategy):
         # lower (and not at all from level 0).  A candidate's cover is its
         # count per level, compared from the top level down: the score
         # sum_L count_L * (n+1)**L of the weighted form, since no count
-        # reaches n+1.  So the candidates are cut to the best count level by
-        # level, from the top, until one is left.
+        # reaches n+1.  So the candidates, _choose's nonempty (v, c) list, are
+        # cut to the best count level by level, from the top, until one is left.
         d_mask = self.book.danger_mask
-        seen, adj, palette = state.seen, self.graph.adj, state.palette
-        cands = []  # (v, c): a playable v and its smallest legal colour
-        rest = ~(state.played | 1 << w) & self.graph.full_mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            free = palette & ~seen[v]
-            if free:
-                cands.append((v, (free & -free).bit_length() - 1))
-        if not cands:
-            return None
+        seen, adj = state.seen, self.graph.adj
         lvl = [0] * (self.k + 2)  # lvl[L] = the dangerous vertices at level L
         m = d_mask
         while m:
@@ -301,10 +288,10 @@ class PriorityAlice(Strategy):
                 elif count == best:
                     keep.append((v, c))
             if len(keep) == 1:
-                return keep[0][0]
+                return keep[0]
             cands = keep
             sees = {c: sees[c] for _, c in cands}
-        return min(cands, key=lambda vc: (vc[1], vc[0]))[0]
+        return min(cands, key=lambda vc: (vc[1], vc[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +462,9 @@ class TargetBob(Strategy):
 
     def _block_move(self, state: GameState) -> Optional[tuple[int, int]]:
         """The next move of the live blocking sequence.  A sequence that
-        ends, or finds no uncoloured target vertex left, gives way to one for
-        the next pair of the oldest unfinished batch."""
+        ends gives way to one for the next pair of the oldest unfinished
+        batch.  The caller has checked that the target keeps an uncoloured
+        vertex, and no move is made here, so that holds throughout."""
         batches = self.batches
         while True:
             if self.current is None:
@@ -486,10 +474,9 @@ class TargetBob(Strategy):
                 if pair is None:
                     return None
                 self.current = _block_moves(self, state, *pair)
-            if self.target_mask & state.color_pos[0]:
-                mv = next(self.current, None)
-                if mv is not None:
-                    return mv
+            mv = next(self.current, None)
+            if mv is not None:
+                return mv
             self.current = None
 
     def _log_drop(self, a: int, b: int, why: str) -> None:
@@ -685,13 +672,12 @@ class MultiplicityBob(Strategy):
         """Smallest colour legal at vertex whose extra copy will not itself
         force a priority-(1) move."""
         C_l = self.params.multiplicity
-        legal = legal_colors(state, vertex)
-        fallback = min(legal) if legal else None
-        for c in sorted(legal):
+        legal = legal_mask(state.seen[vertex], state.palette, state.greedy_applies())
+        for c in iter_bits(legal):
             q = min(self._l, (state.color_pos[c].bit_count() + 1) // C_l)
             if q < 1 or self._miss_count(state, c) <= self._l - q:
                 return c
-        return fallback
+        return next(iter_bits(legal), None)
 
     def _scan_kills(self, state: GameState) -> None:
         m = self.params.block_set_size or 100 * self.params.multiplicity * self._l

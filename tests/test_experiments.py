@@ -369,7 +369,9 @@ class TestCli:
 
     def test_solve_scan(self, capsys):
         assert main(["solve", "--graph", "star:5", "--variant", "greedy_both"]) == 0
-        assert json.loads(capsys.readouterr().out)["k_star"] == 3
+        out = json.loads(capsys.readouterr().out)
+        # no "monotone": a scan that stops at its first Alice win cannot see a non-monotone k
+        assert out == {"k_star": 3, "winners": {"1": "bob", "2": "bob", "3": "alice"}}
 
     def test_solve_infeasible_exit_code(self):
         assert main(["solve", "--graph", "path:8", "--k", "5", "--state-cap", "10"]) == 3

@@ -121,7 +121,7 @@ def _decoded(res):
             v, c = mv >> width & (1 << tshift - width) - 1, mv & (1 << width) - 1
             row.append(((v, c or None), (mv >> tshift) - 1))
         moves.append(row)
-    return states, moves, res._attr[1:], res._rank[1:]
+    return states, moves, [r is not None for r in res._rank[1:]], res._rank[1:]
 
 
 _LOCKSTEP_GRAPHS = (
@@ -144,7 +144,7 @@ class TestLockstepOracle:
                 winner, states, moves, in_attr, rank = _reference_solve(graph, k, variant, symmetric)
                 assert res.winner is winner and res.states_explored == len(states), where
                 assert _decoded(res) == (states, moves, in_attr, rank), where
-                assert res._attr[0] and res._rank[0] == 0, where
+                assert res._rank[0] == 0, where
                 assert all(res._index[key] == sid for sid, key in enumerate(res._states)), where
 
 

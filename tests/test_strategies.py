@@ -5,7 +5,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eternal_coloring.engine import (
     GameState,
@@ -22,10 +22,12 @@ from eternal_coloring.strategies import (
     PriorityAlice,
     MultiplicityBob,
     TargetBob,
+    PlanEntry,
     PlanSetupError,
     RandomLegal,
     RoundBook,
     StrategyParams,
+    TargetPlan,
     bob_even_setup,
     first_fit,
     record_round_move,
@@ -134,15 +136,19 @@ class TestDangerousVertices:
             previous = recomputed
 
 
-def _exact_mirror(graph, w, danger, moves=()):
-    """PriorityAlice._exact_mirror of w against the danger set, after moves."""
+def _exact_mirror(graph, w, danger, moves):
+    """The tier-2 pick of PriorityAlice._choose (None if another tier moves)
+    after moves, w's among them, with Bob's last move w and the danger set."""
     alice = PriorityAlice(StrategyParams())
     alice.reset(graph, graph.n + 1, RuleVariant.STANDARD)
     alice.book.danger_mask = mask_of(danger)
+    alice.book.last_bob_vertex = w
     state = GameState(graph, graph.n + 1)
     for v, c in moves:
         apply_move(state, v, c)
-    return alice._exact_mirror(state, w), state
+    assert state.is_played(w)  # as in play: w is a move of the current round
+    v, _, prio = alice._choose(state)
+    return (v if prio == 2 else None), state
 
 
 class TestMirrorOf:
@@ -175,7 +181,8 @@ class TestMirrorOf:
         rng = random.Random(pick)
         w = rng.randrange(n)
         s = {v for v in range(n) if v != w and rng.random() < 0.4}
-        moves = [(w, 1)] + [(v, 2 + v) for v in range(n) if v != w and rng.random() < 0.3]
+        # at most n - 2 other moves, so the round does not turn over
+        moves = [(w, 1)] + [(v, 2 + v) for v in range(n) if v != w and rng.random() < 0.3][: n - 2]
         v, state = _exact_mirror(g, w, s, moves)
         # the reference: unplayed vertices outside s and w with w's adjacency
         # to s that still have a legal colour, cheapest colour first
@@ -558,9 +565,52 @@ class _ReferenceTargetBob(TargetBob):
 
 
 class _ReferenceAlice(PriorityAlice):
-    """The per-(v, t) weight loop: the oracle of PriorityAlice._playable_mirror."""
+    """PriorityAlice's tiers as first written: a walk over the unplayed
+    vertices per tier, the exact mirror over range(n), and the per-(v, t)
+    weight loop for the pressure cover.  The oracle of PriorityAlice._choose."""
 
-    def _playable_mirror(self, state, w):
+    def _choose(self, state):
+        v, prio = self._choose_vertex(state)
+        return v, smallest_legal(state, v), prio
+
+    def _choose_vertex(self, state):
+        seen, k = state.seen, self.k
+        urgent, urgent_missing = None, self.params.nearly_full_threshold
+        for v in unplayed_vertices(state):
+            missing = k - seen[v].bit_count()
+            if 1 <= missing < urgent_missing:
+                urgent, urgent_missing = v, missing
+        if urgent is not None:
+            return urgent, 1
+        w = self.book.last_bob_vertex
+        if w is not None and not (self.book.danger_mask >> w & 1):
+            v = self._exact_mirror(state, w)
+            if v is not None:
+                return v, 2
+        if w is not None:
+            v = self._weighted_mirror(state, w)
+            if v is not None:
+                return v, 3
+        return next(unplayed_vertices(state)), 3
+
+    def _exact_mirror(self, state, w):
+        d_mask = self.book.danger_mask
+        want = self.graph.adj[w] & d_mask
+        skip = d_mask | state.played | (1 << w)
+        best = None
+        for v in range(self.graph.n):
+            if skip >> v & 1:
+                continue
+            if self.graph.adj[v] & d_mask != want:
+                continue
+            c = smallest_legal(state, v)
+            if c is None:
+                continue
+            if best is None or (c, v) < best:
+                best = (c, v)
+        return best[1] if best else None
+
+    def _weighted_mirror(self, state, w):
         d_mask = self.book.danger_mask
         skip = state.played | (1 << w)
         seen = state.seen
@@ -636,7 +686,8 @@ class _ReferenceMultiplicityBob(MultiplicityBob):
 @st.composite
 def _mirror_positions(draw):
     """A random proper partial colouring with a played set, a danger mask
-    (empty, full or any) and Bob's last vertex w."""
+    (empty, full or any) and Bob's last vertex w: None, or a played vertex,
+    as in play.  Some vertex is left unplayed, as at any turn in play."""
     n = draw(st.integers(1, 14))
     g = gnp_generate(GnpSpec(n, draw(st.sampled_from((0.2, 0.5, 0.8))), draw(st.integers(0, 10**6))))
     k = draw(st.integers(1, n + 1))
@@ -649,9 +700,11 @@ def _mirror_positions(draw):
     state.colors = colors
     state.color_pos = [mask_of(v for v in range(n) if colors[v] == c) for c in range(k + 1)]
     state.seen = [mask_of(colors[u] for u in iter_bits(g.closed[v]) if colors[u]) for v in range(n)]
-    state.played = draw(st.integers(0, g.full_mask))
+    w = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    state.played = draw(st.integers(0, g.full_mask)) | (0 if w is None else 1 << w)
+    assume(state.played != g.full_mask)
     danger = draw(st.one_of(st.just(0), st.just(g.full_mask), st.integers(0, g.full_mask)))
-    return g, k, state, danger, draw(st.integers(0, n - 1))
+    return g, k, state, danger, w
 
 
 _LOCKSTEP_GAMES = [(n, gseed) for n in (13, 17, 21, 25) for gseed in range(3)]
@@ -729,16 +782,18 @@ class TestLockstepOracles:
         params = dataclasses.replace(StrategyParams.from_fractions(101), danger_threshold=3)
         assert _alice_lockstep(g, 32, params, max_rounds=3, seed=derive_seed(0, 0, 32)) > 100
 
-    @settings(max_examples=300, deadline=None)
-    @given(position=_mirror_positions())
-    def test_playable_mirror_matches_weights_on_any_position(self, position):
+    @settings(max_examples=400, deadline=None)
+    @given(position=_mirror_positions(), threshold=st.integers(1, 3))
+    def test_playable_mirror_matches_weights_on_any_position(self, position, threshold):
+        # threshold 1 never rescues, so the mirror tiers are reached
         g, k, state, danger, w = position
         picks = []
         for cls in (PriorityAlice, _ReferenceAlice):
-            alice = cls(StrategyParams())
+            alice = cls(StrategyParams(nearly_full_threshold=threshold))
             alice.reset(g, k, RuleVariant.STANDARD)
             alice.book.danger_mask = danger
-            picks.append(alice._playable_mirror(state, w))
+            alice.book.last_bob_vertex = w
+            picks.append(alice._choose(state))
         assert picks[0] == picks[1]
 
 
@@ -754,6 +809,40 @@ def _alice_lockstep(g, k, params, max_rounds, seed) -> int:
     assert out.transcript == ref_out.transcript, (g.n, k, seed)
     assert alice.audit_log == ref.audit_log, (g.n, k, seed)
     return sum(1 for *_, prio in alice.audit_log if prio == 3)
+
+
+def _set_safe_kill_color(bob, state, vertex):
+    """MultiplicityBob._safe_kill_color on the sorted set of legal_colors:
+    the oracle of its walk over the legal mask."""
+    C_l = bob.params.multiplicity
+    legal = legal_colors(state, vertex)
+    fallback = min(legal) if legal else None
+    for c in sorted(legal):
+        q = min(bob._l, (state.color_pos[c].bit_count() + 1) // C_l)
+        if q < 1 or bob._miss_count(state, c) <= bob._l - q:
+            return c
+    return fallback
+
+
+class TestSafeKillColor:
+    """MultiplicityBob walks the legal mask's colours in the order of the
+    sorted legal_colors set, so its kill colours are those of the set form,
+    the fallback for a vertex with no safe colour included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(position=_mirror_positions(), variant=st.sampled_from(list(RuleVariant)), data=st.data())
+    def test_safe_kill_colour_matches_the_set_form(self, position, variant, data):
+        g, k, state, _, _ = position
+        state.variant, state.to_move = variant, Player.BOB
+        entries = tuple(
+            PlanEntry(i, frozenset(), data.draw(st.integers(1, g.full_mask)), frozenset(data.draw(st.sets(st.integers(1, k), min_size=1))))
+            for i in range(data.draw(st.integers(1, 3)))
+        )
+        plan = TargetPlan(ground_set=tuple(range(data.draw(st.integers(1, 3)))), entries=entries, num_colors=k)
+        bob = MultiplicityBob(plan, StrategyParams(multiplicity=data.draw(st.integers(1, 4))))
+        bob.reset(g, k, variant)
+        for v in unplayed_vertices(state):
+            assert bob._safe_kill_color(state, v) == _set_safe_kill_color(bob, state, v), v
 
 
 class TestBobEvenSetup:
