@@ -241,13 +241,6 @@ def transcript_to_json(transcript: list[MoveRecord]) -> str:
     return json.dumps([rec.to_json_obj() for rec in transcript], indent=None)
 
 
-def transcript_from_json(text: str) -> list[MoveRecord]:
-    return [
-        MoveRecord(o["round"], o["idx"], Player(o["player"]), o["vertex"], o["colour"])
-        for o in json.loads(text)
-    ]
-
-
 def is_proper(state: GameState) -> bool:
     """Check the full colouring restricted to coloured vertices is proper."""
     g = state.graph

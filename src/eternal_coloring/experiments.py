@@ -88,6 +88,8 @@ class ExperimentConfig:
             _check_type("each k of k_range", k, int)
             if k < 1:
                 raise ConfigError(f"each k of k_range must be >= 1, got {k}")
+        if len(set(self.k_range)) < len(self.k_range):
+            raise ConfigError(f"k_range repeats a k: {self.k_range}")
         if not 0 <= self.survival_quantile <= 1:
             raise ConfigError(f"survival_quantile must be in [0, 1], got {self.survival_quantile}")
         try:
@@ -107,6 +109,9 @@ class ExperimentConfig:
                 raise ConfigError(f"missing config key: {f.name!r}")
         kr = obj["k_range"]
         if isinstance(kr, dict):
+            unknown = set(kr) - {"min", "max"}
+            if unknown:
+                raise ConfigError(f"unknown k_range keys: {sorted(unknown)}")
             for end in ("min", "max"):
                 if end not in kr:
                     raise ConfigError(f"missing config key: {end!r}")

@@ -67,18 +67,6 @@ def enumerate_partitions(l: int) -> list[SetPartition]:
     return out
 
 
-def bell_number(l: int) -> int:
-    """Bell numbers by the binomial recurrence."""
-    bell = [1]
-    for n in range(1, l + 1):
-        total, binom = 0, 1
-        for j in range(n):
-            total += binom * bell[j]
-            binom = binom * (n - 1 - j) // (j + 1)
-        bell.append(total)
-    return bell[l]
-
-
 def partition_weight(T: SetPartition, k: int, l: int, form: str = "proof") -> Fraction:
     """Exact weight of partition T under palette parameter k (p = 1/k)."""
     if k < 1:
@@ -206,28 +194,3 @@ def plan_coverage_ok(plan: ColorPlan) -> bool:
         if frozenset(seen) != full:
             return False
     return True
-
-
-def plan_size_bounds(plan: ColorPlan, class_sizes: dict, eta: Fraction) -> dict:
-    """Check |colours(I)| <= (1 - eta) * |class I| / 2 for every subset I.
-
-    class_sizes maps frozenset -> vertex count from a concrete graph.
-    Returns {'ok': bool, 'violations': [(subset, n_colors, class_size)]}.
-    """
-    violations = []
-    for A, cols in plan.subset_colors.items():
-        if not cols:
-            continue
-        size = class_sizes.get(A, 0)
-        if Fraction(len(cols)) > (1 - eta) * Fraction(size, 2):
-            violations.append((A, len(cols), size))
-    return {"ok": not violations, "violations": violations}
-
-
-def plan_to_json_obj(plan: ColorPlan) -> dict:
-    """Subset-bitmask -> sorted colour list, for configs and golden tests."""
-    out = {}
-    for A, cols in sorted(plan.subset_colors.items(), key=lambda kv: sum(1 << x for x in kv[0])):
-        mask = sum(1 << x for x in A)
-        out[str(mask)] = sorted(cols)
-    return {"l": plan.l, "k": plan.k, "num_colors": plan.num_colors, "subset_colors": out}

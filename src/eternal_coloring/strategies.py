@@ -412,7 +412,10 @@ class TargetBob(Strategy):
         this call, but only when `_block_move` draws them.  Batches drain FIFO,
         so when a pair is tested `seen_pairs` holds every pair of the batches
         before it and of its own batch before it, just as if all pairs had
-        been tested here, and the pairs come in the same order.
+        been tested here, and the pairs come in the same order.  The one
+        exception is a row whose a the live board has since coloured inside
+        the target: its pairs would only be dropped, so they are skipped
+        unseen (see `_block_pairs`).
         """
         u_mask = self.target_mask & state.color_pos[0]
         last_u = self.last_u
@@ -420,9 +423,9 @@ class TargetBob(Strategy):
             return
         self.last_u = u_mask
         gone = None if last_u is None else last_u & ~u_mask
-        self.batches.append(self._block_pairs(u_mask, gone, ~state.played & self.graph.full_mask))
+        self.batches.append(self._block_pairs(state, u_mask, gone, ~state.played & self.graph.full_mask))
 
-    def _block_pairs(self, u_mask: int, gone: Optional[int], rest: int) -> Iterator[tuple[int, int]]:
+    def _block_pairs(self, state: GameState, u_mask: int, gone: Optional[int], rest: int) -> Iterator[tuple[int, int]]:
         """The new qualifying pairs of one scan, tested as they are drawn.
 
         Round 1 (the only round that scans) only shrinks the uncoloured target
@@ -431,14 +434,25 @@ class TargetBob(Strategy):
         the queue thus misses a vertex of `gone`, the part of u coloured since
         the last scan: only such pairs are tested.  The first scan of a game
         (gone None) tests them all.
+
+        Row a is read against the live `state` too, at its top and on each
+        resume after a yield (a's own blocking sequence may have coloured it):
+        once a holds a colour present in N[target] the row ends.  In round 1
+        that colour stays on a and stays inside, so every pair left in the row
+        would be dropped by `_block_moves` at its first step, and no later
+        scan offers the played a again; the skipped pairs never enter
+        `seen_pairs` or the drop log.
         """
         dist, closed = self.params.block_distance, self.graph.closed
+        colors, pos, target = state.colors, state.color_pos, self.target_mask
         miss = [u_mask & ~c for c in closed]  # miss[x] = u minus N[x]
         seen_pairs = self.seen_pairs
         while rest:
             low = rest & -rest
             rest ^= low  # rest = unplayed vertices above a
             a = low.bit_length() - 1
+            if colors[a] and pos[colors[a]] & target:
+                continue
             if gone is None:
                 cand = rest
             else:
@@ -459,6 +473,8 @@ class TargetBob(Strategy):
                 if (miss_a & miss[b]).bit_count() <= dist and (a, b) not in seen_pairs:
                     seen_pairs.add((a, b))
                     yield a, b
+                    if colors[a] and pos[colors[a]] & target:
+                        break
 
     def _block_move(self, state: GameState) -> Optional[tuple[int, int]]:
         """The next move of the live blocking sequence.  A sequence that

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from eternal_coloring.engine import (
     GameState,
     IllegalMoveError,
+    MoveRecord,
     Player,
     RuleVariant,
     Strategy,
@@ -18,7 +19,6 @@ from eternal_coloring.engine import (
     legal_colors,
     play_game,
     replay_transcript,
-    transcript_from_json,
     transcript_to_json,
 )
 from eternal_coloring.experiments import ExperimentConfig, build_graph, build_strategy
@@ -153,6 +153,14 @@ class TestPlayGame:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+def transcript_from_json(text: str) -> list[MoveRecord]:
+    """The inverse of `transcript_to_json`."""
+    return [
+        MoveRecord(o["round"], o["idx"], Player(o["player"]), o["vertex"], o["colour"])
+        for o in json.loads(text)
+    ]
 
 
 class TestTranscripts:

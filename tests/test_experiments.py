@@ -130,6 +130,20 @@ class TestConfig:
         obj["k_range"] = {"min": 3, "max": 6}
         assert ExperimentConfig.from_json_obj(obj).k_range == [3, 4, 5, 6]
 
+    def test_k_range_min_max_form_rejects_other_keys(self):
+        obj = _single_vertex_config(2).to_json_obj()
+        obj["k_range"] = {"min": 2, "max": 6, "step": 2}
+        with pytest.raises(ConfigError, match="step"):
+            ExperimentConfig.from_json_obj(obj)
+
+    def test_repeated_k_is_rejected(self):
+        # a repeated k would play its trials twice and duplicate trials.csv rows
+        obj = _single_vertex_config(3, trials=2).to_json_obj()
+        for ks in ([3, 3], [4, 2, 4]):
+            obj["k_range"] = ks
+            with pytest.raises(ConfigError, match="repeats"):
+                ExperimentConfig.from_json_obj(obj)
+
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
             _single_vertex_config(2, trials=0)
@@ -310,7 +324,8 @@ _FUZZ_CONFIG_FIELDS = {
         {"kind": "torus", "size": 2}, {"kind": []},
         [], "star:3", None,
     ],
-    "k_range": [[2], [1, 3], [], [0], [2.5], ["2"], [True], 5, "12", {"min": 1, "max": 3}, {"min": "1", "max": 2}, {"min": 1}],
+    "k_range": [[2], [1, 3], [], [0], [2.5], ["2"], [True], 5, "12", {"min": 1, "max": 3}, {"min": "1", "max": 2}, {"min": 1},
+        [2, 2], {"min": 1, "max": 3, "step": 2}],
     "alice": [
         {"name": "greedyFirstFit"}, {"name": "randomLegal"}, {"name": "priorityAlice"},
         {"name": "priorityAlice", "params": {"danger_threshold": 0}}, {"name": "priorityAlice", "params": {"block_budget": "x"}},

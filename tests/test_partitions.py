@@ -8,16 +8,51 @@ from hypothesis import given, settings, strategies as st
 
 from eternal_coloring.graph import GnpSpec, gnp_generate
 from eternal_coloring.partitions import (
-    bell_number,
+    ColorPlan,
     build_color_plan,
     canonical_partition,
     enumerate_partitions,
     partition_weight,
     plan_coverage_ok,
-    plan_size_bounds,
-    plan_to_json_obj,
     weight_identity_check,
 )
+
+
+def bell_number(l: int) -> int:
+    """Bell numbers by the binomial recurrence."""
+    bell = [1]
+    for n in range(1, l + 1):
+        total, binom = 0, 1
+        for j in range(n):
+            total += binom * bell[j]
+            binom = binom * (n - 1 - j) // (j + 1)
+        bell.append(total)
+    return bell[l]
+
+
+def plan_size_bounds(plan: ColorPlan, class_sizes: dict, eta: Fraction) -> dict:
+    """Check |colours(I)| <= (1 - eta) * |class I| / 2 for every subset I.
+
+    class_sizes maps frozenset -> vertex count from a concrete graph.
+    Returns {'ok': bool, 'violations': [(subset, n_colors, class_size)]}.
+    """
+    violations = []
+    for A, cols in plan.subset_colors.items():
+        if not cols:
+            continue
+        size = class_sizes.get(A, 0)
+        if Fraction(len(cols)) > (1 - eta) * Fraction(size, 2):
+            violations.append((A, len(cols), size))
+    return {"ok": not violations, "violations": violations}
+
+
+def plan_to_json_obj(plan: ColorPlan) -> dict:
+    """A colour plan as JSON: subset bitmask -> sorted colour list."""
+    out = {}
+    for A, cols in sorted(plan.subset_colors.items(), key=lambda kv: sum(1 << x for x in kv[0])):
+        mask = sum(1 << x for x in A)
+        out[str(mask)] = sorted(cols)
+    return {"l": plan.l, "k": plan.k, "num_colors": plan.num_colors, "subset_colors": out}
 
 
 def P(*blocks):

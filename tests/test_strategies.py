@@ -352,6 +352,38 @@ class TestTargetBob:
         assert (v, c) == (5, 1)  # colour a with the smallest unused colour
         assert prio == 2
 
+    # target 4 with neighbours 2, 3; vertices 0, 1 and 5 lie outside.  With
+    # block_distance 3 every pair of unplayed vertices qualifies.
+    _OUTSIDE_PAIRS = Graph(6, [(4, 2), (4, 3)])
+
+    def test_row_coloured_inside_after_the_scan_is_skipped_without_a_drop(self):
+        g = self._OUTSIDE_PAIRS
+        bob = self._bob(g, 9, target=4, block_distance=3)
+        state = GameState(g, 9)
+        bob._scan_block_pairs(state)
+        _observe_move(state, bob, (Player.ALICE, 2, 1))  # colour 1 enters N[4]
+        _observe_move(state, bob, (Player.BOB, 0, 1))  # and now row 0 holds it
+        assert next(bob.batches[0]) == (1, 2)  # row 0 is gone, not drawn
+        assert bob.seen_pairs == {(1, 2)}
+        assert bob.drop_log == []
+
+    def test_row_ends_once_its_own_sequence_puts_a_colour_inside(self):
+        g = self._OUTSIDE_PAIRS
+        bob = self._bob(g, 9, target=4, block_distance=3)
+        state = GameState(g, 9)
+        bob._scan_block_pairs(state)
+        moves = []
+        for _ in range(5):
+            v, c = bob._block_move(state)
+            moves.append((v, c))
+            _observe_move(state, bob, (state.to_move, v, c))
+        # pair (0, 1): give 0 a fresh colour and copy it into N[4], then the
+        # same for 1.  The next pair drawn is (4, 5): rows 0..3 now all hold
+        # a colour already inside N[4], row 0 included, though it was resumed.
+        assert moves == [(0, 1), (2, 1), (1, 2), (3, 2), (4, 3)]
+        assert bob.seen_pairs == {(0, 1), (4, 5)}
+        assert bob.drop_log == []
+
     def test_round2_claims_a_saturated_target(self):
         g = make_named("star", 2)
         bob = self._bob(g, 2)
@@ -498,6 +530,9 @@ class _BlockObligation:
             raise AssertionError(f"unknown phase {self.phase}")
 
 
+_STALE = "a coloured inside-target colour"  # the drop of a pair whose a is already played inside
+
+
 class _ReferenceTargetBob(TargetBob):
     """TargetBob's round 1 as first written: the full rescan of every unplayed
     pair on every call, queued at once as hand-stepped obligations, and
@@ -511,6 +546,7 @@ class _ReferenceTargetBob(TargetBob):
         self.move_clock = 0
         self.pending = deque()
         self.pair_log = []
+        self.acted = []  # pairs stepped in play and not dropped as stale at their first step
 
     def observe(self, state, rec):
         self.move_clock += 1
@@ -547,7 +583,11 @@ class _ReferenceTargetBob(TargetBob):
         if unused >= self.params.reserve_missing and (target_mask & pos[0]).bit_count() >= self.params.danger_threshold:
             self._scan_block_pairs(state)
             while self.pending:
-                mv = self.pending[0].step(self, state)
+                ob = self.pending[0]
+                first, logged = ob.phase == "A", len(self.drop_log)
+                mv = ob.step(self, state)
+                if first and not any(d.endswith(_STALE) for d in self.drop_log[logged:]):
+                    self.acted.append((ob.a, ob.b))
                 if mv is not None:
                     return mv[0], mv[1], 2
                 self.pending.popleft()
@@ -715,7 +755,7 @@ class TestLockstepOracles:
     the full recomputations and hand-stepped obligations of the references."""
 
     def test_target_bob_scan_matches_full_rescan(self):
-        queued = drops = lazy = 0
+        queued = drops = stale = lazy = 0
         for n, gseed in _LOCKSTEP_GAMES:
             g = gnp_generate(GnpSpec(n, 0.5, gseed))
             for dist in (1, 2, 3):
@@ -730,18 +770,19 @@ class TestLockstepOracles:
                         (out, bob), (ref_out, ref) = games
                         case = (n, gseed, dist, k, alice.name)
                         assert out.transcript == ref_out.transcript, case
-                        lazy += len(bob.pair_log)
-                        # draw the pairs the game ended before reaching
-                        for batch in bob.batches:
-                            deque(batch, maxlen=0)
-                        assert bob.pair_log == ref.pair_log, case
-                        assert {frozenset(p) for p in bob.seen_pairs} == ref.seen_pairs, case
-                        assert all(a < b for a, b in bob.seen_pairs), case
-                        assert bob.drop_log == ref.drop_log, case
                         assert bob.audit_log == ref.audit_log, case
-                        queued += len(bob.pair_log)
+                        # The lazy stream draws, in order, exactly the pairs the
+                        # reference acted on: a pair whose a already holds a
+                        # colour present in N[target] is skipped, not drawn and
+                        # dropped.
+                        assert bob.pair_log == ref.acted, case
+                        live_drops = [d for d in ref.drop_log if not d.endswith(_STALE)]
+                        assert bob.drop_log == live_drops, case
+                        queued += len(ref.pair_log)
+                        stale += len(ref.drop_log) - len(live_drops)
+                        lazy += len(bob.pair_log)
                         drops += len(bob.drop_log)
-        assert queued > 1000 and drops > 100  # the scans really ran
+        assert drops > 100 and stale > 1000  # the scans really ran, and really went stale
         assert lazy < queued  # and the lazy queue tested fewer pairs in play
 
     def test_multiplicity_bob_kills_match_hand_stepped_obligations(self):
