@@ -173,6 +173,12 @@ _SPEC_KEYS = {
     "targetBob": {"name", "params", "target"},
     "multiplicityBob": {"name", "params", "l", "k_inv", "num_colors"},
 }
+# the StrategyParams fields each priority strategy reads
+_PARAM_KEYS = {
+    "priorityAlice": {"danger_threshold", "nearly_full_threshold"},
+    "targetBob": {"danger_threshold", "block_distance", "reserve_missing"},
+    "multiplicityBob": {"danger_threshold", "block_distance", "reserve_missing", "multiplicity", "block_set_size"},
+}
 
 
 def build_strategy(spec: dict, graph: Graph, k: int):
@@ -189,7 +195,7 @@ def build_strategy(spec: dict, graph: Graph, k: int):
         return RandomLegal()
     params = StrategyParams.from_fractions(graph.n)
     _check_type(f"{name} params", params_obj, dict)
-    unknown = set(params_obj) - {f.name for f in dataclasses.fields(StrategyParams)}
+    unknown = set(params_obj) - _PARAM_KEYS[name]
     if unknown:
         raise ConfigError(f"unknown params for {name!r}: {sorted(unknown)}")
     for key, value in params_obj.items():

@@ -47,9 +47,13 @@ class StrategyParams:
     block_set_size: Optional[int] = None  # m for multi-target blocks; default 100 * C_l * l
 
     def __post_init__(self):
-        for name in ("danger_threshold", "nearly_full_threshold", "block_distance"):
+        for name in ("danger_threshold", "nearly_full_threshold", "block_distance", "multiplicity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.reserve_missing < 0:
+            raise ValueError("reserve_missing must be >= 0")
+        if self.block_set_size is not None and self.block_set_size < 1:
+            raise ValueError("block_set_size must be None or >= 1")
 
     @classmethod
     def from_fractions(cls, n: int) -> "StrategyParams":
@@ -81,6 +85,30 @@ def uncolored_taking(state: GameState, mask: int, c: int) -> Optional[int]:
         if not state.seen[u] >> c & 1:
             return u
     return None
+
+
+def next_move(queue: deque) -> Optional[tuple[int, int]]:
+    """The next move of the oldest unfinished move sequence in queue; the
+    finished ones leave it.  A sequence resumes on the board it was made
+    for, which play mutates in place."""
+    while queue:
+        mv = next(queue[0], None)
+        if mv is not None:
+            return mv
+        queue.popleft()
+    return None
+
+
+def claim_or_first_fit(state: GameState, ground) -> tuple[int, Optional[int]]:
+    """Bob's move from round 2 on.  Round 2 is the plan's payoff: claim the
+    first unplayed vertex of ground whose closed neighbourhood shows the
+    whole palette.  Otherwise, and past round 2, where the plan is spent,
+    greedy first fit."""
+    if state.round == 2:
+        for x in ground:
+            if not state.is_played(x) and state.seen[x] == state.palette:
+                return x, None
+    return first_fit(state)
 
 
 class GreedyFirstFit(Strategy):
@@ -299,58 +327,6 @@ class PriorityAlice(Strategy):
 # ---------------------------------------------------------------------------
 
 
-def _block_moves(bob: "TargetBob", state: GameState, a: int, b: int) -> Iterator[tuple[int, int]]:
-    """Bob's blocking moves for a pair (a, b) threatening the target.
-
-    Stage A gives a a colour c_a not yet in the target's closed neighbourhood
-    (a fresh one if a is uncoloured) and introduces c_a there; stage B does
-    the same for b.  Each stage defers to Alice's pre-emptions.  A sequence
-    that can no longer gain anything ends early and is logged as a drop.
-    The sequence resumes on the same `state`, which play mutates in place.
-    """
-    inside, target = bob._inside, bob.target_mask
-    c_a = state.colors[a]
-    if not c_a:
-        c_a = bob._smallest_unused(state)
-        if c_a is None:
-            bob._log_drop(a, b, "no unused colour for a")
-            return
-        yield a, c_a
-    elif inside(state, c_a):  # a was neutralized by a colour already in the target
-        bob._log_drop(a, b, "a coloured inside-target colour")
-        return
-    # If Alice played b with a colour missing from the target, that colour
-    # goes in first, c_a next, and the sequence ends there.
-    col_b, b_first = state.colors[b], None
-    if col_b and not inside(state, c_a) and not inside(state, col_b):
-        b_first = uncolored_taking(state, target, col_b)
-        if b_first is not None:
-            yield b_first, col_b
-    if not inside(state, c_a):
-        u = uncolored_taking(state, target, c_a)
-        if u is None:
-            bob._log_drop(a, b, "c_a not introducible")
-            return
-        yield u, c_a
-    if b_first is not None:
-        return
-    # Stage B.  Round 1 never recolours, so a b coloured inside ends it here.
-    c_b = state.colors[b]
-    if not c_b:
-        c_b = bob._smallest_unused(state)
-        if c_b is None:
-            bob._log_drop(a, b, "no unused colour for b")
-            return
-        yield b, c_b
-    if inside(state, c_b):
-        return
-    u = uncolored_taking(state, target, c_b)
-    if u is None:
-        bob._log_drop(a, b, "c_b not introducible")
-        return
-    yield u, c_b
-
-
 class TargetBob(Strategy):
     """Bob's single-target strategy: flood the target's closed neighbourhood.
 
@@ -364,8 +340,8 @@ class TargetBob(Strategy):
          entered the game;
       4. introduce globally-new colours;
       5. greedy first fit.
-    From round 2 on, Bob first looks for a vertex seeing the whole palette
-    (choosing it wins) and otherwise falls back to greedy first fit.
+    In round 2, Bob claims the target if it sees the whole palette (choosing
+    it wins); otherwise, and from round 3 on, he plays greedy first fit.
     """
 
     name = "targetBob"
@@ -380,8 +356,7 @@ class TargetBob(Strategy):
         self.k = k
         self.target_mask = graph.closed[self.target]
         self.intro: list[int] = []  # colours in order of first appearance
-        self.current: Optional[Iterator[tuple[int, int]]] = None  # the live blocking sequence
-        self.batches: deque[Iterator[tuple[int, int]]] = deque()  # pairs of each scan, not yet drawn
+        self.batches: deque[Iterator[tuple[int, int]]] = deque()  # blocking moves of each scan, FIFO
         self.seen_pairs: set[tuple[int, int]] = set()  # (a, b), a < b, drawn so far
         self.last_u: Optional[int] = None  # uncoloured part of N[target] at the last scan
         self.audit_log: list[tuple[int, int, int]] = []
@@ -403,19 +378,19 @@ class TargetBob(Strategy):
         return None
 
     def _scan_block_pairs(self, state: GameState) -> None:
-        """Queue a batch of every unseen unplayed pair (a, b), a < b, in
-        ascending order, whose union of closed neighbourhoods misses at most
-        block_distance uncoloured vertices of the target's closed
-        neighbourhood.
+        """Queue a batch: the blocking moves of every unseen unplayed pair
+        (a, b), a < b, in ascending order, whose union of closed
+        neighbourhoods misses at most block_distance uncoloured vertices of
+        the target's closed neighbourhood.
 
         The batch is a snapshot: its pairs are tested against the board of
-        this call, but only when `_block_move` draws them.  Batches drain FIFO,
-        so when a pair is tested `seen_pairs` holds every pair of the batches
-        before it and of its own batch before it, just as if all pairs had
-        been tested here, and the pairs come in the same order.  The one
-        exception is a row whose a the live board has since coloured inside
-        the target: its pairs would only be dropped, so they are skipped
-        unseen (see `_block_pairs`).
+        this call, but only once `next_move` has run the sequences before
+        them to their end.  Batches drain FIFO, so when a pair is tested
+        `seen_pairs` holds every pair of the batches before it and of its own
+        batch before it, just as if all pairs had been tested here, and the
+        pairs come in the same order.  The one exception is a row whose a the
+        live board has since coloured inside the target: its pairs would only
+        be dropped, so they are skipped unseen (see `_block_pairs`).
         """
         u_mask = self.target_mask & state.color_pos[0]
         last_u = self.last_u
@@ -426,7 +401,8 @@ class TargetBob(Strategy):
         self.batches.append(self._block_pairs(state, u_mask, gone, ~state.played & self.graph.full_mask))
 
     def _block_pairs(self, state: GameState, u_mask: int, gone: Optional[int], rest: int) -> Iterator[tuple[int, int]]:
-        """The new qualifying pairs of one scan, tested as they are drawn.
+        """The blocking moves of the new qualifying pairs of one scan.  A
+        pair is tested once the sequence of the pair before it has ended.
 
         Round 1 (the only round that scans) only shrinks the uncoloured target
         part u and the unplayed set, so a pair's miss count never rises and a
@@ -435,10 +411,10 @@ class TargetBob(Strategy):
         the last scan: only such pairs are tested.  The first scan of a game
         (gone None) tests them all.
 
-        Row a is read against the live `state` too, at its top and on each
-        resume after a yield (a's own blocking sequence may have coloured it):
-        once a holds a colour present in N[target] the row ends.  In round 1
-        that colour stays on a and stays inside, so every pair left in the row
+        Row a is read against the live `state` too, at its top and after the
+        sequence of each of its pairs (which may have coloured a): once a
+        holds a colour present in N[target] the row ends.  In round 1 that
+        colour stays on a and stays inside, so every pair left in the row
         would be dropped by `_block_moves` at its first step, and no later
         scan offers the played a again; the skipped pairs never enter
         `seen_pairs` or the drop log.
@@ -472,35 +448,68 @@ class TargetBob(Strategy):
                 b = bit.bit_length() - 1
                 if (miss_a & miss[b]).bit_count() <= dist and (a, b) not in seen_pairs:
                     seen_pairs.add((a, b))
-                    yield a, b
+                    yield from self._block_moves(state, a, b)
                     if colors[a] and pos[colors[a]] & target:
                         break
 
-    def _block_move(self, state: GameState) -> Optional[tuple[int, int]]:
-        """The next move of the live blocking sequence.  A sequence that
-        ends gives way to one for the next pair of the oldest unfinished
-        batch.  The caller has checked that the target keeps an uncoloured
-        vertex, and no move is made here, so that holds throughout."""
-        batches = self.batches
-        while True:
-            if self.current is None:
-                pair = None
-                while batches and (pair := next(batches[0], None)) is None:
-                    batches.popleft()
-                if pair is None:
-                    return None
-                self.current = _block_moves(self, state, *pair)
-            mv = next(self.current, None)
-            if mv is not None:
-                return mv
-            self.current = None
+    def _block_moves(self, state: GameState, a: int, b: int) -> Iterator[tuple[int, int]]:
+        """Bob's blocking moves for a pair (a, b) threatening the target.
+
+        Stage A gives a a colour c_a not yet in the target's closed
+        neighbourhood (a fresh one if a is uncoloured) and introduces c_a
+        there; stage B does the same for b.  Each stage defers to Alice's
+        pre-emptions.  A sequence that can no longer gain anything ends early
+        and is logged as a drop.  The sequence resumes on the same `state`,
+        which play mutates in place.
+        """
+        inside, target = self._inside, self.target_mask
+        c_a = state.colors[a]
+        if not c_a:
+            c_a = self._smallest_unused(state)
+            if c_a is None:
+                self._log_drop(a, b, "no unused colour for a")
+                return
+            yield a, c_a
+        elif inside(state, c_a):  # a was neutralized by a colour already in the target
+            self._log_drop(a, b, "a coloured inside-target colour")
+            return
+        # If Alice played b with a colour missing from the target, that colour
+        # goes in first, c_a next, and the sequence ends there.
+        col_b, b_first = state.colors[b], None
+        if col_b and not inside(state, c_a) and not inside(state, col_b):
+            b_first = uncolored_taking(state, target, col_b)
+            if b_first is not None:
+                yield b_first, col_b
+        if not inside(state, c_a):
+            u = uncolored_taking(state, target, c_a)
+            if u is None:
+                self._log_drop(a, b, "c_a not introducible")
+                return
+            yield u, c_a
+        if b_first is not None:
+            return
+        # Stage B.  Round 1 never recolours, so a b coloured inside ends it here.
+        c_b = state.colors[b]
+        if not c_b:
+            c_b = self._smallest_unused(state)
+            if c_b is None:
+                self._log_drop(a, b, "no unused colour for b")
+                return
+            yield b, c_b
+        if inside(state, c_b):
+            return
+        u = uncolored_taking(state, target, c_b)
+        if u is None:
+            self._log_drop(a, b, "c_b not introducible")
+            return
+        yield u, c_b
 
     def _log_drop(self, a: int, b: int, why: str) -> None:
         self.drop_log.append(f"pair ({a},{b}) dropped: {why}")
 
     def select(self, state: GameState):
         if state.round >= 2:
-            return self._late_round_move(state)
+            return claim_or_first_fit(state, (self.target,))
         v, c, prio = self._round1_move(state)
         if self.audit:
             self.audit_log.append((state.round, state.played_count, prio))
@@ -518,7 +527,7 @@ class TargetBob(Strategy):
         unused = pos[1:].count(0)
         if unused >= self.params.reserve_missing and (target_mask & pos[0]).bit_count() >= self.params.danger_threshold:
             self._scan_block_pairs(state)
-            mv = self._block_move(state)
+            mv = next_move(self.batches)
             if mv is not None:
                 return mv[0], mv[1], 2
         # (3) colours seen exactly once outside, absent inside, FIFO
@@ -537,14 +546,6 @@ class TargetBob(Strategy):
         # (5) anything
         v, c = first_fit(state)
         return v, c, 5
-
-    def _late_round_move(self, state: GameState):
-        # Round 2: claim the target if its closed neighbourhood saw the whole
-        # palette (the strategy's designed winning check).  Past that horizon
-        # the strategy is out of plan and falls back to greedy play.
-        if state.round == 2 and not state.is_played(self.target) and state.seen[self.target] == state.palette:
-            return self.target, None
-        return first_fit(state)
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +613,8 @@ class MultiplicityBob(Strategy):
     Round-1 priorities (highest first): multiplicity-forced copies, end-stage
     service, block killing, eager multiplicity copies, fresh designated
     colours (preferring the class Alice just played in), then anything.
-    From round 2 on, Bob checks the ground set for a vertex seeing all colours
-    and otherwise plays greedy first fit.
+    In round 2, Bob claims a ground-set vertex seeing all colours; otherwise,
+    and from round 3 on, he plays greedy first fit.
     """
 
     name = "multiplicityBob"
@@ -747,17 +748,9 @@ class MultiplicityBob(Strategy):
                     if u is not None:
                         yield u, c
 
-    def _kill_move(self, state: GameState) -> Optional[tuple[int, int]]:
-        while self.pending:
-            mv = next(self.pending[0], None)
-            if mv is not None:
-                return mv
-            self.pending.popleft()
-        return None
-
     def select(self, state: GameState):
         if state.round >= 2:
-            return self._late_round_move(state)
+            return claim_or_first_fit(state, self.plan.ground_set)
         v, c, prio = self._round1_move(state)
         if self.audit:
             self.audit_log.append((state.round, state.played_count, prio))
@@ -790,7 +783,7 @@ class MultiplicityBob(Strategy):
         # (3) kill looming blocks
         if any(not es for es in self.end_stage):
             self._scan_kills(state)
-            mv = self._kill_move(state)
+            mv = next_move(self.pending)
             if mv is not None:
                 return mv[0], mv[1], 3
         # (4) eager multiplicity copies
@@ -814,13 +807,3 @@ class MultiplicityBob(Strategy):
         # (6) anything
         v, c = first_fit(state)
         return v, c, 6
-
-    def _late_round_move(self, state: GameState):
-        # Round 2 is the plan's payoff: claim a ground-set vertex whose closed
-        # neighbourhood still shows all colours.  Past it the strategy is out
-        # of plan.
-        if state.round == 2:
-            for x in self.plan.ground_set:
-                if not state.is_played(x) and state.seen[x] == state.palette:
-                    return x, None
-        return first_fit(state)

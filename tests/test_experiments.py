@@ -231,6 +231,22 @@ class TestBuilders:
         for key, value in (("epsilon", 0.05), ("small_color_cutoff", 1), ("block_budget", 1)):
             with pytest.raises(ConfigError, match=rf"unknown params .*'{key}'"):
                 build_strategy({"name": "priorityAlice", "params": {key: value}}, make_named("star", 3), 3)
+        # and so are knobs another strategy reads, but not the named one
+        for name, params, key in (
+            ("priorityAlice", {"multiplicity": 3, "block_set_size": 7}, "block_set_size"),
+            ("priorityAlice", {"reserve_missing": 3}, "reserve_missing"),
+            ("targetBob", {"nearly_full_threshold": 2}, "nearly_full_threshold"),
+            ("targetBob", {"multiplicity": 3}, "multiplicity"),
+            ("multiplicityBob", {"nearly_full_threshold": 2}, "nearly_full_threshold"),
+        ):
+            with pytest.raises(ConfigError, match=rf"unknown params for '{name}': .*'{key}'"):
+                build_strategy({"name": name, "params": params}, make_named("star", 3), 3)
+        # values StrategyParams rejects
+        for params in ({"multiplicity": 0}, {"block_set_size": 0}, {"block_set_size": -1}, {"reserve_missing": -1}):
+            with pytest.raises(ConfigError, match=r"bad params for 'multiplicityBob'"):
+                build_strategy({"name": "multiplicityBob", "params": params}, make_named("star", 3), 3)
+        bob = build_strategy({"name": "targetBob", "params": {"reserve_missing": 0}}, make_named("star", 3), 3)
+        assert bob.params.reserve_missing == 0
 
 
 class TestAggregation:
@@ -335,6 +351,7 @@ _FUZZ_CONFIG_FIELDS = {
         {"name": "greedyFirstFit"}, {"name": "targetBob", "target": 0}, {"name": "targetBob", "target": 99},
         {"name": "targetBob", "target": -1}, {"name": "targetBob", "target": "x"}, {"name": "multiplicityBob"},
         {"name": "multiplicityBob", "l": "x"}, {"name": "multiplicityBob", "k_inv": 0}, None,
+        {"name": "multiplicityBob", "params": {"multiplicity": 0}}, {"name": "targetBob", "params": {"multiplicity": 3}},
     ],
     "variant": ["standard", "greedy_both", "bogus", 3, None],
     "trials": [1, 0, -1, "x", 1.5, True, None],
@@ -419,6 +436,22 @@ class TestCli:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, argv
+
+    def test_bad_params_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        for bob in (
+            {"name": "multiplicityBob", "params": {"multiplicity": 0}},
+            {"name": "multiplicityBob", "params": {"block_set_size": 0}},
+            {"name": "targetBob", "params": {"reserve_missing": -1}},
+            {"name": "targetBob", "params": {"block_set_size": 7}},
+        ):
+            config = _single_vertex_config(2).to_json_obj()
+            config["bob"] = bob
+            path.write_text(json.dumps(config))
+            assert main(["threshold", "--config", str(path)]) == 2, bob
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, bob
+            assert "params for" in err, bob
 
     @settings(max_examples=150, deadline=None)
     @given(argv=_cli_argv())

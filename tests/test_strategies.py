@@ -30,6 +30,7 @@ from eternal_coloring.strategies import (
     TargetPlan,
     bob_even_setup,
     first_fit,
+    next_move,
     record_round_move,
     smallest_legal,
     uncolored_taking,
@@ -50,8 +51,15 @@ def _observe_move(state, *strategies_then_move):
 
 class TestStrategyParams:
     def test_thresholds_must_be_positive(self):
-        with pytest.raises(ValueError):
-            StrategyParams(danger_threshold=0)
+        for bad in (
+            dict(danger_threshold=0),
+            dict(multiplicity=0),
+            dict(block_set_size=0),
+            dict(reserve_missing=-1),
+        ):
+            with pytest.raises(ValueError):
+                StrategyParams(**bad)
+        assert StrategyParams(reserve_missing=0, block_set_size=1).reserve_missing == 0
 
     def test_from_fractions_resolves_by_ceiling(self):
         p = StrategyParams.from_fractions(2001)
@@ -345,9 +353,9 @@ class TestTargetBob:
         # vertices 5,6 jointly dominate the uncoloured target nbhd {0..4}
         g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 0), (5, 1), (5, 2), (6, 3), (6, 4)])
         bob = self._bob(g, 9, reserve_missing=3, block_distance=1)
-        bob.batches.append(iter([(5, 6)]))
-        bob.seen_pairs.add((5, 6))
         state = GameState(g, 9)
+        bob.batches.append(bob._block_moves(state, 5, 6))
+        bob.seen_pairs.add((5, 6))
         v, c, prio = bob._round1_move(state)
         assert (v, c) == (5, 1)  # colour a with the smallest unused colour
         assert prio == 2
@@ -363,7 +371,9 @@ class TestTargetBob:
         bob._scan_block_pairs(state)
         _observe_move(state, bob, (Player.ALICE, 2, 1))  # colour 1 enters N[4]
         _observe_move(state, bob, (Player.BOB, 0, 1))  # and now row 0 holds it
-        assert next(bob.batches[0]) == (1, 2)  # row 0 is gone, not drawn
+        # row 0 is gone, not drawn: pair (1, 2) opens, colouring 1 with the
+        # smallest unused colour, 2
+        assert next_move(bob.batches) == (1, 2)
         assert bob.seen_pairs == {(1, 2)}
         assert bob.drop_log == []
 
@@ -374,7 +384,7 @@ class TestTargetBob:
         bob._scan_block_pairs(state)
         moves = []
         for _ in range(5):
-            v, c = bob._block_move(state)
+            v, c = next_move(bob.batches)
             moves.append((v, c))
             _observe_move(state, bob, (state.to_move, v, c))
         # pair (0, 1): give 0 a fresh colour and copy it into N[4], then the
@@ -415,16 +425,16 @@ class TestTargetBob:
 
 
 class _LoggedTargetBob(TargetBob):
-    """TargetBob logging each block pair as its lazy batch yields it."""
+    """TargetBob logging each block pair as its lazy batch starts the pair's
+    blocking sequence."""
 
     def reset(self, graph, k, variant, seed=None):
         super().reset(graph, k, variant, seed)
         self.pair_log = []
 
-    def _block_pairs(self, *scan):
-        for pair in super()._block_pairs(*scan):
-            self.pair_log.append(pair)
-            yield pair
+    def _block_moves(self, state, a, b):
+        self.pair_log.append((a, b))
+        yield from super()._block_moves(state, a, b)
 
 
 class _BlockObligation:
@@ -673,15 +683,50 @@ class _ReferenceAlice(PriorityAlice):
 
 
 class _KillObligation:
-    """Pending kill sequence for an m-set threatening some target class."""
+    """Pending kill sequence for an m-set threatening some target class,
+    stepped by hand: an iterator over Bob's kill moves on the live board."""
 
-    __slots__ = ("members", "pos", "color", "intro_left")
+    __slots__ = ("bob", "state", "members", "pos", "color", "intro_left")
 
-    def __init__(self, members):
+    def __init__(self, bob, state, members):
+        self.bob = bob
+        self.state = state
         self.members = members
         self.pos = 0
         self.color = None
         self.intro_left = []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        bob, state = self.bob, self.state
+        while True:
+            if self.intro_left:
+                i = self.intro_left[0]
+                if bob._is_missing(state, i, self.color):
+                    u = uncolored_taking(state, bob.plan.entries[i].vertices, self.color)
+                    if u is not None:
+                        self.intro_left.pop(0)
+                        return u, self.color
+                self.intro_left.pop(0)
+                continue
+            while self.pos < len(self.members) and state.colors[self.members[self.pos]] != 0:
+                self.pos += 1
+            if self.pos >= len(self.members):
+                raise StopIteration
+            a = self.members[self.pos]
+            if state.is_played(a):
+                self.pos += 1
+                continue
+            c = bob._safe_kill_color(state, a)
+            if c is None:
+                self.pos += 1
+                continue
+            self.color = c
+            self.intro_left = [i for i in bob.designated[c] if bob._is_missing(state, i, c)]
+            self.pos += 1
+            return a, c
 
 
 class _ReferenceMultiplicityBob(MultiplicityBob):
@@ -689,38 +734,7 @@ class _ReferenceMultiplicityBob(MultiplicityBob):
     MultiplicityBob._kill_moves."""
 
     def _kill_moves(self, state, members):
-        return _KillObligation(members)
-
-    def _kill_move(self, state):
-        while self.pending:
-            ob = self.pending[0]
-            if ob.intro_left:
-                i = ob.intro_left[0]
-                if self._is_missing(state, i, ob.color):
-                    u = uncolored_taking(state, self.plan.entries[i].vertices, ob.color)
-                    if u is not None:
-                        ob.intro_left.pop(0)
-                        return u, ob.color
-                ob.intro_left.pop(0)
-                continue
-            while ob.pos < len(ob.members) and state.colors[ob.members[ob.pos]] != 0:
-                ob.pos += 1
-            if ob.pos >= len(ob.members):
-                self.pending.popleft()
-                continue
-            a = ob.members[ob.pos]
-            if state.is_played(a):
-                ob.pos += 1
-                continue
-            c = self._safe_kill_color(state, a)
-            if c is None:
-                ob.pos += 1
-                continue
-            ob.color = c
-            ob.intro_left = [i for i in self.designated[c] if self._is_missing(state, i, c)]
-            ob.pos += 1
-            return a, c
-        return None
+        return _KillObligation(self, state, members)
 
 
 @st.composite
@@ -986,3 +1000,23 @@ class TestMultiplicityBob:
             _observe_move(state, bob, mv)
         assert state.round == 2
         assert bob.select(state) == (0, None)
+
+
+
+def test_no_claim_after_round2():
+    """Both Bobs claim a vertex seeing the whole palette in round 2 only;
+    from round 3 on they play greedy first fit."""
+    # vertex 1 with neighbours 2 and 3; 0 and 4 are isolated.  n = 5 is odd,
+    # so Alice opens round 3.  Round 2 recolours 1, then refills N[1].
+    g = Graph(5, [(1, 2), (1, 3)])
+    state = GameState(g, 3)
+    for v, c in [(0, 1), (1, 1), (2, 2), (3, 3), (4, 1)] + [(2, 3), (1, 2), (3, 1), (0, 2), (4, 2)] + [(4, 1)]:
+        apply_move(state, v, c)
+    assert state.round == 3 and state.to_move is Player.BOB
+    # 1 is unplayed and sees the whole palette, yet 0 comes first
+    assert not state.is_played(1) and state.seen[1] == state.palette
+    params = StrategyParams(reserve_missing=3)
+    plan = TargetPlan(ground_set=(0, 1), entries=(), num_colors=3)
+    for bob in (TargetBob(params, target=1), MultiplicityBob(plan, params)):
+        bob.reset(g, 3, RuleVariant.STANDARD)
+        assert bob.select(state) == first_fit(state) == (0, 1), bob.name
