@@ -12,7 +12,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import accumulate, combinations
 from math import ceil, comb
 from typing import Optional
 
@@ -210,34 +211,53 @@ def find_m_block_sets(
     return {"sets": found, "disjoint_family": disjoint, "method": method}
 
 
+@lru_cache(maxsize=1)
+def _tail_numerators(n: int, num: int, den: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Prefix and suffix sums of the terms t_j = comb(n, j) num^j q^(n-j),
+    q = den - num, for 0 < num < den: (t_0 + ... + t_j, t_j + ... + t_n) by j.
+
+    Each term comes from its neighbour by an exact integer division.  The one
+    entry serves a run of checks at one (n, p) that differ only in epsilon.
+    """
+    q = den - num
+    t = q**n
+    terms = [t]
+    for j in range(n):  # t_j -> t_(j+1)
+        t = t * (n - j) * num // ((j + 1) * q)
+        terms.append(t)
+    return tuple(accumulate(terms)), tuple(accumulate(reversed(terms)))[::-1]
+
+
+def _tails(n: int, p: Fraction, epsilon: Fraction) -> tuple[int, int, int]:
+    """Numerators of P(Bin >= (p+eps)n) and P(Bin <= (p-eps)n) over den^n."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    num, den = p.numerator, p.denominator
+    e_num, e_den = epsilon.numerator, epsilon.denominator
+    scale = den * e_den
+    upper_from = max(-(-(num * e_den + e_num * den) * n // scale), 0)  # ceil((p+eps)n)
+    lower_to = min((num * e_den - e_num * den) * n // scale, n)  # floor((p-eps)n)
+    total = den**n
+    if num == 0 or num == den:  # p = 0 or 1: all the mass sits at j = 0 or j = n
+        j = 0 if num == 0 else n
+        return int(j >= upper_from), int(j <= lower_to), total
+    below, above = _tail_numerators(n, num, den)
+    upper = above[upper_from] if upper_from <= n else 0
+    lower = below[lower_to] if lower_to >= 0 else 0
+    return upper, lower, total
+
+
 def exact_binomial_tails(n: int, p: Fraction, epsilon: Fraction) -> tuple[Fraction, Fraction]:
     """(P(Bin >= (p+eps)n), P(Bin <= (p-eps)n)) exactly, p rational.
 
-    With p = num/den and q = den - num, the term of j successes is
-    t_j = comb(n, j) num^j q^(n-j) / den^n.  Each tail is summed from its own
-    end, each numerator from its neighbour by an exact integer division, so
-    the middle terms are never formed.
+    Both tails are read from one table of term sums per (n, p), reused while
+    only epsilon changes.
     """
-    num, den = p.numerator, p.denominator
-    q = den - num
-    upper_from = max(math.ceil((p + epsilon) * n), 0)
-    lower_to = min(math.floor((p - epsilon) * n), n)
-    if num == 0 or q == 0:  # p = 0 or 1: all the mass sits at j = 0 or j = n
-        j = 0 if num == 0 else n
-        return Fraction(int(j >= upper_from)), Fraction(int(j <= lower_to))
-    upper = 0
-    if upper_from <= n:
-        t = upper = num**n
-        for j in range(n, upper_from, -1):  # t_j -> t_(j-1)
-            t = t * j * q // ((n - j + 1) * num)
-            upper += t
-    lower = 0
-    if lower_to >= 0:
-        t = lower = q**n
-        for j in range(lower_to):  # t_j -> t_(j+1)
-            t = t * (n - j) * num // ((j + 1) * q)
-            lower += t
-    total = den**n
+    upper, lower, total = _tails(n, p, epsilon)
     return Fraction(upper, total), Fraction(lower, total)
 
 
@@ -248,23 +268,26 @@ def hoeffding_check(n: int, p, epsilon) -> dict:
     the exponential, taken as a lower bound of the true exponential.  A pass
     there decides the check with ``decided_by: "certified"``.  Otherwise the
     tails are compared with the float value itself, which is not certified
-    either way (``decided_by: "float_fallback"``).
+    either way (``decided_by: "float_fallback"``).  Both comparisons are
+    between integers: a float is the exact ratio ``float.as_integer_ratio()``.
     """
     if n > 10**4:
         raise ValueError("exact tail summation capped at n <= 10^4")
     p = Fraction(p).limit_denominator(10**6) if not isinstance(p, Fraction) else p
     epsilon = Fraction(epsilon).limit_denominator(10**6) if not isinstance(epsilon, Fraction) else epsilon
-    upper, lower = exact_binomial_tails(n, p, epsilon)
+    upper, lower, total = _tails(n, p, epsilon)
+    worst = max(upper, lower)
     bound_float = math.exp(-2 * float(epsilon) ** 2 * n)
-    bound_lo = Fraction(math.nextafter(bound_float, 0.0))
+    a, b = math.nextafter(bound_float, 0.0).as_integer_ratio()
     decided_by = "certified"
-    holds = upper <= bound_lo and lower <= bound_lo
+    holds = worst * b <= a * total
     if not holds:
         decided_by = "float_fallback"
-        holds = upper <= Fraction(bound_float) and lower <= Fraction(bound_float)
+        a, b = bound_float.as_integer_ratio()
+        holds = worst * b <= a * total
     return {
-        "exact_upper": upper,
-        "exact_lower": lower,
+        "exact_upper": Fraction(upper, total),
+        "exact_lower": Fraction(lower, total),
         "bound": bound_float,
         "holds": holds,
         "decided_by": decided_by,

@@ -12,12 +12,14 @@ for p = 1/k and every nonempty A subset of the ground set,
 Two candidate formulas are implemented.  The 'proof' form,
 k^-l * (k-1)! / (k-|T|)!  for |T| <= k (else 0), follows the ordered-partition
 counting argument and satisfies the identity exactly.  The 'display' form,
-k^-l * (k-1)! / (|T|-1)!  for |T| <= l, breaks the identity from l = 3 on and
-is retained only so tests can demonstrate the failure.
+k^-l * (k-1)! / (|T|-1)!  for |T| <= l, breaks the identity from l = 3 on.
+It is kept as a known-false control: the tests and the benchmark's ``exact``
+workload both check that the identity fails for it at k = 2, l = 3.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -69,9 +71,13 @@ def enumerate_partitions(l: int) -> list[SetPartition]:
 
 def partition_weight(T: SetPartition, k: int, l: int, form: str = "proof") -> Fraction:
     """Exact weight of partition T under palette parameter k (p = 1/k)."""
+    return _block_count_weight(len(T), k, l, form)
+
+
+def _block_count_weight(m: int, k: int, l: int, form: str) -> Fraction:
+    """The weight of every partition of m blocks: it depends on T only via |T|."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    m = len(T)
     if form == "proof":
         if m > k:
             return Fraction(0)
@@ -84,19 +90,25 @@ def partition_weight(T: SetPartition, k: int, l: int, form: str = "proof") -> Fr
 
 
 def weight_identity_check(k: int, l: int, form: str = "proof") -> dict[frozenset, bool]:
-    """Verify the defining identity for every nonempty A; exact equality."""
+    """Verify the defining identity for every nonempty A; exact equality.
+
+    One pass over the partitions counts, for each block A, the partitions
+    holding A by their number of blocks; A's sum is then those counts times
+    the l weights, one per block count.
+    """
     if k > 6 or l > 7:
         raise ValueError("identity check is capped at k <= 6, l <= 7")
-    parts = enumerate_partitions(l)
+    weight = [_block_count_weight(m, k, l, form) for m in range(1, l + 1)]
+    counts: defaultdict = defaultdict(lambda: [0] * l)  # A -> partitions holding A, by block count - 1
+    for T in enumerate_partitions(l):
+        for A in T:
+            counts[A][len(T) - 1] += 1
     p = Fraction(1, k)
     report: dict[frozenset, bool] = {}
     ground = range(l)
     for size in range(1, l + 1):
         for A in _subsets_of_size(ground, size):
-            total = sum(
-                (partition_weight(T, k, l, form) for T in parts if A in T),
-                Fraction(0),
-            )
+            total = sum((c * w for c, w in zip(counts[A], weight) if c), Fraction(0))
             target = p**size * (1 - p) ** (l - size)
             report[A] = total == target
     return report

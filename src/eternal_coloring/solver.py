@@ -106,6 +106,8 @@ def solve_eternal(
     the mover), later ones at most k^n 2^n, twice that for odd n, where
     either player may open a round.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     n = graph.n
     bound = (k + 1) ** n + k**n * (1 << n) * (1 + n % 2)
     if bound > state_cap:
@@ -120,6 +122,7 @@ def solve_eternal(
     cmask = (1 << width) - 1
     shifts = [width * v for v in range(n)]
     pshift = width * n  # the played field
+    colour_fields = (1 << pshift) - 1
     mover_bit = _mover_bit(n, k)
     phase_bit = mover_bit << 1
     tshift = _target_shift(n, k)
@@ -130,6 +133,7 @@ def solve_eternal(
     states = [initial]
     moves: list[int] = []
     start = [0]
+    relabelled: dict[int, int] = {}  # raw colour fields -> the same renumbered
     sid = 0
     while sid < len(states):  # ids are handed out in discovery order: breadth-first
         key = states[sid]
@@ -139,6 +143,7 @@ def solve_eternal(
         cols = [key >> s & cmask for s in shifts]
         if color_symmetry:
             tops = list(accumulate(cols, max, initial=0))  # tops[v]: largest colour before v
+            raw = key & colour_fields
         flipped = key ^ mover_bit
         m = full & ~played
         while m:
@@ -165,14 +170,19 @@ def solve_eternal(
                 old = cols[v]
                 keep = tops[v] + 1 if old <= tops[v] else 0
                 uncoloured = base >> pshift << pshift
+                raw_v = raw - (old << s)
             while legal:
                 cbit = legal & -legal
                 legal ^= cbit
                 c = cbit.bit_length() - 1
                 if color_symmetry and c > keep:
-                    cols[v] = c
-                    child = uncoloured | _relabelled(cols, shifts, k)
-                    cols[v] = old
+                    fields = raw_v | c << s
+                    renumbered = relabelled.get(fields)
+                    if renumbered is None:
+                        cols[v] = c
+                        renumbered = relabelled[fields] = _relabelled(cols, shifts, k)
+                        cols[v] = old
+                    child = uncoloured | renumbered
                 else:
                     child = base | c << s
                 tid = index.get(child)
@@ -202,20 +212,19 @@ def solve_eternal(
 
     rank: list[Optional[int]] = [None] * (num + 1)
     rank[0] = 0
-    remaining = [0] + [b - a for a, b in zip(start, start[1:])]  # Alice: moves not yet attracted
+    # Hits a node still needs: Alice's node falls once all its moves are
+    # attracted, Bob's at the first.  A node falls when its count reaches 0;
+    # later hits take it below 0, so it never falls twice.
+    remaining = [0] + [1 if key & mover_bit else b - a for a, b, key in zip(start, start[1:], states)]
     queue = deque([0])
     while queue:
         t = queue.popleft()
         r = rank[t] + 1
         for u in pred[pstart[t]:pstart[t + 1]]:
-            if rank[u] is not None:
-                continue
-            if not states[u - 1] & mover_bit:
-                remaining[u] -= 1
-                if remaining[u]:
-                    continue
-            rank[u] = r
-            queue.append(u)
+            remaining[u] -= 1
+            if not remaining[u]:
+                rank[u] = r
+                queue.append(u)
 
     return SolveResult(
         winner=Player.ALICE if rank[1] is None else Player.BOB,

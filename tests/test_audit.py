@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eternal_coloring import audit
 from eternal_coloring.audit import (
     AuditParams,
     audit_graph,
@@ -26,6 +27,21 @@ def _direct_tails(n, p, eps):
     hi, lo = math.ceil((p + eps) * n), math.floor((p - eps) * n)
     term = lambda j: Fraction(math.comb(n, j) * num**j * (den - num) ** (n - j), den**n)
     return sum(term(j) for j in range(max(hi, 0), n + 1)), sum(term(j) for j in range(0, lo + 1))
+
+
+def _reference_hoeffding(n, p, eps):
+    """hoeffding_check's verdict from the direct tails, compared as Fractions."""
+    upper, lower = _direct_tails(n, p, eps)
+    bound = math.exp(-2 * float(eps) ** 2 * n)
+    for decided_by, cut in (("certified", math.nextafter(bound, 0.0)), ("float_fallback", bound)):
+        holds = upper <= Fraction(cut) and lower <= Fraction(cut)
+        if holds:
+            break
+    return {"exact_upper": upper, "exact_lower": lower, "bound": bound, "holds": holds, "decided_by": decided_by}
+
+
+_TAIL_GRID_NP = [(n, Fraction(a, b)) for n in (0, 1, 9, 24) for a, b in ((1, 3), (1, 2), (7, 10))]
+_TAIL_GRID_EPS = [Fraction(0), Fraction(1, 20), Fraction(1, 6), Fraction(9, 20), Fraction(3, 2)]
 
 
 class TestDegreeBounds:
@@ -191,6 +207,42 @@ class TestHoeffding:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             hoeffding_check(10**5, Fraction(1, 2), Fraction(1, 10))
+
+    @pytest.mark.parametrize(
+        "n, p, eps, name",
+        [
+            (-3, Fraction(1, 2), Fraction(1, 10), "n"),
+            (10, Fraction(3, 2), Fraction(1, 10), "p"),
+            (10, Fraction(-1, 2), Fraction(1, 10), "p"),
+            (10, Fraction(1, 2), Fraction(-1, 10), "epsilon"),
+        ],
+    )
+    def test_out_of_range_input_is_rejected(self, n, p, eps, name):
+        for check in (hoeffding_check, exact_binomial_tails):
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                check(n, p, eps)
+
+    @pytest.mark.parametrize("order", ["epsilon_innermost", "np_innermost", "interleaved"])
+    def test_shared_term_table_in_any_call_order(self, order):
+        points = [(n, p, eps) for n, p in _TAIL_GRID_NP for eps in _TAIL_GRID_EPS]
+        if order == "np_innermost":
+            points = [(n, p, eps) for eps in _TAIL_GRID_EPS for n, p in _TAIL_GRID_NP]
+        elif order == "interleaved":
+            points = points[::2] + points[1::2][::-1]
+        before = audit._tail_numerators.cache_info().hits
+        for n, p, eps in points:
+            assert exact_binomial_tails(n, p, eps) == _direct_tails(n, p, eps), (order, n, p, eps)
+        hits = audit._tail_numerators.cache_info().hits - before
+        if order == "epsilon_innermost":  # every (n, p) builds its table once
+            assert hits == len(points) - len(_TAIL_GRID_NP)
+        elif order == "np_innermost":  # one entry: a pass over (n, p) starts on a miss
+            assert hits == 0
+
+    def test_integer_comparison_matches_fraction_comparison(self):
+        for n in (0, 1, 5, 10, 37, 80):
+            for p in (Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
+                for eps in (Fraction(0), Fraction(1, 100), Fraction(1, 20), Fraction(1, 5), Fraction(9, 20)):
+                    assert hoeffding_check(n, p, eps) == _reference_hoeffding(n, p, eps), (n, p, eps)
 
 
 class TestAuditGraph:

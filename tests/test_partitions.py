@@ -59,6 +59,18 @@ def P(*blocks):
     return canonical_partition(blocks)
 
 
+def _reference_identity(k: int, l: int, form: str) -> dict:
+    """The identity checked pair by pair: one Fraction weight per (A, T)."""
+    parts = enumerate_partitions(l)
+    p = Fraction(1, k)
+    report = {}
+    for size in range(1, l + 1):
+        for A in map(frozenset, combinations(range(l), size)):
+            total = sum((partition_weight(T, k, l, form) for T in parts if A in T), Fraction(0))
+            report[A] = total == p**size * (1 - p) ** (l - size)
+    return report
+
+
 class TestEnumeration:
     def test_counts_match_bell_numbers(self):
         assert len(enumerate_partitions(1)) == 1
@@ -144,6 +156,13 @@ class TestWeightIdentity:
     def test_display_form_fails_at_k2_l3(self):
         report = weight_identity_check(2, 3, form="display")
         assert not all(report.values())
+
+    @pytest.mark.parametrize("form", ["proof", "display"])
+    def test_matches_the_pairwise_sum(self, form):
+        for k in range(2, 7):
+            for l in range(1, 8):
+                report, expected = weight_identity_check(k, l, form), _reference_identity(k, l, form)
+                assert list(report.items()) == list(expected.items()), (k, l, form)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from eternal_coloring.engine import Player, RuleVariant, legal_mask, play_game
+from eternal_coloring.engine import GameState, Player, RuleVariant, legal_mask, play_game
 from eternal_coloring.graph import Graph, GnpSpec, gnp_generate, iter_bits, make_named
 from eternal_coloring.solver import (
     SolverInfeasible,
@@ -197,6 +197,14 @@ class TestSolveEternal:
     def test_color_symmetry_rejected_for_greedy_variants(self):
         with pytest.raises(ValueError):
             solve_eternal(make_named("path", 3), 2, RuleVariant.GREEDY_BOB, color_symmetry=True)
+
+    def test_palette_below_one_rejected(self):
+        # the engine's own message: no solve may yield a witness it cannot replay
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="^k must be >= 1$"):
+                solve_eternal(make_named("star", 2), k)
+            with pytest.raises(ValueError, match="^k must be >= 1$"):
+                GameState(make_named("star", 2), k)
 
 
 class TestChromaticScan:
