@@ -151,7 +151,12 @@ def build_graph(spec: dict, seed: Optional[int] = None) -> Graph:
     kind = spec.get("kind")
     if kind not in ("gnp", "star", "path", "cycle", "complete", "empty"):
         raise ConfigError(f"unknown graph kind {kind!r}")
-    for key, value_kind in ({"n": int, "p": float} if kind == "gnp" else {"size": int}).items():
+    needed = {"n": int, "p": float} if kind == "gnp" else {"size": int}
+    allowed = {"kind", "seed", *needed} if kind == "gnp" else {"kind", *needed}
+    unknown = set(spec) - allowed
+    if unknown:
+        raise ConfigError(f"unknown keys for graph kind {kind!r}: {sorted(unknown)}")
+    for key, value_kind in needed.items():
         if key not in spec:
             raise ConfigError(f"graph kind {kind!r} needs {key!r}")
         _check_type(f"graph {key}", spec[key], value_kind)

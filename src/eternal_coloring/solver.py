@@ -74,12 +74,14 @@ def _target_shift(n: int, k: int) -> int:
     return k.bit_length() + n.bit_length()
 
 
-def _relabelled(colors: list, shifts: list, k: int) -> int:
-    """Colour fields of `colors`, colours renamed 1, 2, ... by first appearance."""
+def _relabelled(fields: int, shifts: list, k: int) -> int:
+    """The colour fields `fields`, colours renamed 1, 2, ... by first appearance."""
+    cmask = (1 << k.bit_length()) - 1
     label = [0] * (k + 1)
     nxt = 1
     key = 0
-    for c, s in zip(colors, shifts):
+    for s in shifts:
+        c = fields >> s & cmask
         if c:
             lab = label[c]
             if not lab:
@@ -133,7 +135,8 @@ def solve_eternal(
     states = [initial]
     moves: list[int] = []
     start = [0]
-    relabelled: dict[int, int] = {}  # raw colour fields -> the same renumbered
+    relabelled: dict[int, int] = {}  # child colour fields -> the same renumbered
+    trivial = [k] * n  # no colour exceeds tops[v], so no child is renumbered
     sid = 0
     while sid < len(states):  # ids are handed out in discovery order: breadth-first
         key = states[sid]
@@ -141,9 +144,8 @@ def solve_eternal(
         played = key >> pshift & full
         greedy = greedy_for[key >> pshift + n & 1]
         cols = [key >> s & cmask for s in shifts]
-        if color_symmetry:
-            tops = list(accumulate(cols, max, initial=0))  # tops[v]: largest colour before v
-            raw = key & colour_fields
+        # tops[v]: the largest colour before v, under colour symmetry
+        tops = list(accumulate(cols, max, initial=0)) if color_symmetry else trivial
         flipped = key ^ mover_bit
         m = full & ~played
         while m:
@@ -158,33 +160,28 @@ def solve_eternal(
                 moves.append(v << width)
                 continue
             s = shifts[v]
+            old = cols[v]
             # the child keys minus v's colour field: v cleared and played, mover flipped
-            base = flipped - (cols[v] << s) + (low << pshift)
+            base = flipped - (old << s) + (low << pshift)
             if played | low == full:
                 base = base - (full << pshift) | phase_bit
-            if color_symmetry:
-                # The state's colours are numbered by first appearance.  A child
-                # whose c is at most keep is numbered so too; keep is 0 when v
-                # holds the first appearance of its old colour, which may be
-                # what numbers the colours after v.
-                old = cols[v]
-                keep = tops[v] + 1 if old <= tops[v] else 0
-                uncoloured = base >> pshift << pshift
-                raw_v = raw - (old << s)
+            # The state's colours are numbered by first appearance.  A child
+            # whose c is at most keep is numbered so too; keep is 0 when v
+            # holds the first appearance of its old colour, which may be what
+            # numbers the colours after v.
+            top = tops[v]
+            keep = top + 1 if old <= top else 0
             while legal:
                 cbit = legal & -legal
                 legal ^= cbit
                 c = cbit.bit_length() - 1
-                if color_symmetry and c > keep:
-                    fields = raw_v | c << s
+                child = base | c << s
+                if c > keep:
+                    fields = child & colour_fields
                     renumbered = relabelled.get(fields)
                     if renumbered is None:
-                        cols[v] = c
-                        renumbered = relabelled[fields] = _relabelled(cols, shifts, k)
-                        cols[v] = old
-                    child = uncoloured | renumbered
-                else:
-                    child = base | c << s
+                        renumbered = relabelled[fields] = _relabelled(fields, shifts, k)
+                    child ^= fields ^ renumbered
                 tid = index.get(child)
                 if tid is None:
                     tid = len(states)

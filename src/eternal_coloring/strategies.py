@@ -368,9 +368,6 @@ class TargetBob(Strategy):
 
     # -- round-1 helpers ----------------------------------------------------
 
-    def _inside(self, state: GameState, c: int) -> bool:
-        return bool(state.color_pos[c] & self.target_mask)
-
     def _smallest_unused(self, state: GameState) -> Optional[int]:
         for c in range(1, self.k + 1):
             if not state.color_pos[c]:
@@ -420,14 +417,16 @@ class TargetBob(Strategy):
         `seen_pairs` or the drop log.
         """
         dist, closed = self.params.block_distance, self.graph.closed
-        colors, pos, target = state.colors, state.color_pos, self.target_mask
+        # seen[t] holds the colours inside N[target] (never bit 0, uncoloured);
+        # it is read at each test, since play changes it between yields
+        colors, seen, t = state.colors, state.seen, self.target
         miss = [u_mask & ~c for c in closed]  # miss[x] = u minus N[x]
         seen_pairs = self.seen_pairs
         while rest:
             low = rest & -rest
             rest ^= low  # rest = unplayed vertices above a
             a = low.bit_length() - 1
-            if colors[a] and pos[colors[a]] & target:
+            if seen[t] >> colors[a] & 1:
                 continue
             if gone is None:
                 cand = rest
@@ -449,7 +448,7 @@ class TargetBob(Strategy):
                 if (miss_a & miss[b]).bit_count() <= dist and (a, b) not in seen_pairs:
                     seen_pairs.add((a, b))
                     yield from self._block_moves(state, a, b)
-                    if colors[a] and pos[colors[a]] & target:
+                    if seen[t] >> colors[a] & 1:
                         break
 
     def _block_moves(self, state: GameState, a: int, b: int) -> Iterator[tuple[int, int]]:
@@ -462,7 +461,9 @@ class TargetBob(Strategy):
         and is logged as a drop.  The sequence resumes on the same `state`,
         which play mutates in place.
         """
-        inside, target = self._inside, self.target_mask
+        # colour c is inside N[target] iff seen[t] >> c & 1, read at each test:
+        # play changes seen[t] between yields
+        seen, t, target = state.seen, self.target, self.target_mask
         c_a = state.colors[a]
         if not c_a:
             c_a = self._smallest_unused(state)
@@ -470,17 +471,17 @@ class TargetBob(Strategy):
                 self._log_drop(a, b, "no unused colour for a")
                 return
             yield a, c_a
-        elif inside(state, c_a):  # a was neutralized by a colour already in the target
+        elif seen[t] >> c_a & 1:  # a was neutralized by a colour already in the target
             self._log_drop(a, b, "a coloured inside-target colour")
             return
         # If Alice played b with a colour missing from the target, that colour
         # goes in first, c_a next, and the sequence ends there.
         col_b, b_first = state.colors[b], None
-        if col_b and not inside(state, c_a) and not inside(state, col_b):
+        if col_b and not seen[t] >> c_a & 1 and not seen[t] >> col_b & 1:
             b_first = uncolored_taking(state, target, col_b)
             if b_first is not None:
                 yield b_first, col_b
-        if not inside(state, c_a):
+        if not seen[t] >> c_a & 1:
             u = uncolored_taking(state, target, c_a)
             if u is None:
                 self._log_drop(a, b, "c_a not introducible")
@@ -496,7 +497,7 @@ class TargetBob(Strategy):
                 self._log_drop(a, b, "no unused colour for b")
                 return
             yield b, c_b
-        if inside(state, c_b):
+        if seen[t] >> c_b & 1:
             return
         u = uncolored_taking(state, target, c_b)
         if u is None:

@@ -37,7 +37,7 @@ def _reference_hoeffding(n, p, eps):
         holds = upper <= Fraction(cut) and lower <= Fraction(cut)
         if holds:
             break
-    return {"exact_upper": upper, "exact_lower": lower, "bound": bound, "holds": holds, "decided_by": decided_by}
+    return {"bound": bound, "holds": holds, "decided_by": decided_by}
 
 
 _TAIL_GRID_NP = [(n, Fraction(a, b)) for n in (0, 1, 9, 24) for a, b in ((1, 3), (1, 2), (7, 10))]
@@ -154,13 +154,13 @@ class TestBlockSets:
 class TestHoeffding:
     def test_known_small_case(self):
         result = hoeffding_check(10, Fraction(1, 2), Fraction(1, 5))
-        assert result["exact_upper"] == Fraction(176, 1024)
+        assert exact_binomial_tails(10, Fraction(1, 2), Fraction(1, 5))[0] == Fraction(176, 1024)
         assert math.isclose(result["bound"], math.exp(-0.8))
         assert result["holds"]
 
     def test_threshold_beyond_n_gives_zero_tail(self):
         result = hoeffding_check(20, Fraction(1, 2), Fraction(3, 5))
-        assert result["exact_upper"] == 0
+        assert exact_binomial_tails(20, Fraction(1, 2), Fraction(3, 5))[0] == 0
         assert result["holds"]
 
     def test_zero_epsilon_bound_is_one(self):
@@ -201,8 +201,13 @@ class TestHoeffding:
         # a tail of exactly 1 against exp(0) = 1: the float just below 1 fails,
         # and the float 1.0 itself, exact here, decides the check
         result = hoeffding_check(5, Fraction(0), Fraction(0))
-        assert result["exact_lower"] == 1 and result["bound"] == 1.0
+        assert exact_binomial_tails(5, Fraction(0), Fraction(0))[1] == 1 and result["bound"] == 1.0
         assert result["holds"] and result["decided_by"] == "float_fallback"
+
+    def test_result_is_the_verdict_only(self):
+        # the exact tails come from exact_binomial_tails alone
+        result = hoeffding_check(10, Fraction(1, 2), Fraction(1, 5))
+        assert set(result) == {"holds", "decided_by", "bound"}
 
     def test_size_cap(self):
         with pytest.raises(ValueError):

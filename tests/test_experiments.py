@@ -191,6 +191,10 @@ class TestBuilders:
         assert build_graph({"kind": "gnp", "n": 10, "p": 0.5, "seed": 1}).n == 10
         with pytest.raises(ConfigError):
             build_graph({"kind": "torus", "size": 3})
+        # a key the kind does not read is a typo, not a default
+        for spec, key in (({"kind": "gnp", "n": 8, "p": 0.5, "sead": 3}, "sead"), ({"kind": "star", "size": 3, "n": 9}, "n")):
+            with pytest.raises(ConfigError, match=rf"^unknown keys for graph kind '{spec['kind']}': \['{key}'\]$"):
+                build_graph(spec)
 
     def test_partial_params_overlay_defaults(self):
         g = make_named("star", 100)
@@ -337,7 +341,7 @@ _FUZZ_CONFIG_FIELDS = {
         {"kind": "gnp", "n": 3, "p": 1, "seed": 5}, {"kind": "gnp", "n": 4, "p": 1.5}, {"kind": "gnp", "n": "4", "p": 0.5},
         {"kind": "gnp", "n": 3, "p": 0.5, "seed": "x"}, {"kind": "gnp", "n": 0, "p": 0.5},
         {"kind": "star"}, {"kind": "star", "size": 0}, {"kind": "star", "size": 2.5}, {"kind": "star", "size": True},
-        {"kind": "torus", "size": 2}, {"kind": []},
+        {"kind": "torus", "size": 2}, {"kind": []}, {"kind": "gnp", "n": 8, "p": 0.5, "sead": 3}, {"kind": "star", "size": 3, "n": 9},
         [], "star:3", None,
     ],
     "k_range": [[2], [1, 3], [], [0], [2.5], ["2"], [True], 5, "12", {"min": 1, "max": 3}, {"min": "1", "max": 2}, {"min": 1},

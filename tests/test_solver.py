@@ -1,6 +1,7 @@
 """Exact solver: attractor computation, chromatic scans, witnesses, one-round game."""
 
 from collections import deque
+from functools import lru_cache
 
 import pytest
 
@@ -134,13 +135,23 @@ _LOCKSTEP_GRAPHS = (
 _LOCKSTEP_RULES = [(variant, False) for variant in RuleVariant] + [(RuleVariant.STANDARD, True)]
 
 
+@lru_cache(maxsize=None)
+def _default_solve(graph, k):
+    """solve_eternal(graph, k), solved once per session and shared by the
+    tests that need it: a SolveResult is read-only once built."""
+    return solve_eternal(graph, k)
+
+
 class TestLockstepOracle:
     @pytest.mark.parametrize("variant, symmetric", _LOCKSTEP_RULES, ids=lambda r: getattr(r, "value", r))
     def test_tables_match_the_tuple_keyed_reference(self, variant, symmetric):
         for graph in _LOCKSTEP_GRAPHS:
             for k in range(1, 5):
                 where = (graph.n, sorted(graph.edges()), k, variant, symmetric)
-                res = solve_eternal(graph, k, variant, color_symmetry=symmetric)
+                if (variant, symmetric) == (RuleVariant.STANDARD, False):
+                    res = _default_solve(graph, k)
+                else:
+                    res = solve_eternal(graph, k, variant, color_symmetry=symmetric)
                 winner, states, moves, in_attr, rank = _reference_solve(graph, k, variant, symmetric)
                 assert res.winner is winner and res.states_explored == len(states), where
                 assert _decoded(res) == (states, moves, in_attr, rank), where
@@ -351,7 +362,7 @@ class TestOneRound:
         one_round_bob = eternal_only = 0
         for graph in _LOCKSTEP_GRAPHS:
             for k in range(1, 5):
-                eternal = solve_eternal(graph, k).winner
+                eternal = _default_solve(graph, k).winner
                 if solve_one_round(graph, k) is Player.BOB:
                     assert eternal is Player.BOB, (graph.n, sorted(graph.edges()), k)
                     one_round_bob += 1

@@ -456,7 +456,11 @@ class _BlockObligation:
 
     def step(self, bob, state):
         """Next move of the sequence, or None when finished/dropped."""
-        colors, inside = state.colors, bob._inside
+        colors = state.colors
+
+        def inside(state, c):  # read from color_pos, independent of bob's seen[target] test
+            return bool(state.color_pos[c] & bob.target_mask)
+
         while True:
             if self.phase == "done" or not bob.target_mask & state.color_pos[0]:
                 return None
