@@ -123,7 +123,7 @@ def _dispatch(args) -> int:
         variant = RuleVariant(args.variant)
         if args.k is not None:
             res = solve_eternal(graph, args.k, variant, state_cap=args.state_cap)
-            print(json.dumps({"winner": res.winner.value, "statesExplored": res.states_explored}))
+            print(json.dumps({"winner": res.winner.value, "statesExplored": res.states_explored, "maxRank": res.max_rank}))
         else:
             scan = eternal_game_chromatic_number(graph, variant, state_cap=args.state_cap)
             print(

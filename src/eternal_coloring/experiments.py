@@ -78,6 +78,8 @@ class ExperimentConfig:
             _check_type(name, getattr(self, name), kind)
         if self.output is not None:
             _check_type("output", self.output, str)
+        if self.fresh_graph and self.graph.get("kind") == "gnp" and "seed" in self.graph:
+            raise ConfigError("a gnp graph 'seed' plays every trial on one graph; it needs 'fresh_graph': false")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.max_rounds < 1:

@@ -14,10 +14,19 @@ bit (0 = Alice) and the phase bit (0 = first round, 1 = any later round).
 A move is one int too: target id + 1, vertex v and colour c, from the high
 field down (see ``_target_shift``).  Target id -1, with c = 0, is a stuck
 vertex: Bob's win.
+
+The move table and its per-state offsets are ``array("q")`` buffers, 8 bytes
+a move rather than a pointer to a separately allocated int.  Under the
+default state cap no move int reaches 2^63: that takes 2^(63 - tshift)
+states, over 10^8 while k < 2^28, and the cap refuses any larger k.  Which
+colours are legal at a vertex depends only on the colouring and on whether
+the mover plays greedily, so a solve computes each colouring's legal masks
+once, not once per position.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
@@ -46,9 +55,14 @@ class SolveResult:
     # _rank is indexed by node = state id + 1: a node's attractor rank, None
     # outside Bob's attractor; node 0 is the stuck-vertex sink, of rank 0
     _rank: list
-    _moves: list  # move ints of every state in turn, each by v, then c ascending
-    _start: list  # state s owns _moves[_start[s]:_start[s + 1]]
+    _moves: array  # array("q") of the move ints of every state in turn, each by v, then c ascending
+    _start: array  # array("q"): state s owns _moves[_start[s]:_start[s + 1]]
     _canonical: bool = False
+
+    @property
+    def max_rank(self) -> int:
+        """The deepest attractor rank; 0 when only the stuck-vertex sink is ranked."""
+        return max(r for r in self._rank if r is not None)
 
     def witness_strategy(self, player: Player) -> "WitnessStrategy":
         return WitnessStrategy(self, player)
@@ -133,44 +147,58 @@ def solve_eternal(
     initial = _pack([0] * n, 0, ALICE, 0, k)
     index: dict[int, int] = {initial: 0}
     states = [initial]
-    moves: list[int] = []
-    start = [0]
+    moves = array("q")
+    start = array("q", [0])
+    # legality rows, one per colouring: (legal masks by vertex, keep bounds
+    # by vertex), keyed by the colour fields with the greedy flag at the
+    # played field's low bit
+    rows: dict[int, tuple] = {}
     relabelled: dict[int, int] = {}  # child colour fields -> the same renumbered
-    trivial = [k] * n  # no colour exceeds tops[v], so no child is renumbered
+    trivial = (k + 1,) * n  # no colour exceeds k, so no child is renumbered
+    clear = [~(cmask << s) for s in shifts]  # clear[v]: every bit but v's colour field
     sid = 0
     while sid < len(states):  # ids are handed out in discovery order: breadth-first
         key = states[sid]
         sid += 1
         played = key >> pshift & full
         greedy = greedy_for[key >> pshift + n & 1]
-        cols = [key >> s & cmask for s in shifts]
-        # tops[v]: the largest colour before v, under colour symmetry
-        tops = list(accumulate(cols, max, initial=0)) if color_symmetry else trivial
+        colouring = key & colour_fields | greedy << pshift
+        row = rows.get(colouring)
+        if row is None:
+            cols = [key >> s & cmask for s in shifts]
+            legal_of = []
+            for v in range(n):
+                seen = 0
+                for u in closed[v]:
+                    seen |= 1 << cols[u]  # bit 0 (uncoloured) lies outside the palette
+                legal_of.append(legal_mask(seen, palette, greedy))
+            # The colours are numbered by first appearance under colour
+            # symmetry.  A child whose new colour at v is at most keep[v] is
+            # numbered so too; keep[v] is 0 when v holds the first appearance
+            # of its colour, which may be what numbers the colours after v.
+            if color_symmetry:
+                tops = accumulate(cols, max, initial=0)  # the largest colour before v
+                keep = tuple(top + 1 if old <= top else 0 for old, top in zip(cols, tops))
+            else:
+                keep = trivial
+            row = rows[colouring] = (tuple(legal_of), keep)
+        legal_of, keep_of = row
         flipped = key ^ mover_bit
         m = full & ~played
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
-            seen = 0
-            for u in closed[v]:
-                seen |= 1 << cols[u]  # bit 0 (uncoloured) lies outside the palette
-            legal = legal_mask(seen, palette, greedy)
+            legal = legal_of[v]
             if not legal:
                 moves.append(v << width)
                 continue
             s = shifts[v]
-            old = cols[v]
             # the child keys minus v's colour field: v cleared and played, mover flipped
-            base = flipped - (old << s) + (low << pshift)
+            base = flipped & clear[v] | low << pshift
             if played | low == full:
                 base = base - (full << pshift) | phase_bit
-            # The state's colours are numbered by first appearance.  A child
-            # whose c is at most keep is numbered so too; keep is 0 when v
-            # holds the first appearance of its old colour, which may be what
-            # numbers the colours after v.
-            top = tops[v]
-            keep = top + 1 if old <= top else 0
+            keep = keep_of[v]
             while legal:
                 cbit = legal & -legal
                 legal ^= cbit

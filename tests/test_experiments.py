@@ -144,6 +144,15 @@ class TestConfig:
             with pytest.raises(ConfigError, match="repeats"):
                 ExperimentConfig.from_json_obj(obj)
 
+    def test_seeded_gnp_needs_one_shared_graph(self):
+        # a seeded gnp graph is one graph, which a fresh graph per trial contradicts
+        obj = _single_vertex_config(2, trials=3).to_json_obj()
+        obj["graph"] = {"kind": "gnp", "n": 8, "p": 0.5, "seed": 3}
+        with pytest.raises(ConfigError, match="^a gnp graph 'seed' .*'fresh_graph': false$"):
+            ExperimentConfig.from_json_obj(obj)
+        obj["fresh_graph"] = False
+        assert len(run_experiment(ExperimentConfig.from_json_obj(obj))) == 3
+
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
             _single_vertex_config(2, trials=0)
@@ -401,7 +410,15 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["winner"] == "alice"
         # beyond the old a-priori estimate (2.7e8 > the default cap), yet small
         assert main(["solve", "--graph", "star:8", "--variant", "greedy_both", "--k", "3"]) == 0
-        assert json.loads(capsys.readouterr().out) == {"winner": "bob", "statesExplored": 6897}
+        assert json.loads(capsys.readouterr().out) == {"winner": "bob", "statesExplored": 6897, "maxRank": 20}
+
+    def test_solve_reports_the_deepest_attractor_rank(self, capsys):
+        # only the sink is ranked when Alice wins
+        assert main(["solve", "--graph", "empty:1", "--k", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["maxRank"] == 0
+        # one colour: Alice colours the vertex at the start (rank 2), and cannot recolour it in round 2 (rank 1)
+        assert main(["solve", "--graph", "empty:1", "--k", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"winner": "bob", "statesExplored": 2, "maxRank": 2}
 
     def test_solve_scan(self, capsys):
         assert main(["solve", "--graph", "star:5", "--variant", "greedy_both"]) == 0
@@ -440,6 +457,18 @@ class TestCli:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, argv
+
+    def test_seeded_gnp_with_fresh_graphs_exit_code(self, tmp_path, capsys):
+        config = _single_vertex_config(2).to_json_obj()
+        config["graph"] = {"kind": "gnp", "n": 4, "p": 0.5, "seed": 1}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        for argv in (["threshold", "--config", str(path)], ["experiment", "--config", str(path), "--out", str(tmp_path / "run")]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, argv
+            assert "'seed'" in err and "'fresh_graph'" in err, argv
+        assert not (tmp_path / "run").exists()  # refused before any output is made
 
     def test_bad_params_exit_code(self, tmp_path, capsys):
         path = tmp_path / "config.json"

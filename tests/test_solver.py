@@ -1,5 +1,7 @@
 """Exact solver: attractor computation, chromatic scans, witnesses, one-round game."""
 
+import gc
+import tracemalloc
 from collections import deque
 from functools import lru_cache
 
@@ -197,6 +199,22 @@ class TestSolveEternal:
         ]:
             res = solve_eternal(make_named(kind, size), k, variant)
             assert attractor_is_fixed_point(res), (kind, size, k, variant)
+
+    def test_retained_bytes_per_state(self):
+        # 145 B a state with 8-byte array("q") moves and offsets; lists of
+        # boxed move ints, at 36 B a move, retained 276
+        graph = make_named("star", 4)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = solve_eternal(graph, 4, RuleVariant.GREEDY_BOB)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert res.states_explored == 18078
+        assert retained / res.states_explored < 200
 
     def test_color_symmetry_preserves_winner(self):
         for kind, size, k in [("star", 3, 2), ("star", 3, 3), ("path", 3, 2), ("path", 4, 3)]:
