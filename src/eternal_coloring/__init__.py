@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .engine import GameOutcome, GameState, Player, RuleVariant, apply_move, legal_colors, play_game
-from .graph import Graph, GnpSpec, closed_neighborhood, gnp_generate, make_named
+from .graph import Graph, GnpSpec, gnp_generate, make_named
 
 __all__ = [
     "Graph",
@@ -13,7 +13,6 @@ __all__ = [
     "Player",
     "RuleVariant",
     "apply_move",
-    "closed_neighborhood",
     "gnp_generate",
     "legal_colors",
     "make_named",

@@ -21,6 +21,7 @@ from .experiments import (
     estimate_threshold,
     preflight_output,
     run_experiment,
+    trial_graph,
 )
 from .solver import SolverInfeasible, eternal_game_chromatic_number, solve_eternal
 
@@ -152,6 +153,9 @@ def _dispatch(args) -> int:
         out_dir = args.out or config.output
         if not out_dir:
             raise ConfigError("no output directory (use --out or config 'output')")
+        first_graph = trial_graph(config, 0)  # strategy specs are checked before any output is made
+        for spec in (config.alice, config.bob):
+            build_strategy(spec, first_graph, min(config.k_range))
         preflight_output(out_dir)
         records = run_experiment(config)
         paths = emit_outputs(records, config, out_dir)

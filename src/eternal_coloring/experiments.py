@@ -262,18 +262,23 @@ def run_trial(config: ExperimentConfig, graph: Graph, k: int, trial: int) -> Tri
     )
 
 
+def trial_graph(config: ExperimentConfig, trial: int) -> Graph:
+    """The graph a trial plays on: its own under fresh_graph, else the one shared graph."""
+    seed = derive_seed(config.master_seed, trial, "graph") if config.fresh_graph else derive_seed(config.master_seed, "graph")
+    return build_graph(config.graph, seed=seed)
+
+
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     """One record per (k, trial) cell; fully deterministic from the config."""
     records: list[TrialRecord] = []
-    shared_graph = None if config.fresh_graph else build_graph(config.graph, seed=derive_seed(config.master_seed, "graph"))
+    shared_graph = None if config.fresh_graph else trial_graph(config, 0)
     graphs: dict[int, Graph] = {}
     for k in sorted(config.k_range):
         for trial in range(config.trials):
             if config.fresh_graph:
                 graph = graphs.get(trial)
                 if graph is None:
-                    graph = build_graph(config.graph, seed=derive_seed(config.master_seed, trial, "graph"))
-                    graphs[trial] = graph
+                    graph = graphs[trial] = trial_graph(config, trial)
             else:
                 graph = shared_graph
             records.append(run_trial(config, graph, k, trial))

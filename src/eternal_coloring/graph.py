@@ -122,13 +122,6 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def closed_neighborhood(g: Graph, v: int) -> set[int]:
-    """{v} together with its neighbours (the convention used throughout)."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return set(g.closed_list[v])
-
-
 def gnp_generate(spec: GnpSpec) -> Graph:
     """Sample G(n,p) deterministically from the spec.
 

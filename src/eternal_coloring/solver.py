@@ -50,8 +50,7 @@ class SolveResult:
     graph: Graph
     k: int
     variant: RuleVariant
-    _index: dict  # position key -> state id
-    _states: list  # state id -> position key
+    _states: list  # state id -> position key; a witness builds the reverse lookup it needs
     # _rank is indexed by node = state id + 1: a node's attractor rank, None
     # outside Bob's attractor; node 0 is the stuck-vertex sink, of rank 0
     _rank: list
@@ -219,21 +218,25 @@ def solve_eternal(
                     states.append(child)
                 moves.append((tid + 1) << tshift | v << width | c)
         start.append(len(moves))
+    del index, rows, relabelled  # exploration only: free them before the attractor's tables
 
     num = len(states)
     # Backward fixed point over nodes t = state id + 1, from the sink t = 0.
-    # Node t's predecessors are pred[pstart[t]:pstart[t + 1]], in move order.
+    # Node t's predecessors are pred[pstart[t]:pstart[t + 1]], in reverse
+    # move order: each block is filled from its end.  A rank is 1 + the
+    # least (Bob) or greatest (Alice) rank among the successors, so the
+    # order does not matter.
     pstart = [0] * (num + 2)
     for mv in moves:
-        pstart[(mv >> tshift) + 1] += 1
-    pstart = list(accumulate(pstart))
-    fill = pstart[:]
+        pstart[mv >> tshift] += 1
+    pstart = list(accumulate(pstart))  # pstart[t]: the end of t's block
     pred = [0] * len(moves)
     for u in range(1, num + 1):
         for mv in moves[start[u - 1]:start[u]]:
             t = mv >> tshift
-            pred[fill[t]] = u
-            fill[t] += 1
+            i = pstart[t] - 1
+            pred[i] = u
+            pstart[t] = i
 
     rank: list[Optional[int]] = [None] * (num + 1)
     rank[0] = 0
@@ -257,7 +260,6 @@ def solve_eternal(
         graph=graph,
         k=k,
         variant=variant,
-        _index=index,
         _states=states,
         _rank=rank,
         _moves=moves,
@@ -292,6 +294,7 @@ class WitnessStrategy(Strategy):
             raise ValueError("witness extraction needs a solve without colour-symmetry reduction")
         self.result = result
         self.player = player
+        self._index = {key: sid for sid, key in enumerate(result._states)}  # position key -> state id
 
     def reset(self, graph, k, variant, seed=None):
         if graph != self.result.graph or k != self.result.k or variant is not self.result.variant:
@@ -300,7 +303,7 @@ class WitnessStrategy(Strategy):
     def select(self, state: GameState):
         res = self.result
         mover = ALICE if state.to_move is Player.ALICE else BOB
-        sid = res._index.get(_pack(state.colors, state.played, mover, 0 if state.round == 1 else 1, res.k))
+        sid = self._index.get(_pack(state.colors, state.played, mover, 0 if state.round == 1 else 1, res.k))
         if sid is None:
             raise RuntimeError("position not in solved table (unreachable under the rules?)")
         rank = res._rank

@@ -470,6 +470,16 @@ class TestCli:
             assert "'seed'" in err and "'fresh_graph'" in err, argv
         assert not (tmp_path / "run").exists()  # refused before any output is made
 
+    def test_bad_strategy_spec_makes_no_output_dir(self, tmp_path, capsys):
+        config = _single_vertex_config(2).to_json_obj()
+        config["bob"] = {"name": "nobody"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: unknown strategy 'nobody'\n"
+        assert not (tmp_path / "run").exists()  # refused before any output is made
+
     def test_bad_params_exit_code(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         for bob in (

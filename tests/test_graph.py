@@ -6,13 +6,19 @@ from hypothesis import given, settings, strategies as st
 from eternal_coloring.graph import (
     GnpSpec,
     Graph,
-    closed_neighborhood,
     derive_seed,
     gnp_generate,
     iter_bits,
     make_named,
     mask_of,
 )
+
+
+def closed_neighborhood(g: Graph, v: int) -> set[int]:
+    """{v} together with its neighbours (the convention used throughout)."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    return set(g.closed_list[v])
 
 
 class TestGnp:

@@ -158,7 +158,9 @@ class TestLockstepOracle:
                 assert res.winner is winner and res.states_explored == len(states), where
                 assert _decoded(res) == (states, moves, in_attr, rank), where
                 assert res._rank[0] == 0, where
-                assert all(res._index[key] == sid for sid, key in enumerate(res._states)), where
+                if not symmetric:  # only a plain solve has a witness, which owns the key lookup
+                    lookup = res.witness_strategy(res.winner)._index
+                    assert all(lookup[key] == sid for sid, key in enumerate(res._states)), where
 
 
 class TestSolveEternal:
@@ -201,20 +203,24 @@ class TestSolveEternal:
             assert attractor_is_fixed_point(res), (kind, size, k, variant)
 
     def test_retained_bytes_per_state(self):
-        # 145 B a state with 8-byte array("q") moves and offsets; lists of
-        # boxed move ints, at 36 B a move, retained 276
-        graph = make_named("star", 4)
+        # 81.5 B a state retained and 217.6 at the solve's peak.  Keeping the
+        # position index retained 149.0; filling the predecessor table
+        # through a second offsets list peaked at 256.6, and both at 341.9
+        graph = make_named("star", 3)
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             res = solve_eternal(graph, 4, RuleVariant.GREEDY_BOB)
+            peak = tracemalloc.get_traced_memory()[1] - before
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert res.states_explored == 18078
-        assert retained / res.states_explored < 200
+        assert res.states_explored == 1684
+        assert retained / res.states_explored < 115
+        assert peak / res.states_explored < 240
 
     def test_color_symmetry_preserves_winner(self):
         for kind, size, k in [("star", 3, 2), ("star", 3, 3), ("path", 3, 2), ("path", 4, 3)]:
