@@ -17,6 +17,7 @@ from .experiments import (
     ExperimentConfig,
     build_graph,
     build_strategy,
+    check_variant,
     emit_outputs,
     estimate_threshold,
     preflight_output,
@@ -99,6 +100,7 @@ def _dispatch(args) -> int:
     if args.command == "play":
         _check_positive("--k", args.k)
         _check_positive("--max-rounds", args.max_rounds)
+        check_variant((args.alice, args.bob), args.variant)
         graph = build_graph(_graph_spec(args.graph))
         alice = build_strategy({"name": args.alice}, graph, args.k)
         bob = build_strategy({"name": args.bob}, graph, args.k)

@@ -98,6 +98,7 @@ class ExperimentConfig:
             RuleVariant(self.variant)
         except ValueError:
             raise ConfigError(f"unknown variant {self.variant!r}") from None
+        check_variant((self.alice.get("name"), self.bob.get("name")), self.variant)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
@@ -188,6 +189,13 @@ _PARAM_KEYS = {
 }
 
 
+def check_variant(names, variant: str) -> None:
+    """The priority Bobs play only standard rules: their copy-ins pick colours the greedy rules forbid."""
+    for name in names:
+        if variant != RuleVariant.STANDARD.value and name in ("targetBob", "multiplicityBob"):
+            raise ConfigError(f"{name} plays only the standard variant, not {variant}")
+
+
 def build_strategy(spec: dict, graph: Graph, k: int):
     name = spec.get("name")
     if not isinstance(name, str) or name not in _SPEC_KEYS:
@@ -224,6 +232,8 @@ def build_strategy(spec: dict, graph: Graph, k: int):
     setup = (spec.get("l", 1), spec.get("k_inv", 2), spec.get("num_colors", k))
     for key, value in zip(("l", "k_inv", "num_colors"), setup):
         _check_type(f"multiplicityBob {key}", value, int)
+    if not 1 <= setup[2] <= k:
+        raise ConfigError(f"multiplicityBob num_colors must be in 1..{k}, got {setup[2]}")
     try:
         plan = bob_even_setup(graph, *setup)
     except PlanSetupError as e:

@@ -87,6 +87,19 @@ def uncolored_taking(state: GameState, mask: int, c: int) -> Optional[int]:
     return None
 
 
+def copy_into(state: GameState, mask: int, colors) -> Optional[tuple[int, int]]:
+    """Bob's round-1 copy-in: the first colour of colors absent from mask
+    that some uncoloured vertex of mask can take, with the lowest such
+    vertex, as a move (vertex, colour); None if there is none."""
+    pos = state.color_pos
+    for c in colors:
+        if not pos[c] & mask:
+            u = uncolored_taking(state, mask, c)
+            if u is not None:
+                return u, c
+    return None
+
+
 def next_move(queue: deque) -> Optional[tuple[int, int]]:
     """The next move of the oldest unfinished move sequence in queue; the
     finished ones leave it.  A sequence resumes on the board it was made
@@ -540,10 +553,9 @@ class TargetBob(Strategy):
         # (4) brand-new colours into the target
         c = self._smallest_unused(state)
         if c is not None:
-            avail = target_mask & pos[0]
-            if avail:
-                u = next(iter_bits(avail))
-                return u, c, 4
+            mv = copy_into(state, target_mask, (c,))
+            if mv is not None:
+                return (*mv, 4)
         # (5) anything
         v, c = first_fit(state)
         return v, c, 5
@@ -560,7 +572,6 @@ class PlanSetupError(ValueError):
 
 @dataclass(frozen=True)
 class PlanEntry:
-    index: int
     subset: frozenset  # which ground vertices this class is adjacent to
     vertices: int  # bitmask
     colors: frozenset  # designated colour set Y_i
@@ -595,7 +606,6 @@ def bob_even_setup(graph: Graph, l: int, k: int, num_colors: int) -> TargetPlan:
         trace = frozenset(x for x in ground if graph.adj[v] >> x & 1)
         classes[trace] = classes.get(trace, 0) | (1 << v)
     entries = []
-    idx = 0
     for subset in sorted(plan.subset_colors, key=lambda s: (len(s), sorted(s))):
         colors = plan.subset_colors[subset]
         if not colors:
@@ -603,8 +613,7 @@ def bob_even_setup(graph: Graph, l: int, k: int, num_colors: int) -> TargetPlan:
         vertices = classes.get(subset, 0)
         if vertices == 0:
             raise PlanSetupError(f"class for trace {sorted(subset)} is empty but needs colours")
-        entries.append(PlanEntry(idx, subset, vertices, colors))
-        idx += 1
+        entries.append(PlanEntry(subset, vertices, colors))
     return TargetPlan(ground_set=ground, entries=tuple(entries), num_colors=num_colors)
 
 
@@ -628,31 +637,24 @@ class MultiplicityBob(Strategy):
     def reset(self, graph, k, variant, seed=None):
         self.graph = graph
         self.k = k
-        self.entry_of_vertex = {}
-        for e in self.plan.entries:
-            for v in iter_bits(e.vertices):
-                self.entry_of_vertex[v] = e.index
-        self.end_stage = [False] * len(self.plan.entries)
-        self.designated = [[] for _ in range(k + 1)]
-        for e in self.plan.entries:
-            for c in e.colors:
-                self.designated[c].append(e.index)
-        self.alice_last_vertex = None
+        entries = self.plan.entries
+        self.entry_of_vertex = {v: i for i, e in enumerate(entries) for v in iter_bits(e.vertices)}
+        self.class_colors = [tuple(sorted(e.colors)) for e in entries]  # Y_i, ascending
+        self.end_stage = [False] * len(entries)
+        self.designated = [[i for i, e in enumerate(entries) if c in e.colors] for c in range(k + 1)]
+        self.alice_last_entry = None  # the class of Alice's last vertex, if any
         self.alice_last_color = None
         self.pending: deque[Iterator[tuple[int, int]]] = deque()  # kill sequences, FIFO
-        self.seen_kills: set[frozenset] = set()
+        self.seen_kills: set[tuple[frozenset, int]] = set()  # (m-set, class)
         self.audit_log: list[tuple[int, int, int]] = []
-
-    @property
-    def _l(self) -> int:
-        return self.plan.l
 
     def observe(self, state: GameState, rec: MoveRecord):
         i = self.entry_of_vertex.get(rec.vertex)
-        if i is not None and not self.end_stage[i] and len(self._missing(state, i)) <= self.params.reserve_missing:
-            self.end_stage[i] = True
+        if i is not None and not self.end_stage[i]:
+            missing = sum(1 for c in self.class_colors[i] if self._is_missing(state, i, c))
+            self.end_stage[i] = missing <= self.params.reserve_missing
         if rec.player is Player.ALICE:
-            self.alice_last_vertex = rec.vertex
+            self.alice_last_entry = i
             self.alice_last_color = rec.color
 
     # -- helpers -------------------------------------------------------------
@@ -661,44 +663,44 @@ class MultiplicityBob(Strategy):
         """Whether c, a designated colour of class i, is absent from it."""
         return not state.color_pos[c] & self.plan.entries[i].vertices
 
-    def _missing(self, state: GameState, i: int) -> list[int]:
-        return [c for c in sorted(self.plan.entries[i].colors) if self._is_missing(state, i, c)]
-
     def _miss_count(self, state: GameState, c: int) -> int:
         return sum(1 for i in self.designated[c] if self._is_missing(state, i, c))
 
-    def _forced_colors(self, state: GameState, slack: int):
-        """Colours whose multiplicity forces a copy into a missing class.
+    def _forces_copy(self, state: GameState, c: int, copies: int) -> bool:
+        """The multiplicity rule: with copies copies of colour c on the
+        board, q = min(l, copies // C_l), and c must be copied in once more
+        than l - q of its classes miss it.  A colour no class is designated
+        misses none, so it is never forced."""
+        l = self.plan.l
+        q = min(l, copies // self.params.multiplicity)
+        return q >= 1 and self._miss_count(state, c) > l - q
 
-        slack=0 is the strict rule (fires at q = floor(r_c / C_l)); slack=1
-        fires one multiplicity level earlier.
-        """
-        C_l = self.params.multiplicity
-        out = []
+    def _forced_copy(self, state: GameState, extra: int) -> Optional[tuple[int, int]]:
+        """The copy of the smallest colour that the rule forces at its count
+        plus extra and that a class missing it can take, into the first such
+        class.  With extra > 0 only colours already on the board count."""
         for c in range(1, self.k + 1):
-            if not self.designated[c]:
-                continue
             r = state.color_pos[c].bit_count()
-            if slack and r == 0:
-                continue  # a colour not yet on the board carries no multiplicity pressure
-            q = min(self._l, r // C_l + slack)
-            if q >= 1 and self._miss_count(state, c) > self._l - q:
-                out.append(c)
-        return out
+            if extra and not r:
+                continue
+            if self._forces_copy(state, c, r + extra):
+                for i in self.designated[c]:
+                    mv = copy_into(state, self.plan.entries[i].vertices, (c,))
+                    if mv is not None:
+                        return mv
+        return None
 
     def _safe_kill_color(self, state: GameState, vertex: int) -> Optional[int]:
         """Smallest colour legal at vertex whose extra copy will not itself
         force a priority-(1) move."""
-        C_l = self.params.multiplicity
         legal = legal_mask(state.seen[vertex], state.palette, state.greedy_applies())
         for c in iter_bits(legal):
-            q = min(self._l, (state.color_pos[c].bit_count() + 1) // C_l)
-            if q < 1 or self._miss_count(state, c) <= self._l - q:
+            if not self._forces_copy(state, c, state.color_pos[c].bit_count() + 1):
                 return c
         return next(iter_bits(legal), None)
 
     def _scan_kills(self, state: GameState) -> None:
-        m = self.params.block_set_size or 100 * self.params.multiplicity * self._l
+        m = self.params.block_set_size or 100 * self.params.multiplicity * self.plan.l
         dist = self.params.block_distance
         unplayed = [v for v in unplayed_vertices(state)]
         closed = self.graph.closed
@@ -744,10 +746,9 @@ class MultiplicityBob(Strategy):
             missing = [i for i in self.designated[c] if self._is_missing(state, i, c)]
             yield a, c
             for i in missing:
-                if self._is_missing(state, i, c):
-                    u = uncolored_taking(state, self.plan.entries[i].vertices, c)
-                    if u is not None:
-                        yield u, c
+                mv = copy_into(state, self.plan.entries[i].vertices, (c,))
+                if mv is not None:
+                    yield mv
 
     def select(self, state: GameState):
         if state.round >= 2:
@@ -760,51 +761,34 @@ class MultiplicityBob(Strategy):
     def _round1_move(self, state: GameState):
         entries = self.plan.entries
         # (1) multiplicity-forced copies
-        for c in self._forced_colors(state, slack=0):
-            for i in self.designated[c]:
-                if self._is_missing(state, i, c):
-                    u = uncolored_taking(state, entries[i].vertices, c)
-                    if u is not None:
-                        return u, c, 1
-        # (2) end-stage service
+        mv = self._forced_copy(state, 0)
+        if mv is not None:
+            return (*mv, 1)
+        # (2) end-stage service, Alice's last colour first when the class wants it
+        a = self.alice_last_color
         for i, entry in enumerate(entries):
-            if not self.end_stage[i]:
-                continue
-            missing = self._missing(state, i)
-            if not missing:
-                continue
-            if self.alice_last_color in missing:
-                u = uncolored_taking(state, entry.vertices, self.alice_last_color)
-                if u is not None:
-                    return u, self.alice_last_color, 2
-            for c in missing:
-                u = uncolored_taking(state, entry.vertices, c)
-                if u is not None:
-                    return u, c, 2
+            if self.end_stage[i]:
+                first = (a,) if a in entry.colors else ()
+                mv = copy_into(state, entry.vertices, first + self.class_colors[i])
+                if mv is not None:
+                    return (*mv, 2)
         # (3) kill looming blocks
         if any(not es for es in self.end_stage):
             self._scan_kills(state)
             mv = next_move(self.pending)
             if mv is not None:
-                return mv[0], mv[1], 3
-        # (4) eager multiplicity copies
-        for c in self._forced_colors(state, slack=1):
-            for i in self.designated[c]:
-                if self._is_missing(state, i, c):
-                    u = uncolored_taking(state, entries[i].vertices, c)
-                    if u is not None:
-                        return u, c, 4
-        # (5) fresh designated colours, preferring Alice's last class
-        order = list(range(len(entries)))
-        last = self.entry_of_vertex.get(self.alice_last_vertex) if self.alice_last_vertex is not None else None
-        if last is not None:
-            order.remove(last)
-            order.insert(0, last)
+                return (*mv, 3)
+        # (4) eager multiplicity copies, one level early
+        mv = self._forced_copy(state, self.params.multiplicity)
+        if mv is not None:
+            return (*mv, 4)
+        # (5) fresh designated colours, Alice's last class first (visited twice, to no effect)
+        last = self.alice_last_entry
+        order = range(len(entries)) if last is None else (last, *range(len(entries)))
         for i in order:
-            for c in self._missing(state, i):
-                u = uncolored_taking(state, entries[i].vertices, c)
-                if u is not None:
-                    return u, c, 5
+            mv = copy_into(state, entries[i].vertices, self.class_colors[i])
+            if mv is not None:
+                return (*mv, 5)
         # (6) anything
         v, c = first_fit(state)
         return v, c, 6

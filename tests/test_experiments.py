@@ -480,6 +480,45 @@ class TestCli:
         assert err == "config error: unknown strategy 'nobody'\n"
         assert not (tmp_path / "run").exists()  # refused before any output is made
 
+    def test_num_colors_outside_the_palette_exit_code(self, tmp_path, capsys):
+        config = _single_vertex_config(2).to_json_obj()
+        config["graph"] = {"kind": "star", "size": 4}
+        path = tmp_path / "config.json"
+        for num_colors in (3, 0, -1):
+            config["bob"] = {"name": "multiplicityBob", "num_colors": num_colors}
+            path.write_text(json.dumps(config))
+            for argv in (["threshold", "--config", str(path)], ["experiment", "--config", str(path), "--out", str(tmp_path / "run")]):
+                assert main(argv) == 2, (num_colors, argv)
+                err = capsys.readouterr().err
+                assert err.startswith("config error: ") and err.count("\n") == 1, (num_colors, argv)
+                assert "num_colors" in err, (num_colors, argv)
+        assert not (tmp_path / "run").exists()  # refused before any output is made
+
+    def test_priority_bobs_play_only_standard_rules(self, tmp_path, capsys):
+        # their round-1 copy-ins pick colours the greedy rules forbid
+        path = tmp_path / "config.json"
+        for name in ("targetBob", "multiplicityBob"):
+            for variant in ("greedy_bob", "greedy_both"):
+                for side in ("alice", "bob"):
+                    config = _single_vertex_config(2).to_json_obj()
+                    config.update(graph={"kind": "star", "size": 4}, variant=variant, **{side: {"name": name}})
+                    path.write_text(json.dumps(config))
+                    for argv in (
+                        ["threshold", "--config", str(path)],
+                        ["experiment", "--config", str(path), "--out", str(tmp_path / "run")],
+                        ["play", "--graph", "star:4", "--k", "2", "--variant", variant, f"--{side}", name],
+                    ):
+                        case = (name, variant, side, argv[0])
+                        assert main(argv) == 2, case
+                        err = capsys.readouterr().err
+                        assert err.startswith("config error: ") and err.count("\n") == 1, case
+                        assert name in err and variant in err, case
+        assert not (tmp_path / "run").exists()  # refused before any output is made
+        # under standard rules both still play
+        for name in ("targetBob", "multiplicityBob"):
+            assert main(["play", "--graph", "star:4", "--k", "2", "--bob", name]) == 0, name
+            capsys.readouterr()
+
     def test_bad_params_exit_code(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         for bob in (

@@ -734,8 +734,98 @@ class _KillObligation:
 
 
 class _ReferenceMultiplicityBob(MultiplicityBob):
-    """Kill sequences as hand-stepped obligations: the oracle of
-    MultiplicityBob._kill_moves."""
+    """The oracle of MultiplicityBob's round 1: its own end-stage rule and
+    record of Alice's last move, each tier written out in full, and kill
+    sequences as hand-stepped obligations.  It shares only the kill scan, the
+    safe kill colour and, in the kill steps, `designated` with the class
+    under test."""
+
+    def reset(self, graph, k, variant, seed=None):
+        super().reset(graph, k, variant, seed)
+        self.ref_class_of = {v: i for i, e in enumerate(self.plan.entries) for v in iter_bits(e.vertices)}
+        self.ref_designated = {c: [i for i, e in enumerate(self.plan.entries) if c in e.colors] for c in range(1, k + 1)}
+        self.ref_last_vertex = self.ref_last_color = None
+
+    def observe(self, state, rec):
+        i = self.ref_class_of.get(rec.vertex)
+        if i is not None and not self.end_stage[i] and len(self._ref_missing(state, i)) <= self.params.reserve_missing:
+            self.end_stage[i] = True
+        if rec.player is Player.ALICE:
+            self.ref_last_vertex, self.ref_last_color = rec.vertex, rec.color
+
+    def _ref_missing(self, state, i):
+        entry = self.plan.entries[i]
+        return [c for c in sorted(entry.colors) if not state.color_pos[c] & entry.vertices]
+
+    def _ref_forced_colors(self, state, slack):
+        C_l, l = self.params.multiplicity, self.plan.l
+        out = []
+        for c in range(1, self.k + 1):
+            if not self.ref_designated[c]:
+                continue
+            r = state.color_pos[c].bit_count()
+            if slack and r == 0:
+                continue
+            q = min(l, r // C_l + slack)
+            missed = sum(1 for i in self.ref_designated[c] if not state.color_pos[c] & self.plan.entries[i].vertices)
+            if q >= 1 and missed > l - q:
+                out.append(c)
+        return out
+
+    def _ref_forced_copy(self, state, slack):
+        """The first copy of a forced colour into a class missing it."""
+        for c in self._ref_forced_colors(state, slack):
+            for i in self.ref_designated[c]:
+                vertices = self.plan.entries[i].vertices
+                if not state.color_pos[c] & vertices:
+                    u = uncolored_taking(state, vertices, c)
+                    if u is not None:
+                        return u, c
+        return None
+
+    def _round1_move(self, state):
+        entries = self.plan.entries
+        # (1) multiplicity-forced copies
+        mv = self._ref_forced_copy(state, slack=0)
+        if mv is not None:
+            return (*mv, 1)
+        # (2) end-stage service, Alice's last colour first
+        for i, entry in enumerate(entries):
+            if not self.end_stage[i]:
+                continue
+            missing = self._ref_missing(state, i)
+            if self.ref_last_color in missing:
+                u = uncolored_taking(state, entry.vertices, self.ref_last_color)
+                if u is not None:
+                    return u, self.ref_last_color, 2
+            for c in missing:
+                u = uncolored_taking(state, entry.vertices, c)
+                if u is not None:
+                    return u, c, 2
+        # (3) kill looming blocks
+        if not all(self.end_stage):
+            self._scan_kills(state)
+            mv = next_move(self.pending)
+            if mv is not None:
+                return (*mv, 3)
+        # (4) eager multiplicity copies
+        mv = self._ref_forced_copy(state, slack=1)
+        if mv is not None:
+            return (*mv, 4)
+        # (5) fresh designated colours, Alice's last class first
+        order = list(range(len(entries)))
+        last = self.ref_class_of.get(self.ref_last_vertex)
+        if last is not None:
+            order.remove(last)
+            order.insert(0, last)
+        for i in order:
+            for c in self._ref_missing(state, i):
+                u = uncolored_taking(state, entries[i].vertices, c)
+                if u is not None:
+                    return u, c, 5
+        # (6) anything
+        v, c = first_fit(state)
+        return v, c, 6
 
     def _kill_moves(self, state, members):
         return _KillObligation(self, state, members)
@@ -804,27 +894,35 @@ class TestLockstepOracles:
         assert lazy < queued  # and the lazy queue tested fewer pairs in play
 
     def test_multiplicity_bob_kills_match_hand_stepped_obligations(self):
-        kills = 0
+        tiers = [0] * 7
         for n, gseed in _LOCKSTEP_GAMES:
             g = gnp_generate(GnpSpec(n, 0.5, gseed))
             k = n // 2 + 2
             for l in (1, 2):
                 plan = bob_even_setup(g, l, 2, k)
                 for m in (3, None):
-                    params = StrategyParams(danger_threshold=2, block_distance=2, reserve_missing=2, block_set_size=m)
-                    for alice in (GreedyFirstFit(), RandomLegal(), PriorityAlice(params)):
-                        games = []
-                        for cls in (MultiplicityBob, _ReferenceMultiplicityBob):
-                            bob = cls(plan, params, audit=True)
-                            out = play_game(g, k, alice, bob, max_rounds=3, seed=gseed)
-                            games.append((out, bob))
-                        (out, bob), (ref_out, ref) = games
-                        case = (n, gseed, l, m, alice.name)
-                        assert out.transcript == ref_out.transcript, case
-                        assert bob.audit_log == ref.audit_log, case
-                        assert bob.seen_kills == ref.seen_kills, case
-                        kills += sum(1 for *_, prio in bob.audit_log if prio == 3)
-        assert kills > 1000  # the kill tier really fired
+                    # C_l = 1 and 2 reach the multiplicity tiers; a larger
+                    # reserve reaches the end stage early
+                    for multiplicity, reserve in ((4, 2), (1, 2), (2, 6)):
+                        params = StrategyParams(
+                            danger_threshold=2, block_distance=2, reserve_missing=reserve,
+                            multiplicity=multiplicity, block_set_size=m,
+                        )
+                        for alice in (GreedyFirstFit(), RandomLegal(), PriorityAlice(params)):
+                            games = []
+                            for cls in (MultiplicityBob, _ReferenceMultiplicityBob):
+                                bob = cls(plan, params, audit=True)
+                                out = play_game(g, k, alice, bob, max_rounds=3, seed=gseed)
+                                games.append((out, bob))
+                            (out, bob), (ref_out, ref) = games
+                            case = (n, gseed, l, m, multiplicity, reserve, alice.name)
+                            assert out.transcript == ref_out.transcript, case
+                            assert bob.audit_log == ref.audit_log, case
+                            assert bob.seen_kills == ref.seen_kills, case
+                            for *_, prio in bob.audit_log:
+                                tiers[prio] += 1
+        assert all(tiers[1:]), tiers  # every tier really fired
+        assert tiers[3] > 1000  # the kill tier often
 
     def test_priority_alice_mirror_matches_per_pair_weights(self):
         tier3 = 0
@@ -877,8 +975,8 @@ def _set_safe_kill_color(bob, state, vertex):
     legal = legal_colors(state, vertex)
     fallback = min(legal) if legal else None
     for c in sorted(legal):
-        q = min(bob._l, (state.color_pos[c].bit_count() + 1) // C_l)
-        if q < 1 or bob._miss_count(state, c) <= bob._l - q:
+        q = min(bob.plan.l, (state.color_pos[c].bit_count() + 1) // C_l)
+        if q < 1 or bob._miss_count(state, c) <= bob.plan.l - q:
             return c
     return fallback
 
@@ -894,7 +992,7 @@ class TestSafeKillColor:
         g, k, state, _, _ = position
         state.variant, state.to_move = variant, Player.BOB
         entries = tuple(
-            PlanEntry(i, frozenset(), data.draw(st.integers(1, g.full_mask)), frozenset(data.draw(st.sets(st.integers(1, k), min_size=1))))
+            PlanEntry(frozenset(), data.draw(st.integers(1, g.full_mask)), frozenset(data.draw(st.sets(st.integers(1, k), min_size=1))))
             for i in range(data.draw(st.integers(1, 3)))
         )
         plan = TargetPlan(ground_set=tuple(range(data.draw(st.integers(1, 3)))), entries=entries, num_colors=k)
