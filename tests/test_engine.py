@@ -155,6 +155,122 @@ class TestPlayGame:
         assert runs[0] == runs[1]
 
 
+def _reference_verdict(g, colors, k, variant, mover, v, c):
+    """'bob', 'placed' or 'fault' for mover choosing (v, c) on an unplayed v,
+    restated from the rules on the colouring and the closed neighbourhoods."""
+    near = {colors[u] for u in iter_bits(g.closed[v])}
+    free = [x for x in range(1, k + 1) if x not in near]
+    if not free:
+        return "bob"
+    greedy = variant is RuleVariant.GREEDY_BOTH or (variant is RuleVariant.GREEDY_BOB and mover is Player.BOB)
+    return "placed" if type(c) is int and c in (free[:1] if greedy else free) else "fault"
+
+
+class _Scripted(Strategy):
+    """Plays whatever choose(state) returns."""
+
+    def __init__(self, choose):
+        self.choose = choose
+
+    def select(self, state):
+        return self.choose(state)
+
+
+def _probe(g, k, variant, prefix, probe):
+    """Play the moves of prefix, then probe; past it, claim the lowest
+    unplayed vertex stuck, which ends the game.  Returns play_game's verdict
+    on the probe and the reference's, from the colouring the probe met."""
+    script, at_probe = list(prefix) + [probe], []
+
+    def choose(state):
+        if script:
+            if len(script) == 1:
+                at_probe.append((list(state.colors), state.round, state.played_count, state.to_move))
+            return script.pop(0)
+        rest = ~state.played & g.full_mask
+        return (rest & -rest).bit_length() - 1, None
+
+    out = play_game(g, k, _Scripted(choose), _Scripted(choose), variant, max_rounds=3)
+    ((colors, rnd, idx, mover),) = at_probe
+    v, c = probe
+    i = len(prefix)
+    if len(out.transcript) > i:
+        assert out.transcript[i] == MoveRecord(rnd, idx, mover, v, c)
+        got = "placed"
+    elif out.winner is Player.BOB:
+        assert (out.losing_vertex, out.termination_round) == (v, rnd)
+        got = "bob"
+    else:
+        assert out.winner is None and out.fault is mover
+        got = "fault"
+    return got, _reference_verdict(g, colors, k, variant, mover, v, c)
+
+
+# a triangle 0, 1, 2 with 3 hanging from 0, coloured [1, 2, 3, 2] by first
+# fit in round 1, which every variant allows; round 2 opens with Alice
+_PENDANT = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+_ROUND1 = [(0, 1), (1, 2), (2, 3), (3, 2)]
+
+
+class TestPlayGameVerdicts:
+    """play_game's verdict on a scripted move agrees with the rules restated
+    from the colouring, under every variant: a stuck vertex is a Bob win
+    whatever colour comes with it, and otherwise a bad colour is a fault."""
+
+    @pytest.mark.parametrize("variant", list(RuleVariant))
+    def test_named_cases(self, variant):
+        cases = []
+        # k = 3: vertex 0 sees the whole palette; 3 sees 2 and 1, so only 3 is free
+        for c in (None, 0, 4, True):
+            cases.append((3, _ROUND1, (0, c), "bob"))
+        for c in (2, 1, 0, -1, 4, True, 1.0):
+            cases.append((3, _ROUND1, (3, c), "fault"))
+        cases.append((3, _ROUND1, (3, 3), "placed"))
+        # k = 4: 3 may take 3 or 4; 4 is not the smallest, which greedy rules
+        # forbid to whom they bind: Alice moves first, Bob after her (2, 4)
+        greedy_alice = variant is RuleVariant.GREEDY_BOTH
+        greedy_bob = variant is not RuleVariant.STANDARD
+        cases.append((4, _ROUND1, (3, 4), "fault" if greedy_alice else "placed"))
+        cases.append((4, _ROUND1 + [(2, 4)], (3, 4), "fault" if greedy_bob else "placed"))
+        cases.append((4, _ROUND1 + [(2, 4)], (3, 3), "placed"))
+        for k, prefix, probe, want in cases:
+            got, ref = _probe(_PENDANT, k, variant, prefix, probe)
+            assert ref == want, (k, prefix, probe)
+            assert got == want, (k, prefix, probe)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        p=st.sampled_from((0.3, 0.6, 0.9)),
+        graph_seed=st.integers(0, 10**6),
+        k=st.integers(1, 4),
+        variant=st.sampled_from(list(RuleVariant)),
+        data=st.data(),
+    )
+    def test_random_positions(self, n, p, graph_seed, k, variant, data):
+        g = gnp_generate(GnpSpec(n, p, graph_seed))
+        # a prefix of reference-legal moves, each on a random unplayed vertex
+        prefix, colors, played, rnd, mover = [], [0] * n, set(), 1, Player.ALICE
+        for _ in range(data.draw(st.integers(0, 2 * n))):
+            v = data.draw(st.sampled_from([u for u in range(n) if u not in played]))
+            near = {colors[u] for u in iter_bits(g.closed[v])}
+            free = [x for x in range(1, k + 1) if x not in near]
+            greedy = variant is RuleVariant.GREEDY_BOTH or (variant is RuleVariant.GREEDY_BOB and mover is Player.BOB)
+            if not free:
+                break
+            c = free[0] if greedy else data.draw(st.sampled_from(free))
+            prefix.append((v, c))
+            colors[v] = c
+            played.add(v)
+            mover = Player.BOB if mover is Player.ALICE else Player.ALICE
+            if len(played) == n:
+                played, rnd = set(), rnd + 1
+        v = data.draw(st.sampled_from([u for u in range(n) if u not in played]))
+        c = data.draw(st.sampled_from([None, 0, -1, k + 1, True, 1.0, *range(1, k + 1)]))
+        got, ref = _probe(g, k, variant, prefix, (v, c))
+        assert got == ref
+
+
 def transcript_from_json(text: str) -> list[MoveRecord]:
     """The inverse of `transcript_to_json`."""
     return [
