@@ -11,9 +11,13 @@ Greedy variants: under GREEDY_BOB, Bob must use the smallest legal colour;
 under GREEDY_BOTH both players must.  This is enforced here, in
 ``legal_mask``, so strategies cannot violate it.
 
-Colour sets are bitmasks with bit c standing for colour c.  GameState keeps,
-per vertex v, the mask ``seen[v]`` of colours present in its closed
-neighbourhood N[v]; ``legal_mask`` turns it into the legal colours.
+Colour sets are bitmasks with bit c standing for colour c, and vertex sets
+are bitmasks with bit v standing for vertex v.  GameState keeps a census per
+colour: ``seen_by[c]`` is the set of vertices whose closed neighbourhood N[v]
+holds colour c.  Placing c at v ORs N[v] into ``seen_by[c]``; a recolour
+away from ``old`` rebuilds ``seen_by[old]`` from the vertices still coloured
+``old``, so no move walks N[v].  ``seen_of(state, v)`` collects v's colour
+mask from the census, and ``legal_mask`` turns it into the legal colours.
 """
 
 from __future__ import annotations
@@ -35,10 +39,6 @@ class RuleVariant(enum.Enum):
 class Player(enum.Enum):
     ALICE = "alice"
     BOB = "bob"
-
-    @property
-    def other(self) -> "Player":
-        return Player.BOB if self is Player.ALICE else Player.ALICE
 
 
 class IllegalMoveError(ValueError):
@@ -67,7 +67,7 @@ class GameState:
     """Mutable position of one game; confined to a single worker."""
 
     __slots__ = (
-        "graph", "k", "variant", "palette", "colors", "round", "played", "played_count", "to_move", "color_pos", "seen"
+        "graph", "k", "variant", "palette", "colors", "round", "played", "played_count", "to_move", "color_pos", "seen_by"
     )
 
     def __init__(self, graph: Graph, k: int, variant: RuleVariant = RuleVariant.STANDARD):
@@ -84,9 +84,10 @@ class GameState:
         self.to_move = Player.ALICE
         # color_pos[c] = bitmask of vertices currently coloured c (c = 0: uncoloured)
         self.color_pos = [graph.full_mask] + [0] * k
-        # seen[v] = colour mask of N[v]; it holds v's own colour, which a
-        # recolour must change, and no bit for "uncoloured"
-        self.seen = [0] * graph.n
+        # seen_by[c] = bitmask of the vertices whose closed neighbourhood
+        # holds colour c (v's own colour too, which a recolour must change);
+        # seen_by[0] stays 0, since "uncoloured" is never a colour
+        self.seen_by = [0] * (k + 1)
 
     def is_played(self, v: int) -> bool:
         return bool(self.played >> v & 1)
@@ -105,6 +106,12 @@ def legal_mask(seen: int, palette: int, greedy: bool) -> int:
     return free & -free if greedy else free
 
 
+def seen_of(state: GameState, v: int) -> int:
+    """The colour mask of N[v], from the census: bit c is set iff some vertex
+    of N[v] has colour c."""
+    return sum(1 << c for c, s in enumerate(state.seen_by) if s >> v & 1)
+
+
 def legal_colors(state: GameState, v: int) -> set[int]:
     """Colours the mover may assign to v right now.
 
@@ -114,7 +121,7 @@ def legal_colors(state: GameState, v: int) -> set[int]:
         raise IllegalMoveError(f"vertex {v!r} out of range")
     if state.is_played(v):
         raise IllegalMoveError(f"vertex {v} already played in round {state.round}")
-    return set(iter_bits(legal_mask(state.seen[v], state.palette, state.greedy_applies())))
+    return set(iter_bits(legal_mask(seen_of(state, v), state.palette, state.greedy_applies())))
 
 
 def apply_move(state: GameState, v: int, c: int) -> GameState:
@@ -132,21 +139,20 @@ def _place(state: GameState, v: int, c: int) -> GameState:
     pos[old] &= ~bit
     pos[c] |= bit
     state.colors[v] = c
-    graph, seen, new_bit = state.graph, state.seen, 1 << c
+    closed, seen_by = state.graph.closed, state.seen_by
+    seen_by[c] |= closed[v]
     if old:
-        # u still sees old iff another vertex of N[u] keeps it
-        old_bit, old_pos, closed = 1 << old, pos[old], graph.closed
-        for u in graph.closed_list[v]:
-            mask = seen[u] | new_bit
-            if not closed[u] & old_pos:
-                mask &= ~old_bit
-            seen[u] = mask
-    else:
-        for u in graph.closed_list[v]:
-            seen[u] |= new_bit
+        # the vertices still seeing old are the closed neighbourhoods of
+        # those still coloured old
+        seen, rest = 0, pos[old]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            seen |= closed[low.bit_length() - 1]
+        seen_by[old] = seen
     state.played |= bit
     state.played_count += 1
-    state.to_move = state.to_move.other
+    state.to_move = Player.BOB if state.to_move is Player.ALICE else Player.ALICE
     if state.played_count == state.graph.n:
         state.round += 1
         state.played = 0
@@ -200,25 +206,30 @@ def play_game(
     alice.reset(graph, k, variant, None if seed is None else derive_seed(seed, "alice"))
     bob.reset(graph, k, variant, None if seed is None else derive_seed(seed, "bob"))
     transcript: list[MoveRecord] = []
+    standard, seen_by = variant is RuleVariant.STANDARD, state.seen_by
     while state.round <= max_rounds:
         mover = state.to_move
         strat = alice if mover is Player.ALICE else bob
         v, c = strat.select(state)
         # a bool or float is no vertex or colour, though it may index or
         # compare equal to one
-        if type(v) is not int or not 0 <= v < graph.n or state.is_played(v):
+        if type(v) is not int or not 0 <= v < graph.n or state.played >> v & 1:
             return GameOutcome(winner=None, fault=mover, rounds_completed=state.round - 1, transcript=transcript)
-        legal = legal_mask(state.seen[v], state.palette, state.greedy_applies())
-        if not legal:
-            return GameOutcome(
-                winner=Player.BOB,
-                termination_round=state.round,
-                rounds_completed=state.round - 1,
-                transcript=transcript,
-                losing_vertex=v,
-            )
-        if type(c) is not int or c < 0 or not legal >> c & 1:
-            return GameOutcome(winner=None, fault=mover, rounds_completed=state.round - 1, transcript=transcript)
+        # a palette colour N[v] does not see is legal under standard rules;
+        # any other move is judged on v's legal colours, so that a stuck v
+        # is Bob's win whatever colour comes with it
+        if not (standard and type(c) is int and 0 < c <= k and not seen_by[c] >> v & 1):
+            legal = legal_mask(seen_of(state, v), state.palette, state.greedy_applies())
+            if not legal:
+                return GameOutcome(
+                    winner=Player.BOB,
+                    termination_round=state.round,
+                    rounds_completed=state.round - 1,
+                    transcript=transcript,
+                    losing_vertex=v,
+                )
+            if type(c) is not int or c < 0 or not legal >> c & 1:
+                return GameOutcome(winner=None, fault=mover, rounds_completed=state.round - 1, transcript=transcript)
         rec = MoveRecord(state.round, state.played_count, mover, v, c)
         _place(state, v, c)
         transcript.append(rec)

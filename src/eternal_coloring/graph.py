@@ -3,7 +3,9 @@
 Graphs are immutable after construction.  Adjacency is stored as one Python
 int per vertex (bit u set in adj[v] iff uv is an edge), so neighbourhood
 intersections are single AND operations.  Each closed neighbourhood is also
-kept as an ascending tuple of vertices, for the per-move walks over it.
+kept as an ascending tuple of vertices, for walks over it vertex by vertex.
+``bit_counts`` and ``split_by_count`` count, across many masks, how often
+each bit is set, for all bits at once.
 """
 
 from __future__ import annotations
@@ -113,6 +115,44 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bit_counts(masks: Iterable[int]) -> list[int]:
+    """Count, for every bit position v, how many of masks have bit v set, all
+    positions at once: bit v of the j-th returned plane is bit j of that
+    count.  A carry-save adder tree: each full adder folds three masks of
+    one weight into one of that weight and a carry of the next."""
+    planes, col = [], [m for m in masks if m]
+    while col:
+        carries = []
+        while len(col) > 1:
+            a, b = col.pop(), col.pop()
+            c = col.pop() if col else 0  # a half adder when two are left
+            t = a ^ b
+            col.append(t ^ c)
+            carry = a & b | t & c
+            if carry:
+                carries.append(carry)
+        planes.append(col[0])
+        col = carries
+    return planes
+
+
+def split_by_count(mask: int, planes: list[int]) -> list[tuple[int, int]]:
+    """The bits of mask grouped by their count in planes (from bit_counts):
+    disjoint nonempty (bits, count) pairs that cover mask."""
+    groups = [(mask, 0)] if mask else []
+    for j, plane in enumerate(planes):
+        split = []
+        for m, count in groups:
+            hi = m & plane
+            if hi:
+                split.append((hi, count | 1 << j))
+                m ^= hi
+            if m:
+                split.append((m, count))
+        groups = split
+    return groups
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from math import ceil
 from typing import Iterator, Optional
 
-from .engine import GameState, MoveRecord, Player, Strategy, legal_mask
-from .graph import Graph, iter_bits, mask_of
+from .engine import GameState, MoveRecord, Player, Strategy, legal_mask, seen_of
+from .graph import Graph, bit_counts, iter_bits, mask_of, split_by_count
 from .partitions import build_color_plan
 
 
@@ -65,8 +65,12 @@ class StrategyParams:
 
 
 def smallest_legal(state: GameState, v: int) -> Optional[int]:
-    low = legal_mask(state.seen[v], state.palette, True)  # the greedy cut, under any variant
-    return low.bit_length() - 1 if low else None
+    """The smallest colour N[v] does not see, under any variant."""
+    seen_by = state.seen_by
+    for c in range(1, state.k + 1):
+        if not seen_by[c] >> v & 1:
+            return c
+    return None
 
 
 def unplayed_vertices(state: GameState):
@@ -75,16 +79,15 @@ def unplayed_vertices(state: GameState):
 
 def first_fit(state: GameState) -> tuple[int, Optional[int]]:
     """Lowest-index unplayed vertex with its smallest legal colour."""
-    v = next(unplayed_vertices(state))
+    rest = ~state.played & state.graph.full_mask
+    v = (rest & -rest).bit_length() - 1
     return v, smallest_legal(state, v)
 
 
 def uncolored_taking(state: GameState, mask: int, c: int) -> Optional[int]:
     """Lowest-index uncoloured vertex of mask where colour c is legal (round 1)."""
-    for u in iter_bits(mask & state.color_pos[0]):
-        if not state.seen[u] >> c & 1:
-            return u
-    return None
+    free = mask & state.color_pos[0] & ~state.seen_by[c]
+    return (free & -free).bit_length() - 1 if free else None
 
 
 def copy_into(state: GameState, mask: int, colors) -> Optional[tuple[int, int]]:
@@ -119,7 +122,7 @@ def claim_or_first_fit(state: GameState, ground) -> tuple[int, Optional[int]]:
     greedy first fit."""
     if state.round == 2:
         for x in ground:
-            if not state.is_played(x) and state.seen[x] == state.palette:
+            if not state.is_played(x) and seen_of(state, x) == state.palette:
                 return x, None
     return first_fit(state)
 
@@ -146,8 +149,8 @@ class RandomLegal(Strategy):
         self.rng = random.Random(seed if seed is not None else self._init_seed)
 
     def select(self, state: GameState):
-        seen, palette, greedy = state.seen, state.palette, state.greedy_applies()
-        pairs = [(v, c) for v in unplayed_vertices(state) for c in iter_bits(legal_mask(seen[v], palette, greedy))]
+        palette, greedy = state.palette, state.greedy_applies()
+        pairs = [(v, c) for v in unplayed_vertices(state) for c in iter_bits(legal_mask(seen_of(state, v), palette, greedy))]
         if not pairs:
             return next(unplayed_vertices(state)), None
         return pairs[self.rng.randrange(len(pairs))]
@@ -205,8 +208,9 @@ class PriorityAlice(Strategy):
          with respect to the current danger set;
       3. the playable vertex covering the most pressure, or, before Bob
          has moved this round, the lowest-index unplayed vertex.
-    The chosen vertex always gets the smallest legal colour.  One pass over
-    the unplayed vertices feeds all three tiers.
+    The chosen vertex always gets the smallest legal colour.  One bit-sliced
+    count of the colours each unplayed or dangerous vertex sees feeds all
+    three tiers.
     """
 
     name = "priorityAlice"
@@ -235,50 +239,59 @@ class PriorityAlice(Strategy):
         return v, c
 
     def _choose(self, state: GameState) -> tuple[int, Optional[int], int]:
-        # One pass over the unplayed vertices lists every playable v with its
-        # smallest legal colour, and finds the most urgent rescue on the way.
-        seen, palette = state.seen, state.palette
-        cands = []  # (v, c): a playable v and its smallest legal colour
-        urgent, urgent_missing = None, self.params.nearly_full_threshold
-        rest = ~state.played & self.graph.full_mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            free = palette & ~seen[v]
-            if free:
-                vc = (v, (free & -free).bit_length() - 1)
-                cands.append(vc)
-                missing = free.bit_count()  # the colours N[v] does not see yet
-                if missing < urgent_missing:
-                    urgent, urgent_missing = vc, missing
-        # (1) rescue vertices about to see the whole palette, most urgent
-        # first; a vertex already seeing everything is unrescuable (playing it
-        # would concede), so it is not a candidate.
-        if urgent is not None:
-            return (*urgent, 1)
-        # Bob's last move of this round; the book starts afresh each round, so
-        # w, when set, is played and no candidate.
-        w = self.book.last_bob_vertex
-        # (2) exact mirror of Bob's last non-dangerous move w.r.t. the danger
-        # set (choice among mirrors is free: take the cheapest colour).
+        # count[v], the palette colours N[v] sees, as bit planes over the
+        # vertices the tiers read: the unplayed and the dangerous ones
+        seen_by, k = state.seen_by, self.k
+        unplayed = ~state.played & self.graph.full_mask
         d_mask = self.book.danger_mask
-        if w is not None and not d_mask >> w & 1:
+        live = unplayed | d_mask
+        planes = bit_counts([s & live for s in seen_by])
+        # (1) rescue vertices about to see the whole palette: fewest missing
+        # colours first, then the lowest vertex.  A vertex already seeing
+        # everything is unrescuable (playing it would concede), so it is no
+        # candidate.
+        urgent, most, full = 0, k - self.params.nearly_full_threshold, 0
+        for m, count in split_by_count(unplayed, planes):
+            if count == k:
+                full = m
+            elif count > most:
+                urgent, most = m, count
+        if urgent:
+            v = (urgent & -urgent).bit_length() - 1
+            return v, smallest_legal(state, v), 1
+        # Bob's last move of this round; the book starts afresh each round, so
+        # w, when set, is played and no candidate.  Before Bob has moved this
+        # round there is nothing to mirror: take the lowest unplayed vertex.
+        w = self.book.last_bob_vertex
+        if w is None:
+            return (*first_fit(state), 3)
+        # cands[i] = (c, got): got holds the playable vertices whose smallest
+        # legal colour is c, for ascending c
+        cands, left, c = [], unplayed & ~full, 1
+        while left:
+            got = left & ~seen_by[c]
+            if got:
+                cands.append((c, got))
+                left ^= got
+            c += 1
+        # (2) exact mirror of Bob's last non-dangerous move w.r.t. the danger
+        # set (choice among mirrors is free: take the cheapest colour, then
+        # the lowest vertex).
+        if not d_mask >> w & 1:
             adj = self.graph.adj
             want = adj[w] & d_mask
-            mirrors = [(c, v) for v, c in cands if not d_mask >> v & 1 and adj[v] & d_mask == want]
-            if mirrors:
-                c, v = min(mirrors)
-                return v, c, 2
+            for c, got in cands:
+                for v in iter_bits(got & ~d_mask):
+                    if adj[v] & d_mask == want:
+                        return v, c, 2
         # (3) the arbitrary move is free, so spend it where the pressure is:
         # cover the most-pressured neighbourhoods, coolest colour on ties.
-        if w is not None and cands:
-            v, c = self._playable_mirror(state, cands)
-        else:
-            v, c = first_fit(state)
-        return v, c, 3
+        # With no playable vertex, the lowest unplayed one concedes.
+        if not cands:
+            return (*first_fit(state), 3)
+        return (*self._playable_mirror(state, cands, planes), 3)
 
-    def _playable_mirror(self, state: GameState, cands: list[tuple[int, int]]) -> tuple[int, int]:
+    def _playable_mirror(self, state: GameState, cands: list[tuple[int, int]], planes: list[int]) -> tuple[int, int]:
         # Best-effort mirror.  Exact mirrors (identical adjacency to the whole
         # danger set) quickly stop existing at small n, so we keep the
         # invariant the mirror exists to provide — Alice plays next to a
@@ -295,26 +308,17 @@ class PriorityAlice(Strategy):
         # lower (and not at all from level 0).  A candidate's cover is its
         # count per level, compared from the top level down: the score
         # sum_L count_L * (n+1)**L of the weighted form, since no count
-        # reaches n+1.  So the candidates, _choose's nonempty (v, c) list, are
-        # cut to the best count level by level, from the top, until one is left.
+        # reaches n+1.  So the candidates, _choose's (colour, vertices)
+        # groups, are cut to the best count level by level, from the top,
+        # until one is left; a level returns only a unique best, so their
+        # order does not matter.
         d_mask = self.book.danger_mask
-        seen, adj = state.seen, self.graph.adj
+        seen_by, adj = state.seen_by, self.graph.adj
         lvl = [0] * (self.k + 2)  # lvl[L] = the dangerous vertices at level L
-        m = d_mask
-        while m:
-            low = m & -m
-            m ^= low
-            lvl[seen[low.bit_length() - 1].bit_count()] |= low
-        closed, pos = self.graph.closed, state.color_pos
-        sees = {}  # sees[c] = the dangerous vertices already seeing colour c
-        for _, c in cands:
-            if c not in sees:
-                s, p = 0, pos[c]
-                while p:
-                    low = p & -p
-                    p ^= low
-                    s |= closed[low.bit_length() - 1]
-                sees[c] = s & d_mask
+        for m, level in split_by_count(d_mask, planes):
+            lvl[level] = m
+        sees = {c: seen_by[c] & d_mask for c, _ in cands}  # the dangerous vertices seeing c
+        cands = [(v, c) for c, got in cands for v in iter_bits(got)]
         top = max((L for L, m in enumerate(lvl) if m), default=-1)
         for level in range(top, -1, -1):
             hit, miss = lvl[level], lvl[level + 1]
@@ -382,10 +386,10 @@ class TargetBob(Strategy):
     # -- round-1 helpers ----------------------------------------------------
 
     def _smallest_unused(self, state: GameState) -> Optional[int]:
-        for c in range(1, self.k + 1):
-            if not state.color_pos[c]:
-                return c
-        return None
+        try:
+            return state.color_pos.index(0, 1)
+        except ValueError:
+            return None
 
     def _scan_block_pairs(self, state: GameState) -> None:
         """Queue a batch: the blocking moves of every unseen unplayed pair
@@ -430,16 +434,16 @@ class TargetBob(Strategy):
         `seen_pairs` or the drop log.
         """
         dist, closed = self.params.block_distance, self.graph.closed
-        # seen[t] holds the colours inside N[target] (never bit 0, uncoloured);
-        # it is read at each test, since play changes it between yields
-        colors, seen, t = state.colors, state.seen, self.target
+        # colour c is inside N[target] iff seen_by[c] >> t & 1 (never for c = 0,
+        # uncoloured); it is read at each test, since play changes it between yields
+        colors, seen_by, t = state.colors, state.seen_by, self.target
         miss = [u_mask & ~c for c in closed]  # miss[x] = u minus N[x]
         seen_pairs = self.seen_pairs
         while rest:
             low = rest & -rest
             rest ^= low  # rest = unplayed vertices above a
             a = low.bit_length() - 1
-            if seen[t] >> colors[a] & 1:
+            if seen_by[colors[a]] >> t & 1:
                 continue
             if gone is None:
                 cand = rest
@@ -461,7 +465,7 @@ class TargetBob(Strategy):
                 if (miss_a & miss[b]).bit_count() <= dist and (a, b) not in seen_pairs:
                     seen_pairs.add((a, b))
                     yield from self._block_moves(state, a, b)
-                    if seen[t] >> colors[a] & 1:
+                    if seen_by[colors[a]] >> t & 1:
                         break
 
     def _block_moves(self, state: GameState, a: int, b: int) -> Iterator[tuple[int, int]]:
@@ -474,9 +478,9 @@ class TargetBob(Strategy):
         and is logged as a drop.  The sequence resumes on the same `state`,
         which play mutates in place.
         """
-        # colour c is inside N[target] iff seen[t] >> c & 1, read at each test:
-        # play changes seen[t] between yields
-        seen, t, target = state.seen, self.target, self.target_mask
+        # colour c is inside N[target] iff seen_by[c] >> t & 1, read at each
+        # test: play changes seen_by between yields
+        seen_by, t, target = state.seen_by, self.target, self.target_mask
         c_a = state.colors[a]
         if not c_a:
             c_a = self._smallest_unused(state)
@@ -484,17 +488,17 @@ class TargetBob(Strategy):
                 self._log_drop(a, b, "no unused colour for a")
                 return
             yield a, c_a
-        elif seen[t] >> c_a & 1:  # a was neutralized by a colour already in the target
+        elif seen_by[c_a] >> t & 1:  # a was neutralized by a colour already in the target
             self._log_drop(a, b, "a coloured inside-target colour")
             return
         # If Alice played b with a colour missing from the target, that colour
         # goes in first, c_a next, and the sequence ends there.
         col_b, b_first = state.colors[b], None
-        if col_b and not seen[t] >> c_a & 1 and not seen[t] >> col_b & 1:
+        if col_b and not seen_by[c_a] >> t & 1 and not seen_by[col_b] >> t & 1:
             b_first = uncolored_taking(state, target, col_b)
             if b_first is not None:
                 yield b_first, col_b
-        if not seen[t] >> c_a & 1:
+        if not seen_by[c_a] >> t & 1:
             u = uncolored_taking(state, target, c_a)
             if u is None:
                 self._log_drop(a, b, "c_a not introducible")
@@ -510,7 +514,7 @@ class TargetBob(Strategy):
                 self._log_drop(a, b, "no unused colour for b")
                 return
             yield b, c_b
-        if seen[t] >> c_b & 1:
+        if seen_by[c_b] >> t & 1:
             return
         u = uncolored_taking(state, target, c_b)
         if u is None:
@@ -538,7 +542,7 @@ class TargetBob(Strategy):
                 if u is not None:
                     return u, c, 1
         # (2) blocking obligations
-        unused = pos[1:].count(0)
+        unused = pos.count(0) - (not pos[0])
         if unused >= self.params.reserve_missing and (target_mask & pos[0]).bit_count() >= self.params.danger_threshold:
             self._scan_block_pairs(state)
             mv = next_move(self.batches)
@@ -693,7 +697,7 @@ class MultiplicityBob(Strategy):
     def _safe_kill_color(self, state: GameState, vertex: int) -> Optional[int]:
         """Smallest colour legal at vertex whose extra copy will not itself
         force a priority-(1) move."""
-        legal = legal_mask(state.seen[vertex], state.palette, state.greedy_applies())
+        legal = legal_mask(seen_of(state, vertex), state.palette, state.greedy_applies())
         for c in iter_bits(legal):
             if not self._forces_copy(state, c, state.color_pos[c].bit_count() + 1):
                 return c

@@ -365,12 +365,18 @@ def _scripted_playout(n, p, graph_seed, k, variant, play_seed, max_rounds=3):
         seen_this_round.add(v)
         apply_move(state, v, rng.choice(sorted(legal)))
         assert is_proper(state)
-        for u in range(g.n):
-            recount = 0
-            for w in iter_bits(g.closed[u]):
-                if state.colors[w]:
-                    recount |= 1 << state.colors[w]
-            assert state.seen[u] == recount
+        assert state.seen_by == _recount_census(g, state.colors, k)
+
+
+def _recount_census(g, colors, k):
+    """seen_by recounted from the colouring: the vertices u whose closed
+    neighbourhood holds colour c, for c = 0..k (none for 0, uncoloured)."""
+    census = [0] * (k + 1)
+    for u in range(g.n):
+        for w in iter_bits(g.closed[u]):
+            if colors[w]:
+                census[colors[w]] |= 1 << u
+    return census
 
 
 @settings(max_examples=60, deadline=None)
@@ -416,12 +422,12 @@ def test_defence_scale_bookkeeping_matches_recount():
                 self.diff[u] += 1 if rec.player is Player.BOB else -1
                 if self.diff[u] >= threshold:
                     self.danger |= 1 << u
+            recount = [0] * (k + 1)
             for u in range(g.n):
-                recount = 0
                 for w in nbrs[u]:
                     if state.colors[w]:
-                        recount |= 1 << state.colors[w]
-                assert state.seen[u] == recount, (rec, u)
+                        recount[state.colors[w]] |= 1 << u
+            assert state.seen_by == recount, rec
             assert alice.book.round == rec.round
             assert alice.book.diff == self.diff, rec
             assert alice.book.danger_mask == self.danger, rec

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 from eternal_coloring.graph import (
     GnpSpec,
     Graph,
+    bit_counts,
     derive_seed,
     gnp_generate,
     iter_bits,
     make_named,
     mask_of,
+    split_by_count,
 )
 
 
@@ -177,3 +179,47 @@ def test_bit_helpers():
     assert list(iter_bits(0b101001)) == [0, 3, 5]
     assert mask_of([0, 3, 5]) == 0b101001
     assert list(iter_bits(0)) == []
+
+
+_BITS = 130
+
+
+@st.composite
+def _masks(draw):
+    """0 to 70 masks on up to 130 bits (so counts reach 7 planes), sometimes
+    all equal, with a vertex mask that may be empty."""
+    width = draw(st.integers(1, _BITS))
+    mask = st.integers(0, (1 << width) - 1)
+    count = draw(st.integers(0, 70))
+    if draw(st.booleans()):
+        masks = [draw(mask)] * count
+    else:
+        masks = draw(st.lists(mask, min_size=count, max_size=count))
+    return masks, draw(st.one_of(st.just(0), mask))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_masks())
+def test_bit_counts_and_split_match_per_bit_sums(case):
+    masks, vertices = case
+    planes = bit_counts(masks)
+    counts = [sum(m >> v & 1 for m in masks) for v in range(_BITS)]
+    for v in range(_BITS):
+        assert sum((p >> v & 1) << j for j, p in enumerate(planes)) == counts[v], v
+    assert len(planes) == max(counts).bit_length()
+    groups = split_by_count(vertices, planes)
+    union = 0
+    for m, count in groups:
+        assert m and not m & union  # nonempty and disjoint
+        union |= m
+        assert all(counts[v] == count for v in iter_bits(m))
+    assert union == vertices
+    assert len({count for _, count in groups}) == len(groups)
+
+
+def test_bit_counts_of_nothing():
+    assert bit_counts([]) == bit_counts([0, 0]) == []
+    assert split_by_count(0, []) == split_by_count(0, bit_counts([5, 3])) == []
+    assert split_by_count(0b110, []) == [(0b110, 0)]
+    assert bit_counts([0b11] * 7) == [0b11] * 3
+    assert bit_counts([1] * 70) == [0, 1, 1, 0, 0, 0, 1]  # 70 = 0b1000110

@@ -32,10 +32,14 @@ from eternal_coloring.strategies import (
     first_fit,
     next_move,
     record_round_move,
-    smallest_legal,
     uncolored_taking,
     unplayed_vertices,
 )
+
+
+def _colour_mask(state, v):
+    """The colour mask of N[v], from the colouring alone."""
+    return mask_of(state.colors[u] for u in iter_bits(state.graph.closed[v]) if state.colors[u])
 
 
 def _observe_move(state, *strategies_then_move):
@@ -253,7 +257,7 @@ class TestPriorityAlice:
         for leaf in range(3, 10):
             _observe_move(state, alice, (Player.BOB if leaf % 2 else Player.ALICE, leaf, 2))
         assert state.round == 2
-        assert state.seen[0] == state.palette  # centre already sees everything
+        assert _colour_mask(state, 0) == state.palette  # centre already sees everything
         v, c = alice.select(state)
         # the centre (index 0, missing 0) is unrescuable and must be skipped;
         # leaf 1 is the lowest-index urgent vertex
@@ -401,7 +405,7 @@ class TestTargetBob:
         for mv in [(Player.ALICE, 1, 1), (Player.BOB, 2, 1), (Player.ALICE, 0, 2)]:
             _observe_move(state, bob, mv)
         assert state.round == 2
-        assert state.seen[0] == state.palette
+        assert _colour_mask(state, 0) == state.palette
         v, c = bob.select(state)
         assert v == 0 and c is None  # claim the stuck target
 
@@ -411,7 +415,7 @@ class TestTargetBob:
         state = GameState(g, 3)
         for mv in [(Player.ALICE, 1, 1), (Player.BOB, 2, 1), (Player.ALICE, 0, 2)]:
             _observe_move(state, bob, mv)
-        assert state.k - state.seen[0].bit_count() == 1
+        assert state.k - _colour_mask(state, 0).bit_count() == 1
         assert bob.select(state) == GreedyFirstFit().select(state)
 
     def test_beats_greedy_alice_where_solver_says_bob_wins(self):
@@ -458,7 +462,7 @@ class _BlockObligation:
         """Next move of the sequence, or None when finished/dropped."""
         colors = state.colors
 
-        def inside(state, c):  # read from color_pos, independent of bob's seen[target] test
+        def inside(state, c):  # read from color_pos, independent of bob's seen_by test
             return bool(state.color_pos[c] & bob.target_mask)
 
         while True:
@@ -624,11 +628,17 @@ class _ReferenceAlice(PriorityAlice):
     weight loop for the pressure cover.  The oracle of PriorityAlice._choose."""
 
     def _choose(self, state):
+        # the colour masks of all closed neighbourhoods, from the colouring
+        self.ref_seen = [_colour_mask(state, v) for v in range(self.graph.n)]
         v, prio = self._choose_vertex(state)
-        return v, smallest_legal(state, v), prio
+        return v, self._smallest_legal(state, v), prio
+
+    def _smallest_legal(self, state, v):
+        free = state.palette & ~self.ref_seen[v]
+        return (free & -free).bit_length() - 1 if free else None
 
     def _choose_vertex(self, state):
-        seen, k = state.seen, self.k
+        seen, k = self.ref_seen, self.k
         urgent, urgent_missing = None, self.params.nearly_full_threshold
         for v in unplayed_vertices(state):
             missing = k - seen[v].bit_count()
@@ -657,7 +667,7 @@ class _ReferenceAlice(PriorityAlice):
                 continue
             if self.graph.adj[v] & d_mask != want:
                 continue
-            c = smallest_legal(state, v)
+            c = self._smallest_legal(state, v)
             if c is None:
                 continue
             if best is None or (c, v) < best:
@@ -667,13 +677,13 @@ class _ReferenceAlice(PriorityAlice):
     def _weighted_mirror(self, state, w):
         d_mask = self.book.danger_mask
         skip = state.played | (1 << w)
-        seen = state.seen
+        seen = self.ref_seen
         base = self.graph.n + 1
         best = None
         for v in range(self.graph.n):
             if skip >> v & 1:
                 continue
-            c = smallest_legal(state, v)
+            c = self._smallest_legal(state, v)
             if c is None:
                 continue
             covered = self.graph.adj[v] & d_mask
@@ -847,7 +857,7 @@ def _mirror_positions(draw):
     state = GameState(g, k)
     state.colors = colors
     state.color_pos = [mask_of(v for v in range(n) if colors[v] == c) for c in range(k + 1)]
-    state.seen = [mask_of(colors[u] for u in iter_bits(g.closed[v]) if colors[u]) for v in range(n)]
+    state.seen_by = [0] + [mask_of(v for v in range(n) if g.closed[v] & state.color_pos[c]) for c in range(1, k + 1)]
     w = draw(st.one_of(st.none(), st.integers(0, n - 1)))
     state.played = draw(st.integers(0, g.full_mask)) | (0 if w is None else 1 << w)
     assume(state.played != g.full_mask)
@@ -1116,7 +1126,7 @@ def test_no_claim_after_round2():
         apply_move(state, v, c)
     assert state.round == 3 and state.to_move is Player.BOB
     # 1 is unplayed and sees the whole palette, yet 0 comes first
-    assert not state.is_played(1) and state.seen[1] == state.palette
+    assert not state.is_played(1) and _colour_mask(state, 1) == state.palette
     params = StrategyParams(reserve_missing=3)
     plan = TargetPlan(ground_set=(0, 1), entries=(), num_colors=3)
     for bob in (TargetBob(params, target=1), MultiplicityBob(plan, params)):
