@@ -109,7 +109,11 @@ def legal_mask(seen: int, palette: int, greedy: bool) -> int:
 def seen_of(state: GameState, v: int) -> int:
     """The colour mask of N[v], from the census: bit c is set iff some vertex
     of N[v] has colour c."""
-    return sum(1 << c for c, s in enumerate(state.seen_by) if s >> v & 1)
+    seen = 0
+    for c, s in enumerate(state.seen_by):
+        if s >> v & 1:
+            seen |= 1 << c
+    return seen
 
 
 def legal_colors(state: GameState, v: int) -> set[int]:

@@ -542,7 +542,7 @@ class TargetBob(Strategy):
                 if u is not None:
                     return u, c, 1
         # (2) blocking obligations
-        unused = pos.count(0) - (not pos[0])
+        unused = pos.count(0) - (not pos[0])  # pos[0], the uncoloured set, is no colour
         if unused >= self.params.reserve_missing and (target_mask & pos[0]).bit_count() >= self.params.danger_threshold:
             self._scan_block_pairs(state)
             mv = next_move(self.batches)
