@@ -253,12 +253,10 @@ class TestPlayGameVerdicts:
         prefix, colors, played, rnd, mover = [], [0] * n, set(), 1, Player.ALICE
         for _ in range(data.draw(st.integers(0, 2 * n))):
             v = data.draw(st.sampled_from([u for u in range(n) if u not in played]))
-            near = {colors[u] for u in iter_bits(g.closed[v])}
-            free = [x for x in range(1, k + 1) if x not in near]
-            greedy = variant is RuleVariant.GREEDY_BOTH or (variant is RuleVariant.GREEDY_BOB and mover is Player.BOB)
-            if not free:
+            legal = [x for x in range(1, k + 1) if _reference_verdict(g, colors, k, variant, mover, v, x) == "placed"]
+            if not legal:
                 break
-            c = free[0] if greedy else data.draw(st.sampled_from(free))
+            c = data.draw(st.sampled_from(legal))
             prefix.append((v, c))
             colors[v] = c
             played.add(v)
