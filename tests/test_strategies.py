@@ -123,15 +123,26 @@ class TestDangerousVertices:
         book = _record(g, moves, 2)
         assert dangerous_vertices(moves, g, 2) == {0} == set(iter_bits(book.danger_mask))
 
+    def test_unreachable_threshold_never_endangers(self):
+        # the centre's tally reaches 9, far below 99: a tally kept modulo a
+        # small power of two would wrap onto 99's residue on the way
+        g = make_named("star", 9)
+        book = RoundBook(round=1, n=g.n)
+        for leaf in range(1, 10):
+            record_round_move(book, g, Player.BOB, leaf, 99)
+            assert book.danger_mask == 0, leaf
+
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(3, 10),
+        n=st.integers(3, 20),
         p=st.floats(0.1, 0.9),
         gseed=st.integers(0, 10**6),
         mseed=st.integers(0, 10**6),
-        threshold=st.integers(1, 3),
+        data=st.data(),
     )
-    def test_incremental_matches_recompute_and_grows(self, n, p, gseed, mseed, threshold):
+    def test_incremental_matches_recompute_and_grows(self, n, p, gseed, mseed, data):
+        # thresholds up to n + 3 include ones no tally can reach
+        threshold = data.draw(st.integers(1, n + 3), label="threshold")
         g = gnp_generate(GnpSpec(n, p, gseed))
         rng = random.Random(mseed)
         book = RoundBook(round=1, n=n)
@@ -935,19 +946,23 @@ class TestLockstepOracles:
         assert tiers[3] > 1000  # the kill tier often
 
     def test_priority_alice_mirror_matches_per_pair_weights(self):
-        tier3 = 0
+        tiers = [0] * 4
         for n, gseed in _LOCKSTEP_GAMES:
             g = gnp_generate(GnpSpec(n, 0.5, gseed))
             params = StrategyParams(danger_threshold=2, nearly_full_threshold=2, block_distance=2, reserve_missing=2)
             for k in (n // 2 + 2, n - 2):
-                tier3 += _alice_lockstep(g, k, params, max_rounds=4, seed=gseed)
-        assert tier3 > 100  # the mirror search really ran
+                for tier, count in enumerate(_alice_lockstep(g, k, params, max_rounds=4, seed=gseed)):
+                    tiers[tier] += count
+        assert all(tiers[1:]), tiers  # every tier really fired
+        assert tiers[3] > 100  # the mirror search often
 
     def test_priority_alice_mirror_matches_at_defence_scale(self):
         # the alice-defence setting, where many pressure levels and ties meet
         g = gnp_generate(GnpSpec(101, 0.5, derive_seed(0, 0, "graph")))
         params = dataclasses.replace(StrategyParams.from_fractions(101), danger_threshold=3)
-        assert _alice_lockstep(g, 32, params, max_rounds=3, seed=derive_seed(0, 0, 32)) > 100
+        tiers = _alice_lockstep(g, 32, params, max_rounds=3, seed=derive_seed(0, 0, 32))
+        assert tiers[2] > 0, tiers  # the exact mirror at n = 101
+        assert tiers[3] > 100, tiers
 
     @settings(max_examples=400, deadline=None)
     @given(position=_mirror_positions(), threshold=st.integers(1, 3))
@@ -964,9 +979,10 @@ class TestLockstepOracles:
         assert picks[0] == picks[1]
 
 
-def _alice_lockstep(g, k, params, max_rounds, seed) -> int:
+def _alice_lockstep(g, k, params, max_rounds, seed) -> list[int]:
     """Play PriorityAlice and _ReferenceAlice against TargetBob, assert the
-    same game, and return how many moves came from the mirror tier."""
+    same game, and return how many of Alice's moves came from each tier:
+    tiers[t] for t = 1, 2, 3 (tiers[0] stays 0)."""
     games = []
     for cls in (PriorityAlice, _ReferenceAlice):
         alice = cls(params, audit=True)
@@ -975,7 +991,10 @@ def _alice_lockstep(g, k, params, max_rounds, seed) -> int:
     (out, alice), (ref_out, ref) = games
     assert out.transcript == ref_out.transcript, (g.n, k, seed)
     assert alice.audit_log == ref.audit_log, (g.n, k, seed)
-    return sum(1 for *_, prio in alice.audit_log if prio == 3)
+    tiers = [0] * 4
+    for *_, prio in alice.audit_log:
+        tiers[prio] += 1
+    return tiers
 
 
 def _set_safe_kill_color(bob, state, vertex):
