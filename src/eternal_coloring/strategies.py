@@ -167,13 +167,16 @@ class RoundBook:
 
     round: int
     n: int
-    diff: list[int] = field(default_factory=list)  # Bob-minus-Alice plays in N(v), per v
+    # Bob-minus-Alice plays in N[v], per v, as two's-complement bit planes:
+    # bit v of diff[j] is bit j of v's tally.  A tally lies in [-n, n], and
+    # n.bit_length() + 1 planes hold that range.
+    diff: list[int] = field(default_factory=list)
     danger_mask: int = 0
     last_bob_vertex: Optional[int] = None
 
     def __post_init__(self):
         if not self.diff:
-            self.diff = [0] * self.n
+            self.diff = [0] * (self.n.bit_length() + 1)
 
 
 def record_round_move(book: RoundBook, graph: Graph, player: Player, vertex: int, threshold: int) -> None:
@@ -182,20 +185,33 @@ def record_round_move(book: RoundBook, graph: Graph, player: Player, vertex: int
     A vertex is dangerous once Bob's plays in its closed neighbourhood exceed
     Alice's by at least the threshold at ANY prefix of the round; dangerousness
     is sticky for the rest of the round.
+
+    The move adds (Bob) or subtracts (Alice) the mask N[vertex] on the tally
+    planes, all tallies at once, with a ripple carry or borrow that stops once
+    it is spent.  A tally rises one step at a time, so it first reaches the
+    threshold by equalling it just after one of Bob's moves in its closed
+    neighbourhood.  A threshold above n, which no tally reaches, endangers
+    nothing.
     """
-    diff, nbrs = book.diff, graph.closed_list[vertex]
+    diff, m = book.diff, graph.closed[vertex]
     if player is Player.BOB:
         book.last_bob_vertex = vertex
-        danger = book.danger_mask
-        for u in nbrs:
-            d = diff[u] + 1
-            diff[u] = d
-            if d >= threshold:
-                danger |= 1 << u
-        book.danger_mask = danger
+        carry = m
+        for j, plane in enumerate(diff):
+            diff[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        if threshold <= book.n:  # below 2**(len(diff) - 1): it cannot alias
+            for j, plane in enumerate(diff):  # the vertices of N[vertex] whose tally is threshold
+                m &= plane if threshold >> j & 1 else ~plane
+            book.danger_mask |= m
     else:  # Alice's plays only lower the tallies, so they endanger nothing
-        for u in nbrs:
-            diff[u] -= 1
+        for j, plane in enumerate(diff):
+            diff[j] = plane ^ m
+            m &= ~plane
+            if not m:
+                break
 
 
 class PriorityAlice(Strategy):
@@ -240,7 +256,10 @@ class PriorityAlice(Strategy):
 
     def _choose(self, state: GameState) -> tuple[int, Optional[int], int]:
         # count[v], the palette colours N[v] sees, as bit planes over the
-        # vertices the tiers read: the unplayed and the dangerous ones
+        # vertices the tiers read: the unplayed and the dangerous ones.  One
+        # split by count serves every tier: tier 1 reads its unplayed part,
+        # tier 3 its dangerous part, lvl[L] = the dangerous vertices seeing L
+        # colours, up to the top level.
         seen_by, k = state.seen_by, self.k
         unplayed = ~state.played & self.graph.full_mask
         d_mask = self.book.danger_mask
@@ -251,11 +270,19 @@ class PriorityAlice(Strategy):
         # everything is unrescuable (playing it would concede), so it is no
         # candidate.
         urgent, most, full = 0, k - self.params.nearly_full_threshold, 0
-        for m, count in split_by_count(unplayed, planes):
-            if count == k:
-                full = m
-            elif count > most:
-                urgent, most = m, count
+        lvl, top = [0] * (k + 2), -1
+        for m, count in split_by_count(live, planes):
+            u = m & unplayed
+            if u:
+                if count == k:
+                    full = u
+                elif count > most:
+                    urgent, most = u, count
+            d = m & d_mask
+            if d:
+                lvl[count] = d
+                if count > top:
+                    top = count
         if urgent:
             v = (urgent & -urgent).bit_length() - 1
             return v, smallest_legal(state, v), 1
@@ -276,22 +303,30 @@ class PriorityAlice(Strategy):
             c += 1
         # (2) exact mirror of Bob's last non-dangerous move w.r.t. the danger
         # set (choice among mirrors is free: take the cheapest colour, then
-        # the lowest vertex).
+        # the lowest vertex).  v mirrors w when each dangerous t is adjacent
+        # to both or to neither, so each t cuts the playable non-dangerous
+        # vertices down to those on w's side of it: about half of them.
         if not d_mask >> w & 1:
             adj = self.graph.adj
-            want = adj[w] & d_mask
-            for c, got in cands:
-                for v in iter_bits(got & ~d_mask):
-                    if adj[v] & d_mask == want:
-                        return v, c, 2
+            near, mirrors, rest = adj[w], unplayed & ~full & ~d_mask, d_mask
+            while rest and mirrors:
+                low = rest & -rest
+                rest ^= low
+                t = low.bit_length() - 1
+                mirrors &= adj[t] if near & low else ~adj[t]
+            if mirrors:
+                for c, got in cands:  # the groups partition unplayed & ~full
+                    got &= mirrors
+                    if got:
+                        return (got & -got).bit_length() - 1, c, 2
         # (3) the arbitrary move is free, so spend it where the pressure is:
         # cover the most-pressured neighbourhoods, coolest colour on ties.
         # With no playable vertex, the lowest unplayed one concedes.
         if not cands:
             return (*first_fit(state), 3)
-        return (*self._playable_mirror(state, cands, planes), 3)
+        return (*self._playable_mirror(state, cands, lvl, top), 3)
 
-    def _playable_mirror(self, state: GameState, cands: list[tuple[int, int]], planes: list[int]) -> tuple[int, int]:
+    def _playable_mirror(self, state: GameState, cands: list[tuple[int, int]], lvl: list[int], top: int) -> tuple[int, int]:
         # Best-effort mirror.  Exact mirrors (identical adjacency to the whole
         # danger set) quickly stop existing at small n, so we keep the
         # invariant the mirror exists to provide — Alice plays next to a
@@ -302,41 +337,48 @@ class PriorityAlice(Strategy):
         # colour, keeping Alice's distinct-colour footprint low, then towards
         # the lowest vertex.
         #
-        # A dangerous vertex t is at level L when it sees L colours.  Covering
-        # it with a colour it already sees is a pure slot-burn and counts at
-        # level L; a colour new to it also fills it, which counts one level
-        # lower (and not at all from level 0).  A candidate's cover is its
-        # count per level, compared from the top level down: the score
-        # sum_L count_L * (n+1)**L of the weighted form, since no count
-        # reaches n+1.  So the candidates, _choose's (colour, vertices)
-        # groups, are cut to the best count level by level, from the top,
-        # until one is left; a level returns only a unique best, so their
-        # order does not matter.
-        d_mask = self.book.danger_mask
+        # A dangerous vertex t is at level L when it sees L colours (lvl[L],
+        # up to lvl[top]).  Covering it with a colour it already sees is a
+        # pure slot-burn and counts at level L; a colour new to it also fills
+        # it, which counts one level lower (and not at all from level 0).  A
+        # candidate's cover is its count per level, compared from the top
+        # level down: the score sum_L count_L * (n+1)**L of the weighted form,
+        # since no count reaches n+1.  So the candidates, _choose's (colour,
+        # vertices) groups, are cut to the best count level by level, from
+        # the top, until one is left; a level returns only a unique best, so
+        # their order does not matter.  A group's vertices share its colour
+        # c, so they share one cover mask per level, and a group is cut to
+        # the mask of its best-scoring vertices.  The groups stay in
+        # ascending colour, so the lowest vertex of the first group left is
+        # the (colour, vertex) minimum.
         seen_by, adj = state.seen_by, self.graph.adj
-        lvl = [0] * (self.k + 2)  # lvl[L] = the dangerous vertices at level L
-        for m, level in split_by_count(d_mask, planes):
-            lvl[level] = m
-        sees = {c: seen_by[c] & d_mask for c, _ in cands}  # the dangerous vertices seeing c
-        cands = [(v, c) for c, got in cands for v in iter_bits(got)]
-        top = max((L for L, m in enumerate(lvl) if m), default=-1)
         for level in range(top, -1, -1):
             hit, miss = lvl[level], lvl[level + 1]
             if not hit | miss:
                 continue
-            cover = {c: (s & hit) | (miss & ~s) for c, s in sees.items()}
             best, keep = -1, []
-            for v, c in cands:
-                count = (adj[v] & cover[c]).bit_count()
-                if count > best:
-                    best, keep = count, [(v, c)]
-                elif count == best:
-                    keep.append((v, c))
-            if len(keep) == 1:
-                return keep[0]
+            for c, got in cands:
+                s = seen_by[c]
+                cover = (s & hit) | (miss & ~s)
+                group_best, tie = -1, 0
+                while got:
+                    low = got & -got
+                    got ^= low
+                    count = (adj[low.bit_length() - 1] & cover).bit_count()
+                    if count > group_best:
+                        group_best, tie = count, low
+                    elif count == group_best:
+                        tie |= low
+                if group_best > best:
+                    best, keep = group_best, [(c, tie)]
+                elif group_best == best:
+                    keep.append((c, tie))
+            if len(keep) == 1 and not keep[0][1] & (keep[0][1] - 1):
+                c, tie = keep[0]
+                return tie.bit_length() - 1, c
             cands = keep
-            sees = {c: sees[c] for _, c in cands}
-        return min(cands, key=lambda vc: (vc[1], vc[0]))
+        c, tie = cands[0]
+        return (tie & -tie).bit_length() - 1, c
 
 
 # ---------------------------------------------------------------------------

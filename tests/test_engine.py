@@ -392,6 +392,17 @@ def test_random_playout_invariants(n, p, graph_seed, k_extra, variant, play_seed
     _scripted_playout(n, p, graph_seed, k, variant, play_seed)
 
 
+def _signed_tallies(planes, n):
+    """The per-vertex tallies held in two's-complement bit planes: bit v of
+    planes[j] is bit j of v's tally."""
+    width = len(planes)
+    tallies = []
+    for v in range(n):
+        t = sum((plane >> v & 1) << j for j, plane in enumerate(planes))
+        tallies.append(t - (1 << width) if t >> (width - 1) else t)
+    return tallies
+
+
 def test_defence_scale_bookkeeping_matches_recount():
     """The board census and Alice's round book, recounted after every move of
     three rounds at the alice-defence size: G(101, 1/2), k = 32."""
@@ -427,7 +438,7 @@ def test_defence_scale_bookkeeping_matches_recount():
                         recount[state.colors[w]] |= 1 << u
             assert state.seen_by == recount, rec
             assert alice.book.round == rec.round
-            assert alice.book.diff == self.diff, rec
+            assert _signed_tallies(alice.book.diff, g.n) == self.diff, rec
             assert alice.book.danger_mask == self.danger, rec
 
     out = play_game(g, k, alice, CheckedBob(), RuleVariant(config.variant), rounds, derive_seed(0, 0, k))
