@@ -17,7 +17,7 @@ from itertools import accumulate, combinations
 from math import ceil, comb
 from typing import Optional
 
-from .graph import Graph, mask_of
+from .graph import Graph, bit_counts, iter_bits, mask_of, split_by_count
 
 
 @dataclass
@@ -107,11 +107,14 @@ def check_unbalanced_triple(
     seed: int = 0,
 ) -> PropertyCheck:
     """Search for disjoint A, B of the given size with >= K vertices each
-    favouring B by >= imbalance neighbours.  Exhaustive for n <= 12.
+    favouring B by >= imbalance neighbours.  Exhaustive for n <= 12, and
+    when no two disjoint sets of that size exist.
 
     'holds' means NO such triple was found.
     """
     n = graph.n
+    if 2 * set_size > n:
+        return PropertyCheck("unbalanced_triple", True, "exhaustive")
 
     def count_imbalanced(a_mask: int, b_mask: int) -> list[int]:
         out = []
@@ -150,16 +153,18 @@ def count_nearly_full_vertices(
     graph: Graph, coloring: list[int], missing_threshold: int, num_colors: int
 ) -> tuple[int, list[int]]:
     """Vertices whose closed neighbourhood misses at most missing_threshold
-    of the num_colors palette.  The colouring need not be proper."""
-    out = []
-    for v in range(graph.n):
-        seen = set()
-        for u in graph.closed_list[v]:
-            c = coloring[u]
-            if c:
-                seen.add(c)
-        if num_colors - len(seen & set(range(1, num_colors + 1))) <= missing_threshold:
-            out.append(v)
+    of the num_colors palette, ascending.  The colouring need not be proper.
+    Counted on the census seen_by[c] (the vertices whose N[v] holds colour c),
+    as PriorityAlice's rescue tier counts."""
+    seen_by = [0] * (num_colors + 1)
+    for c, closed in zip(coloring, graph.closed):
+        if 0 < c <= num_colors:
+            seen_by[c] |= closed
+    nearly_full = 0
+    for m, count in split_by_count(graph.full_mask, bit_counts(seen_by)):
+        if num_colors - count <= missing_threshold:
+            nearly_full |= m
+    out = list(iter_bits(nearly_full))
     return len(out), out
 
 
@@ -302,7 +307,7 @@ def _adversarial_colorings(graph: Graph, num_colors: int, seed: int) -> list[lis
     # saturate vertex 0: give its closed neighbourhood as many distinct colours as possible
     sat = [1] * n
     c = 1
-    for u in graph.closed_list[0]:
+    for u in iter_bits(graph.closed[0]):
         sat[u] = c
         c = c % num_colors + 1
     battery.append(sat)
@@ -332,29 +337,20 @@ def audit_graph(graph: Graph, params: AuditParams) -> PropertyReport:
         )
     )
 
-    num_colors = max(1, ceil((params.p / 2 + params.epsilon) * n))
-    cap = params.C * max(1, ceil(math.log(max(n, 2))))
-    worst = 0
-    worst_witness = None
-    for coloring in _adversarial_colorings(graph, num_colors, params.seed):
-        count, verts = count_nearly_full_vertices(graph, coloring, 2 * res["beta_n"], num_colors)
-        if count > worst:
-            worst, worst_witness = count, verts[: params.K]
-    report.checks.append(
-        PropertyCheck("few_nearly_full", worst <= cap, "sampled", worst_witness if worst > cap else None)
-    )
-
+    log_n = max(1, ceil(math.log(max(n, 2))))
+    wide = max(1, ceil((params.p / 2 + params.epsilon) * n))
     small = max(1, res["set_size"])
-    cap_d = params.D * max(1, ceil(math.log(max(n, 2))))
-    worst = 0
-    worst_witness = None
-    for coloring in _adversarial_colorings(graph, small, params.seed + 1):
-        count, verts = count_nearly_full_vertices(graph, coloring, res["gamma_n"], small)
-        if count > worst:
-            worst, worst_witness = count, verts[: params.K]
-    report.checks.append(
-        PropertyCheck("few_small_color_full", worst <= cap_d, "sampled", worst_witness if worst > cap_d else None)
-    )
+    # (name, palette size, missing threshold, cap on the count, battery seed)
+    for name, num_colors, missing, cap, seed in (
+        ("few_nearly_full", wide, 2 * res["beta_n"], params.C * log_n, params.seed),
+        ("few_small_color_full", small, res["gamma_n"], params.D * log_n, params.seed + 1),
+    ):
+        worst, worst_witness = 0, None
+        for coloring in _adversarial_colorings(graph, num_colors, seed):
+            count, verts = count_nearly_full_vertices(graph, coloring, missing, num_colors)
+            if count > worst:
+                worst, worst_witness = count, verts[: params.K]
+        report.checks.append(PropertyCheck(name, worst <= cap, "sampled", worst_witness if worst > cap else None))
 
     rng = random.Random(params.seed + 2)
     s_size = max(1, res["danger"])

@@ -24,6 +24,7 @@ from .experiments import (
     run_experiment,
     trial_graph,
 )
+from .graph import NAMED_KINDS
 from .solver import SolverInfeasible, eternal_game_chromatic_number, solve_eternal
 
 
@@ -37,7 +38,7 @@ def _graph_spec(text: str) -> dict:
             if len(parts) == 3:
                 spec["seed"] = int(parts[2])
             return spec
-        if kind in ("star", "path", "cycle", "complete", "empty"):
+        if kind in NAMED_KINDS:
             return {"kind": kind, "size": int(rest)}
     except ValueError as e:  # a number that does not parse
         raise ConfigError(f"bad graph spec {text!r}: {e}") from None

@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import __version__
 from .engine import GameOutcome, Player, RuleVariant, play_game
-from .graph import Graph, GnpSpec, derive_seed, gnp_generate, make_named
+from .graph import NAMED_KINDS, Graph, GnpSpec, derive_seed, gnp_generate, make_named
 from .strategies import (
     GreedyFirstFit,
     PriorityAlice,
@@ -152,7 +152,7 @@ class TrialRecord:
 
 def build_graph(spec: dict, seed: Optional[int] = None) -> Graph:
     kind = spec.get("kind")
-    if kind not in ("gnp", "star", "path", "cycle", "complete", "empty"):
+    if kind != "gnp" and kind not in NAMED_KINDS:
         raise ConfigError(f"unknown graph kind {kind!r}")
     needed = {"n": int, "p": float} if kind == "gnp" else {"size": int}
     allowed = {"kind", "seed", *needed} if kind == "gnp" else {"kind", *needed}

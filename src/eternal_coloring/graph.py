@@ -2,10 +2,9 @@
 
 Graphs are immutable after construction.  Adjacency is stored as one Python
 int per vertex (bit u set in adj[v] iff uv is an edge), so neighbourhood
-intersections are single AND operations.  Each closed neighbourhood is also
-kept as an ascending tuple of vertices, for walks over it vertex by vertex.
-``bit_counts`` and ``split_by_count`` count, across many masks, how often
-each bit is set, for all bits at once.
+intersections are single AND operations; closed[v] is the same with bit v
+set.  A graph keeps these masks only.  ``bit_counts`` and ``split_by_count``
+count, across many masks, how often each bit is set, for all bits at once.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ class GnpSpec:
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "closed", "closed_list", "full_mask")
+    __slots__ = ("n", "adj", "closed", "full_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         self.n = n
@@ -59,9 +58,6 @@ class Graph:
             adj[v] |= 1 << u
         self.adj = adj
         self.closed = [adj[v] | (1 << v) for v in range(n)]
-        # closed_list[v] = the vertices of N[v], ascending: walking a tuple
-        # is cheaper than walking the bits of closed[v]
-        self.closed_list = tuple(tuple(iter_bits(m)) for m in self.closed)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -93,6 +89,8 @@ class Graph:
     @classmethod
     def from_text(cls, text: str) -> "Graph":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("graph text has no header line")
         n, m = map(int, lines[0].split())
         edges = [tuple(map(int, ln.split())) for ln in lines[1 : m + 1]]
         if len(edges) != m:
@@ -178,8 +176,11 @@ def gnp_generate(spec: GnpSpec) -> Graph:
     return Graph(n, edges)
 
 
+NAMED_KINDS = ("star", "path", "cycle", "complete", "empty")
+
+
 def make_named(kind: str, size: int) -> Graph:
-    """Construct a named small graph.
+    """Construct a named small graph, of a kind in NAMED_KINDS.
 
     kind: 'star' (size = number of leaves, vertex 0 is the centre),
     'path', 'cycle', 'complete', 'empty' (size = number of vertices).

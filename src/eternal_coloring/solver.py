@@ -33,7 +33,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .engine import GameState, Player, RuleVariant, Strategy, legal_mask
-from .graph import Graph
+from .graph import Graph, iter_bits
 
 
 class SolverInfeasible(RuntimeError):
@@ -131,7 +131,7 @@ def solve_eternal(
         raise ValueError("colour-symmetry reduction is only sound for STANDARD rules")
 
     full = graph.full_mask
-    closed = graph.closed_list
+    closed = [tuple(iter_bits(m)) for m in graph.closed]  # N[v] for the walk below
     palette = ((1 << k) - 1) << 1
     width = k.bit_length()
     cmask = (1 << width) - 1

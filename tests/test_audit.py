@@ -87,6 +87,13 @@ class TestUnbalancedTriple:
         g = gnp_generate(GnpSpec(10, 0.5, 0))
         assert check_unbalanced_triple(g, set_size=2, imbalance=g.n + 1, K=1).holds
 
+    def test_sets_too_large_to_be_disjoint_hold_beyond_the_exhaustive_range(self):
+        # every vertex clears imbalance -n, so any disjoint A, B of size 7
+        # would be a witness; there are none on 12 or 13 vertices
+        for n in (12, 13):
+            check = check_unbalanced_triple(gnp_generate(GnpSpec(n, 0.5, 1)), set_size=7, imbalance=-n, K=1)
+            assert check.holds and check.method == "exhaustive", n
+
     def test_random_graph_sampled_search_finds_nothing(self):
         g = gnp_generate(GnpSpec(300, 0.5, 2))
         check = check_unbalanced_triple(g, set_size=30, imbalance=15, K=40, samples=3000, seed=7)
@@ -119,6 +126,39 @@ class TestNearlyFull:
                 c += 1
         count, verts = count_nearly_full_vertices(g, coloring, 0, num_colors)
         assert 0 in verts
+
+
+def _reference_nearly_full(graph, coloring, missing_threshold, num_colors):
+    """count_nearly_full_vertices as per-vertex colour sets over N[v]."""
+    out = []
+    for v in range(graph.n):
+        seen = set()
+        for u in range(graph.n):
+            if u == v or graph.has_edge(u, v):
+                c = coloring[u]
+                if c:
+                    seen.add(c)
+        if num_colors - len(seen & set(range(1, num_colors + 1))) <= missing_threshold:
+            out.append(v)
+    return len(out), out
+
+
+@st.composite
+def _nearly_full_case(draw):
+    """A graph on up to 40 vertices, and a colouring that may leave vertices
+    uncoloured, give neighbours one colour and use colours above num_colors."""
+    n = draw(st.integers(1, 40))
+    graph = gnp_generate(GnpSpec(n, draw(st.floats(0, 1)), draw(st.integers(0, 2**32))))
+    num_colors = draw(st.integers(1, 12))
+    coloring = draw(st.lists(st.integers(0, num_colors + 3), min_size=n, max_size=n))
+    missing_threshold = draw(st.integers(-1, num_colors + 1))
+    return graph, coloring, missing_threshold, num_colors
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_nearly_full_case())
+def test_nearly_full_count_matches_per_vertex_colour_sets(case):
+    assert count_nearly_full_vertices(*case) == _reference_nearly_full(*case)
 
 
 class TestBlockSets:

@@ -301,7 +301,8 @@ TESTS = Path(__file__).resolve().parent
 _MISSING_CONFIG = str(TESTS / "data" / "no_such_config.json")
 
 _FUZZ_GRAPHS = [
-    "star:0", "star:x", "star:3", "gnp:5,1.5", "gnp:4,0.5,1", "gnp:4", "gnp:0,0.5", "path:3", "cycle:4", "complete:3", "empty:2", "moebius:3"
+    "star:0", "star:x", "star:3", "gnp:5,1.5", "gnp:4,0.5,1", "gnp:4", "gnp:0,0.5", "path:3", "cycle:4", "complete:3", "empty:2", "moebius:3",
+    "gnp:13,0.5,1",  # n > 12: the audit's sampled triple search
 ]
 _FUZZ_STRATEGIES = ["greedyFirstFit", "randomLegal", "priorityAlice", "targetBob", "multiplicityBob", "nope"]
 _FUZZ_VARIANTS = ["standard", "greedy_bob", "greedy_both", "bogus"]
@@ -568,6 +569,14 @@ class TestCli:
         assert {"name", "holds", "method", "witness"} <= set(report["checks"][0])
         assert main(["audit", "--graph", "empty:3", "--p", "0.0", "--epsilon", "0.5"]) == 0
         assert json.loads(capsys.readouterr().out)["all_hold"]
+
+    def test_audit_with_sets_too_large_to_be_disjoint(self, capsys):
+        # epsilon 100 at n = 101 asks for two disjoint sets of 51 vertices
+        assert main(["audit", "--graph", "gnp:101,0.5,1", "--epsilon", "100"]) in (0, 4)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+        assert checks["unbalanced_triple"]["holds"] and checks["unbalanced_triple"]["method"] == "exhaustive"
 
     def test_experiment_and_threshold(self, tmp_path, capsys):
         config = _single_vertex_config(2, trials=3).to_json_obj()
