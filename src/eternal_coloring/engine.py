@@ -67,7 +67,7 @@ class GameState:
     """Mutable position of one game; confined to a single worker."""
 
     __slots__ = (
-        "graph", "k", "variant", "palette", "colors", "round", "played", "played_count", "to_move", "color_pos", "seen_by"
+        "graph", "k", "variant", "palette", "colors", "round", "played", "to_move", "color_pos", "seen_by"
     )
 
     def __init__(self, graph: Graph, k: int, variant: RuleVariant = RuleVariant.STANDARD):
@@ -80,7 +80,6 @@ class GameState:
         self.colors = [0] * graph.n  # 0 = uncoloured (round 1 only)
         self.round = 1
         self.played = 0  # bitmask of vertices played this round
-        self.played_count = 0
         self.to_move = Player.ALICE
         # color_pos[c] = bitmask of vertices currently coloured c (c = 0: uncoloured)
         self.color_pos = [graph.full_mask] + [0] * k
@@ -155,12 +154,10 @@ def _place(state: GameState, v: int, c: int) -> GameState:
             seen |= closed[low.bit_length() - 1]
         seen_by[old] = seen
     state.played |= bit
-    state.played_count += 1
     state.to_move = Player.BOB if state.to_move is Player.ALICE else Player.ALICE
-    if state.played_count == state.graph.n:
+    if state.played == state.graph.full_mask:
         state.round += 1
         state.played = 0
-        state.played_count = 0
     return state
 
 
@@ -234,7 +231,7 @@ def play_game(
                 )
             if type(c) is not int or c < 0 or not legal >> c & 1:
                 return GameOutcome(winner=None, fault=mover, rounds_completed=state.round - 1, transcript=transcript)
-        rec = MoveRecord(state.round, state.played_count, mover, v, c)
+        rec = MoveRecord(state.round, state.played.bit_count(), mover, v, c)
         _place(state, v, c)
         transcript.append(rec)
         alice.observe(state, rec)
@@ -246,7 +243,7 @@ def replay_transcript(graph: Graph, k: int, variant: RuleVariant, transcript: li
     """Re-apply a transcript from the initial position; raises on any illegality."""
     state = GameState(graph, k, variant)
     for rec in transcript:
-        if rec.player is not state.to_move or rec.round != state.round or rec.idx != state.played_count:
+        if rec.player is not state.to_move or rec.round != state.round or rec.idx != state.played.bit_count():
             raise IllegalMoveError(f"transcript out of order at {rec}")
         apply_move(state, rec.vertex, rec.color)
     return state

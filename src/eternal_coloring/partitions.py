@@ -10,8 +10,9 @@ for p = 1/k and every nonempty A subset of the ground set,
         = p^|A| * (1-p)^(l-|A|).
 
 Two candidate formulas are implemented.  The 'proof' form,
-k^-l * (k-1)! / (k-|T|)!  for |T| <= k (else 0), follows the ordered-partition
-counting argument and satisfies the identity exactly.  The 'display' form,
+k^-l * (k-1)! / (k-|T|)!, the falling factorial of k-1 of length |T|-1 (0 once
+|T| > k), follows the ordered-partition counting argument and satisfies the
+identity exactly; it costs |T| - 1 products at any k.  The 'display' form,
 k^-l * (k-1)! / (|T|-1)!  for |T| <= l, breaks the identity from l = 3 on.
 It is kept as a known-false control: the tests and the benchmark's ``exact``
 workload both check that the identity fails for it at k = 2, l = 3.
@@ -23,24 +24,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
-from typing import Iterable
+from math import factorial, perm
 
 MAX_GROUND_SET = 10  # Bell(10) = 115975; enumeration guard
 
 SetPartition = tuple[frozenset, ...]  # blocks ordered by minimum element
-
-
-def canonical_partition(blocks: Iterable[Iterable[int]]) -> SetPartition:
-    bs = [frozenset(b) for b in blocks]
-    if any(not b for b in bs):
-        raise ValueError("blocks must be nonempty")
-    seen: set[int] = set()
-    for b in bs:
-        if seen & b:
-            raise ValueError("blocks must be disjoint")
-        seen |= b
-    return tuple(sorted(bs, key=min))
 
 
 def enumerate_partitions(l: int) -> list[SetPartition]:
@@ -79,9 +67,7 @@ def _block_count_weight(m: int, k: int, l: int, form: str) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1")
     if form == "proof":
-        if m > k:
-            return Fraction(0)
-        return Fraction(factorial(k - 1), factorial(k - m) * k**l)
+        return Fraction(perm(k - 1, m - 1), k**l)
     if form == "display":
         if m > l:
             return Fraction(0)
@@ -140,12 +126,7 @@ def build_color_plan(l: int, k: int, num_colors: int) -> ColorPlan:
     exact weights, so the total is exactly num_colors and every positive-weight
     partition gets a nonempty interval.
     """
-    all_parts = enumerate_partitions(l)
-    if l >= 2:
-        one_block = canonical_partition([range(l)])
-        family = [T for T in all_parts if T != one_block]
-    else:
-        family = all_parts
+    family = [T for T in enumerate_partitions(l) if len(T) > 1 or l == 1]
     weighted = [(T, partition_weight(T, k, l)) for T in family]
     positive = [(T, w) for T, w in weighted if w > 0]
     if not positive:

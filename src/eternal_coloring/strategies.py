@@ -21,7 +21,7 @@ from math import ceil
 from typing import Iterator, Optional
 
 from .engine import GameState, MoveRecord, Player, Strategy, legal_mask, seen_of
-from .graph import Graph, bit_counts, iter_bits, mask_of, split_by_count
+from .graph import Graph, bit_counts, iter_bits, split_by_count
 from .partitions import build_color_plan
 
 
@@ -251,7 +251,7 @@ class PriorityAlice(Strategy):
             self.book = RoundBook(round=state.round, n=self.graph.n)
         v, c, prio = self._choose(state)
         if self.audit:
-            self.audit_log.append((state.round, state.played_count, prio))
+            self.audit_log.append((state.round, state.played.bit_count(), prio))
         return v, c
 
     def _choose(self, state: GameState) -> tuple[int, Optional[int], int]:
@@ -572,7 +572,7 @@ class TargetBob(Strategy):
             return claim_or_first_fit(state, (self.target,))
         v, c, prio = self._round1_move(state)
         if self.audit:
-            self.audit_log.append((state.round, state.played_count, prio))
+            self.audit_log.append((state.round, state.played.bit_count(), prio))
         return v, c
 
     def _round1_move(self, state: GameState) -> tuple[int, Optional[int], int]:
@@ -620,14 +620,13 @@ class PlanSetupError(ValueError):
 class PlanEntry:
     subset: frozenset  # which ground vertices this class is adjacent to
     vertices: int  # bitmask
-    colors: frozenset  # designated colour set Y_i
+    colors: tuple  # designated colour set Y_i, ascending
 
 
 @dataclass(frozen=True)
 class TargetPlan:
     ground_set: tuple  # the l distinguished vertices
     entries: tuple  # PlanEntry, disjoint vertex sets
-    num_colors: int
 
     @property
     def l(self) -> int:
@@ -646,7 +645,6 @@ def bob_even_setup(graph: Graph, l: int, k: int, num_colors: int) -> TargetPlan:
     except ValueError as e:  # k or num_colors admits no colour plan
         raise PlanSetupError(str(e)) from e
     ground = tuple(range(l))
-    ground_mask = mask_of(ground)
     classes: dict[frozenset, int] = {}
     for v in range(l, graph.n):
         trace = frozenset(x for x in ground if graph.adj[v] >> x & 1)
@@ -659,8 +657,8 @@ def bob_even_setup(graph: Graph, l: int, k: int, num_colors: int) -> TargetPlan:
         vertices = classes.get(subset, 0)
         if vertices == 0:
             raise PlanSetupError(f"class for trace {sorted(subset)} is empty but needs colours")
-        entries.append(PlanEntry(subset, vertices, colors))
-    return TargetPlan(ground_set=ground, entries=tuple(entries), num_colors=num_colors)
+        entries.append(PlanEntry(subset, vertices, tuple(sorted(colors))))
+    return TargetPlan(ground_set=ground, entries=tuple(entries))
 
 
 class MultiplicityBob(Strategy):
@@ -685,9 +683,9 @@ class MultiplicityBob(Strategy):
         self.k = k
         entries = self.plan.entries
         self.entry_of_vertex = {v: i for i, e in enumerate(entries) for v in iter_bits(e.vertices)}
-        self.class_colors = [tuple(sorted(e.colors)) for e in entries]  # Y_i, ascending
         self.end_stage = [False] * len(entries)
-        self.designated = [[i for i, e in enumerate(entries) if c in e.colors] for c in range(k + 1)]
+        # designated[c]: the vertex masks of the classes c is designated to
+        self.designated = [[e.vertices for e in entries if c in e.colors] for c in range(k + 1)]
         self.alice_last_entry = None  # the class of Alice's last vertex, if any
         self.alice_last_color = None
         self.pending: deque[Iterator[tuple[int, int]]] = deque()  # kill sequences, FIFO
@@ -697,7 +695,8 @@ class MultiplicityBob(Strategy):
     def observe(self, state: GameState, rec: MoveRecord):
         i = self.entry_of_vertex.get(rec.vertex)
         if i is not None and not self.end_stage[i]:
-            missing = sum(1 for c in self.class_colors[i] if self._is_missing(state, i, c))
+            entry = self.plan.entries[i]
+            missing = sum(1 for c in entry.colors if not state.color_pos[c] & entry.vertices)
             self.end_stage[i] = missing <= self.params.reserve_missing
         if rec.player is Player.ALICE:
             self.alice_last_entry = i
@@ -705,12 +704,9 @@ class MultiplicityBob(Strategy):
 
     # -- helpers -------------------------------------------------------------
 
-    def _is_missing(self, state: GameState, i: int, c: int) -> bool:
-        """Whether c, a designated colour of class i, is absent from it."""
-        return not state.color_pos[c] & self.plan.entries[i].vertices
-
     def _miss_count(self, state: GameState, c: int) -> int:
-        return sum(1 for i in self.designated[c] if self._is_missing(state, i, c))
+        pos = state.color_pos[c]
+        return sum(1 for vertices in self.designated[c] if not pos & vertices)
 
     def _forces_copy(self, state: GameState, c: int, copies: int) -> bool:
         """The multiplicity rule: with copies copies of colour c on the
@@ -730,8 +726,8 @@ class MultiplicityBob(Strategy):
             if extra and not r:
                 continue
             if self._forces_copy(state, c, r + extra):
-                for i in self.designated[c]:
-                    mv = copy_into(state, self.plan.entries[i].vertices, (c,))
+                for vertices in self.designated[c]:
+                    mv = copy_into(state, vertices, (c,))
                     if mv is not None:
                         return mv
         return None
@@ -748,7 +744,7 @@ class MultiplicityBob(Strategy):
     def _scan_kills(self, state: GameState) -> None:
         m = self.params.block_set_size or 100 * self.params.multiplicity * self.plan.l
         dist = self.params.block_distance
-        unplayed = [v for v in unplayed_vertices(state)]
+        unplayed = ~state.played & self.graph.full_mask
         closed = self.graph.closed
         for i, entry in enumerate(self.plan.entries):
             if self.end_stage[i]:
@@ -756,23 +752,22 @@ class MultiplicityBob(Strategy):
             u_mask = entry.vertices & state.color_pos[0]
             if u_mask.bit_count() < self.params.danger_threshold:
                 continue
-            # greedy max-coverage candidate m-set
+            # greedy max-coverage candidate m-set, the lowest best cover
+            # first.  What remains is uncoloured, so unplayed in round 1, and
+            # each of its vertices covers itself: a best cover always exists,
+            # and it is never a member.
             members, remaining = [], u_mask
-            for _ in range(min(m, len(unplayed))):
-                best, best_cov = None, -1
-                for a in unplayed:
-                    if a in members:
-                        continue
+            while len(members) < m:
+                best, best_cov = None, 0
+                for a in iter_bits(unplayed):
                     cov = (remaining & closed[a]).bit_count()
                     if cov > best_cov:
                         best, best_cov = a, cov
-                if best is None or best_cov == 0:
-                    break
                 members.append(best)
                 remaining &= ~closed[best]
                 if remaining.bit_count() <= dist:
                     break
-            if members and remaining.bit_count() <= dist:
+            if remaining.bit_count() <= dist:
                 key = (frozenset(members), i)
                 if key not in self.seen_kills:
                     self.seen_kills.add(key)
@@ -789,10 +784,10 @@ class MultiplicityBob(Strategy):
             c = self._safe_kill_color(state, a)
             if c is None:
                 continue
-            missing = [i for i in self.designated[c] if self._is_missing(state, i, c)]
+            missing = [vertices for vertices in self.designated[c] if not state.color_pos[c] & vertices]
             yield a, c
-            for i in missing:
-                mv = copy_into(state, self.plan.entries[i].vertices, (c,))
+            for vertices in missing:
+                mv = copy_into(state, vertices, (c,))
                 if mv is not None:
                     yield mv
 
@@ -801,7 +796,7 @@ class MultiplicityBob(Strategy):
             return claim_or_first_fit(state, self.plan.ground_set)
         v, c, prio = self._round1_move(state)
         if self.audit:
-            self.audit_log.append((state.round, state.played_count, prio))
+            self.audit_log.append((state.round, state.played.bit_count(), prio))
         return v, c
 
     def _round1_move(self, state: GameState):
@@ -815,7 +810,7 @@ class MultiplicityBob(Strategy):
         for i, entry in enumerate(entries):
             if self.end_stage[i]:
                 first = (a,) if a in entry.colors else ()
-                mv = copy_into(state, entry.vertices, first + self.class_colors[i])
+                mv = copy_into(state, entry.vertices, first + entry.colors)
                 if mv is not None:
                     return (*mv, 2)
         # (3) kill looming blocks
@@ -832,7 +827,7 @@ class MultiplicityBob(Strategy):
         last = self.alice_last_entry
         order = range(len(entries)) if last is None else (last, *range(len(entries)))
         for i in order:
-            mv = copy_into(state, entries[i].vertices, self.class_colors[i])
+            mv = copy_into(state, entries[i].vertices, entries[i].colors)
             if mv is not None:
                 return (*mv, 5)
         # (6) anything

@@ -103,7 +103,7 @@ class TestApplyMove:
         for v, c in [(0, True), (0, 1.0), (True, 1), (1.0, 1)]:
             with pytest.raises(IllegalMoveError):
                 apply_move(state, v, c)
-        assert state.played_count == 0
+        assert state.played.bit_count() == 0
 
 
 class TestPlayGame:
@@ -185,7 +185,7 @@ def _probe(g, k, variant, prefix, probe):
     def choose(state):
         if script:
             if len(script) == 1:
-                at_probe.append((list(state.colors), state.round, state.played_count, state.to_move))
+                at_probe.append((list(state.colors), state.round, state.played.bit_count(), state.to_move))
             return script.pop(0)
         rest = ~state.played & g.full_mask
         return (rest & -rest).bit_length() - 1, None

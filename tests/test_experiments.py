@@ -25,7 +25,7 @@ from eternal_coloring.experiments import (
     win_rates,
 )
 from eternal_coloring.graph import derive_seed, make_named
-from eternal_coloring.strategies import PriorityAlice, TargetBob
+from eternal_coloring.strategies import MultiplicityBob, PriorityAlice, TargetBob
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # trials.csv of configs/bob-even-sweep.json, recorded before the level-pruned
@@ -221,6 +221,12 @@ class TestBuilders:
         g = make_named("star", 4)
         bob = build_strategy({"name": "targetBob", "target": 2}, g, 3)
         assert isinstance(bob, TargetBob) and bob.target == 2
+
+    def test_multiplicity_bob_plans_at_a_huge_palette(self):
+        # p = 10^-9: the plan's weights stay cheap at any k_inv
+        g = build_graph({"kind": "gnp", "n": 20, "p": 0.5, "seed": 0})
+        bob = build_strategy({"name": "multiplicityBob", "l": 2, "k_inv": 10**9}, g, 12)
+        assert isinstance(bob, MultiplicityBob)
 
     def test_unknown_strategy(self):
         for spec in (

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,6 @@ from eternal_coloring.graph import GnpSpec, gnp_generate
 from eternal_coloring.partitions import (
     ColorPlan,
     build_color_plan,
-    canonical_partition,
     enumerate_partitions,
     partition_weight,
     plan_coverage_ok,
@@ -56,7 +56,7 @@ def plan_to_json_obj(plan: ColorPlan) -> dict:
 
 
 def P(*blocks):
-    return canonical_partition(blocks)
+    return tuple(sorted(map(frozenset, blocks), key=min))
 
 
 def _reference_identity(k: int, l: int, form: str) -> dict:
@@ -99,12 +99,6 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_partitions(11)
 
-    def test_canonical_partition_rejects_bad_blocks(self):
-        with pytest.raises(ValueError):
-            canonical_partition([{0, 1}, {1, 2}])
-        with pytest.raises(ValueError):
-            canonical_partition([set()])
-
 
 class TestPartitionWeight:
     def test_two_elements_both_partitions_quarter(self):
@@ -130,6 +124,17 @@ class TestPartitionWeight:
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
             partition_weight(P({0}), 2, 1, "guess")
+
+    def test_proof_form_matches_the_factorial_formula(self):
+        for k in range(1, 41):
+            for l in range(1, 8):
+                for m in range(1, l + 1):
+                    T = P(*({i} for i in range(m - 1)), range(m - 1, l))
+                    expected = Fraction(factorial(k - 1), factorial(k - m) * k**l) if m <= k else 0
+                    assert partition_weight(T, k, l) == expected, (k, l, m)
+
+    def test_proof_form_is_cheap_at_a_huge_palette(self):
+        assert partition_weight(P({0}, {1}), 10**9, 2) == Fraction(10**9 - 1, 10**18)
 
     def test_singleton_ground_set_weight_is_p(self):
         # with one element the identity pins the single partition's weight to p

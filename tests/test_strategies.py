@@ -1,6 +1,7 @@
 """Priority strategies: danger tracking, mirrors, Alice, both Bobs, baselines."""
 
 import dataclasses
+import hashlib
 import random
 from collections import deque
 
@@ -14,6 +15,7 @@ from eternal_coloring.engine import (
     apply_move,
     legal_colors,
     play_game,
+    transcript_to_json,
 )
 from eternal_coloring.graph import GnpSpec, Graph, derive_seed, gnp_generate, iter_bits, make_named, mask_of
 from eternal_coloring.solver import solve_eternal
@@ -36,6 +38,9 @@ from eternal_coloring.strategies import (
     unplayed_vertices,
 )
 
+# the transcripts of TestMultiplicityBob.test_pinned_transcripts_over_plans
+MULTIPLICITY_BOB_PLANS_SHA256 = "2ab3e47eaf2f9e4d01cdd3179777bd28fab1d2b2224a68e17995009b317aa83e"
+
 
 def _colour_mask(state, v):
     """The colour mask of N[v], from the colouring alone."""
@@ -47,7 +52,7 @@ def _observe_move(state, *strategies_then_move):
     from eternal_coloring.engine import MoveRecord
 
     *strategies, (player, v, c) = strategies_then_move
-    rec = MoveRecord(state.round, state.played_count, player, v, c)
+    rec = MoveRecord(state.round, state.played.bit_count(), player, v, c)
     apply_move(state, v, c)
     for s in strategies:
         s.observe(state, rec)
@@ -728,9 +733,9 @@ class _KillObligation:
         bob, state = self.bob, self.state
         while True:
             if self.intro_left:
-                i = self.intro_left[0]
-                if bob._is_missing(state, i, self.color):
-                    u = uncolored_taking(state, bob.plan.entries[i].vertices, self.color)
+                vertices = bob.plan.entries[self.intro_left[0]].vertices
+                if not state.color_pos[self.color] & vertices:
+                    u = uncolored_taking(state, vertices, self.color)
                     if u is not None:
                         self.intro_left.pop(0)
                         return u, self.color
@@ -749,7 +754,7 @@ class _KillObligation:
                 self.pos += 1
                 continue
             self.color = c
-            self.intro_left = [i for i in bob.designated[c] if bob._is_missing(state, i, c)]
+            self.intro_left = [i for i in bob.ref_designated[c] if not state.color_pos[c] & bob.plan.entries[i].vertices]
             self.pos += 1
             return a, c
 
@@ -757,9 +762,9 @@ class _KillObligation:
 class _ReferenceMultiplicityBob(MultiplicityBob):
     """The oracle of MultiplicityBob's round 1: its own end-stage rule and
     record of Alice's last move, each tier written out in full, and kill
-    sequences as hand-stepped obligations.  It shares only the kill scan, the
-    safe kill colour and, in the kill steps, `designated` with the class
-    under test."""
+    sequences as hand-stepped obligations, and the greedy kill scan over a
+    list of unplayed vertices.  It shares only the safe kill colour with the
+    class under test."""
 
     def reset(self, graph, k, variant, seed=None):
         super().reset(graph, k, variant, seed)
@@ -848,8 +853,38 @@ class _ReferenceMultiplicityBob(MultiplicityBob):
         v, c = first_fit(state)
         return v, c, 6
 
-    def _kill_moves(self, state, members):
-        return _KillObligation(self, state, members)
+    def _scan_kills(self, state):
+        m = self.params.block_set_size or 100 * self.params.multiplicity * self.plan.l
+        dist = self.params.block_distance
+        unplayed = list(unplayed_vertices(state))
+        closed = self.graph.closed
+        for i, entry in enumerate(self.plan.entries):
+            if self.end_stage[i]:
+                continue
+            u_mask = entry.vertices & state.color_pos[0]
+            if u_mask.bit_count() < self.params.danger_threshold:
+                continue
+            # greedy max-coverage candidate m-set
+            members, remaining = [], u_mask
+            for _ in range(min(m, len(unplayed))):
+                best, best_cov = None, -1
+                for a in unplayed:
+                    if a in members:
+                        continue
+                    cov = (remaining & closed[a]).bit_count()
+                    if cov > best_cov:
+                        best, best_cov = a, cov
+                if best is None or best_cov == 0:
+                    break
+                members.append(best)
+                remaining &= ~closed[best]
+                if remaining.bit_count() <= dist:
+                    break
+            if members and remaining.bit_count() <= dist:
+                key = (frozenset(members), i)
+                if key not in self.seen_kills:
+                    self.seen_kills.add(key)
+                    self.pending.append(_KillObligation(self, state, members))
 
 
 @st.composite
@@ -998,14 +1033,16 @@ def _alice_lockstep(g, k, params, max_rounds, seed) -> list[int]:
 
 
 def _set_safe_kill_color(bob, state, vertex):
-    """MultiplicityBob._safe_kill_color on the sorted set of legal_colors:
-    the oracle of its walk over the legal mask."""
+    """MultiplicityBob._safe_kill_color on the sorted set of legal_colors,
+    with the classes missing each colour counted from the reference's own
+    designated lists: the oracle of its walk over the legal mask."""
     C_l = bob.params.multiplicity
     legal = legal_colors(state, vertex)
     fallback = min(legal) if legal else None
     for c in sorted(legal):
         q = min(bob.plan.l, (state.color_pos[c].bit_count() + 1) // C_l)
-        if q < 1 or bob._miss_count(state, c) <= bob.plan.l - q:
+        missed = sum(1 for i in bob.ref_designated[c] if not state.color_pos[c] & bob.plan.entries[i].vertices)
+        if q < 1 or missed <= bob.plan.l - q:
             return c
     return fallback
 
@@ -1021,11 +1058,12 @@ class TestSafeKillColor:
         g, k, state, _, _ = position
         state.variant, state.to_move = variant, Player.BOB
         entries = tuple(
-            PlanEntry(frozenset(), data.draw(st.integers(1, g.full_mask)), frozenset(data.draw(st.sets(st.integers(1, k), min_size=1))))
+            PlanEntry(frozenset(), data.draw(st.integers(1, g.full_mask)), tuple(sorted(data.draw(st.sets(st.integers(1, k), min_size=1)))))
             for i in range(data.draw(st.integers(1, 3)))
         )
-        plan = TargetPlan(ground_set=tuple(range(data.draw(st.integers(1, 3)))), entries=entries, num_colors=k)
-        bob = MultiplicityBob(plan, StrategyParams(multiplicity=data.draw(st.integers(1, 4))))
+        plan = TargetPlan(ground_set=tuple(range(data.draw(st.integers(1, 3)))), entries=entries)
+        # the reference inherits _safe_kill_color and keeps its own designated lists
+        bob = _ReferenceMultiplicityBob(plan, StrategyParams(multiplicity=data.draw(st.integers(1, 4))))
         bob.reset(g, k, variant)
         for v in unplayed_vertices(state):
             assert bob._safe_kill_color(state, v) == _set_safe_kill_color(bob, state, v), v
@@ -1040,7 +1078,7 @@ class TestBobEvenSetup:
         entry = plan.entries[0]
         assert entry.subset == frozenset({0})
         assert set(iter_bits(entry.vertices)) == {1, 2, 3, 4}
-        assert entry.colors == frozenset(range(1, 6))
+        assert entry.colors == tuple(range(1, 6))
 
     def test_l2_empty_trace_class_gets_no_colours(self):
         g = gnp_generate(GnpSpec(30, 0.5, 6))
@@ -1055,7 +1093,7 @@ class TestBobEvenSetup:
                 union = set()
                 for e in plan.entries:
                     if x in e.subset:
-                        union |= e.colors
+                        union.update(e.colors)
                 assert union == set(range(1, num_colors + 1)), (l, k, num_colors)
 
     def test_entries_have_disjoint_vertex_sets(self):
@@ -1122,6 +1160,24 @@ class TestMultiplicityBob:
         assert c == 1 and prio == 1
         assert plan.entries[0].vertices >> v & 1
 
+    def test_pinned_transcripts_over_plans(self):
+        # 64 games on G(n, 1/2): plans over 1 to 3 ground vertices for
+        # p = 1/2 and 1/3, against two Alices; the digest was recorded before
+        # the plan was stored as class masks and ascending colour tuples
+        digest = hashlib.sha256()
+        for n in (40, 60):
+            for gseed in (0, 1):
+                g = gnp_generate(GnpSpec(n, 0.5, gseed))
+                k = n // 3
+                for l, k_inv in ((1, 2), (2, 2), (2, 3), (3, 2)):
+                    plan = bob_even_setup(g, l, k_inv, k)
+                    for m in (None, 3):
+                        params = StrategyParams(danger_threshold=2, block_distance=2, reserve_missing=2, block_set_size=m)
+                        for alice in (PriorityAlice(params), GreedyFirstFit()):
+                            out = play_game(g, k, alice, MultiplicityBob(plan, params), max_rounds=3, seed=gseed)
+                            digest.update(transcript_to_json(out.transcript).encode())
+        assert digest.hexdigest() == MULTIPLICITY_BOB_PLANS_SHA256
+
     def test_round2_claims_a_saturated_ground_vertex(self):
         g = make_named("star", 2)
         plan = bob_even_setup(g, l=1, k=2, num_colors=2)
@@ -1147,7 +1203,7 @@ def test_no_claim_after_round2():
     # 1 is unplayed and sees the whole palette, yet 0 comes first
     assert not state.is_played(1) and _colour_mask(state, 1) == state.palette
     params = StrategyParams(reserve_missing=3)
-    plan = TargetPlan(ground_set=(0, 1), entries=(), num_colors=3)
+    plan = TargetPlan(ground_set=(0, 1), entries=())
     for bob in (TargetBob(params, target=1), MultiplicityBob(plan, params)):
         bob.reset(g, 3, RuleVariant.STANDARD)
         assert bob.select(state) == first_fit(state) == (0, 1), bob.name
