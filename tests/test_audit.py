@@ -182,6 +182,17 @@ class TestBlockSets:
         assert result["method"] == "exhaustive"  # C(100,2) well under the cap
         assert result["sets"] == []
 
+    def test_sampled_sets_are_revalidated_exhaustive_ones(self):
+        g = gnp_generate(GnpSpec(30, 0.5, 1))
+        S = set(range(10))
+        exhaustive = find_m_block_sets(g, S, m=2, delta_count=3)
+        sampled = find_m_block_sets(g, S, m=2, delta_count=3, enumeration_cap=1, samples=2000, seed=4)
+        assert sampled["method"] == "sampled"
+        for a, b in sampled["sets"]:
+            assert (0b1111111111 & ~g.closed[a] & ~g.closed[b]).bit_count() <= 3, (a, b)  # S = 0..9
+        assert len(sampled["sets"]) == 362 and len(exhaustive["sets"]) == 367
+        assert set(sampled["sets"]) <= set(exhaustive["sets"])
+
     def test_disjoint_family_is_disjoint(self):
         g = gnp_generate(GnpSpec(30, 0.6, 3))
         result = find_m_block_sets(g, set(range(10)), m=3, delta_count=3)

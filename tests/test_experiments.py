@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from eternal_coloring import experiments
 from eternal_coloring.cli import main
 from eternal_coloring.experiments import (
     ConfigError,
@@ -24,13 +25,15 @@ from eternal_coloring.experiments import (
     run_trial,
     win_rates,
 )
-from eternal_coloring.graph import derive_seed, make_named
+from eternal_coloring.graph import Graph, derive_seed, make_named
 from eternal_coloring.strategies import MultiplicityBob, PriorityAlice, TargetBob
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # trials.csv of configs/bob-even-sweep.json, recorded before the level-pruned
 # PriorityAlice mirror replaced the weighted one
 BOB_EVEN_SWEEP_SHA256 = "80b6ae056e8b08b717ac04705a520d0902b36e877e9de67a4a82d589a14847da"
+# trials.csv of _shared_gnp_config(): every trial on the one graph of derive_seed(0, "graph")
+SHARED_GNP_SHA256 = "0a44094f7b9ebb942d28eb9bad10fe2b32f5224672345ce727f81fe17e798af5"
 
 
 def _single_vertex_config(k, trials=10, max_rounds=10):
@@ -44,7 +47,54 @@ def _single_vertex_config(k, trials=10, max_rounds=10):
     )
 
 
+def _shared_gnp_config(fresh_graph=False):
+    return ExperimentConfig(
+        graph={"kind": "gnp", "n": 15, "p": 0.5},
+        k_range=[3, 4],
+        alice={"name": "randomLegal"},
+        bob={"name": "targetBob"},
+        trials=4,
+        fresh_graph=fresh_graph,
+    )
+
+
+def _played_cells(monkeypatch, config):
+    """The (k, trial, graph) of each game run_experiment plays, in play order."""
+    cells = []
+    run_trial = experiments.run_trial
+
+    def logged(config, graph, k, trial):
+        cells.append((k, trial, graph))
+        return run_trial(config, graph, k, trial)
+
+    monkeypatch.setattr(experiments, "run_trial", logged)
+    run_experiment(config)
+    return cells
+
+
 class TestRunExperiment:
+    def test_each_trial_plays_its_own_fresh_graph(self, monkeypatch):
+        config = _shared_gnp_config(fresh_graph=True)
+        config.k_range = [4, 3]
+        cells = _played_cells(monkeypatch, config)
+        assert [(k, t) for k, t, _ in cells] == [(k, t) for k in (3, 4) for t in range(4)]  # k-major
+        graphs = [build_graph(config.graph, seed=derive_seed(0, t, "graph")) for t in range(4)]
+        assert len(set(map(Graph.to_text, graphs))) == 4
+        for k, t, graph in cells:
+            assert graph == graphs[t], (k, t)
+            assert graph is cells[t][2], (k, t)  # built once, shared by every k
+
+    def test_every_trial_plays_the_one_shared_graph(self, monkeypatch):
+        config = _shared_gnp_config()
+        cells = _played_cells(monkeypatch, config)
+        assert [(k, t) for k, t, _ in cells] == [(k, t) for k in (3, 4) for t in range(4)]
+        shared = build_graph(config.graph, seed=derive_seed(0, "graph"))
+        assert all(graph == shared for *_, graph in cells)
+
+    def test_shared_gnp_trials_csv_is_pinned(self):
+        records = run_experiment(_shared_gnp_config())
+        assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == SHARED_GNP_SHA256
+
     def test_single_vertex_one_colour_all_bob_round_two(self):
         records = run_experiment(_single_vertex_config(1))
         assert len(records) == 10
@@ -594,6 +644,35 @@ class TestCli:
         assert Path(paths["csv"]).exists() and Path(paths["summary"]).exists()
         assert main(["threshold", "--config", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["k_hat"] == 2
+
+    def test_seed_flag_runs_the_config_at_that_master_seed(self, tmp_path, capsys):
+        config = _shared_gnp_config(fresh_graph=True).to_json_obj()
+        config["alice"] = {"name": "greedyFirstFit"}
+        outputs = {}
+        for name, master_seed, flags in (("flag", 0, ["--seed", "5"]), ("config", 5, []), ("default", 0, [])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**config, "master_seed": master_seed}))
+            out_dir = tmp_path / name
+            assert main(["experiment", "--config", str(path), "--out", str(out_dir), *flags]) == 0
+            capsys.readouterr()
+            assert main(["threshold", "--config", str(path), *flags]) == 0
+            csv_text = (out_dir / "trials.csv").read_text()
+            summary = json.loads((out_dir / "summary.json").read_text())
+            outputs[name] = (csv_text, summary, capsys.readouterr().out)
+        assert outputs["flag"] == outputs["config"]
+        assert outputs["flag"][0] != outputs["default"][0]  # the seed reaches the games
+        assert outputs["flag"][1]["config"]["master_seed"] == 5
+
+    def test_impossible_multiplicity_plan_exit_code(self, tmp_path, capsys):
+        config = _single_vertex_config(2).to_json_obj()
+        config.update(graph={"kind": "star", "size": 4}, bob={"name": "multiplicityBob", "l": 2, "k_inv": 1})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        for argv in (["experiment", "--config", str(path), "--out", str(tmp_path / "run")], ["threshold", "--config", str(path)]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == "config error: multiplicityBob plan: no positive-weight partitions; plan impossible\n", argv
+        assert not (tmp_path / "run").exists()  # refused before any output is made
 
     def test_experiment_without_output_dir(self, tmp_path):
         path = tmp_path / "config.json"

@@ -193,14 +193,26 @@ class TestSolveEternal:
                 solve_eternal(graph, k, state_cap=bound - 1)
 
     def test_attractor_is_a_fixed_point(self):
-        for kind, size, k, variant in [
-            ("star", 3, 2, RuleVariant.STANDARD),
-            ("star", 4, 3, RuleVariant.GREEDY_BOTH),
-            ("path", 4, 3, RuleVariant.STANDARD),
-            ("cycle", 4, 3, RuleVariant.GREEDY_BOB),
+        # the Bob wins attract every state; the Alice wins leave states outside,
+        # which the fixed-point check must re-test
+        for kind, size, k, variant, outside in [
+            ("star", 3, 2, RuleVariant.STANDARD, 0),
+            ("star", 4, 3, RuleVariant.GREEDY_BOTH, 0),
+            ("path", 4, 3, RuleVariant.STANDARD, 0),
+            ("cycle", 4, 3, RuleVariant.GREEDY_BOB, 0),
+            ("star", 5, 3, RuleVariant.GREEDY_BOTH, 321),
+            ("star", 4, 4, RuleVariant.GREEDY_BOB, 12786),
         ]:
             res = solve_eternal(make_named(kind, size), k, variant)
-            assert attractor_is_fixed_point(res), (kind, size, k, variant)
+            case = (kind, size, k, variant)
+            assert sum(r is None for r in res._rank[1:]) == outside, case
+            assert attractor_is_fixed_point(res), case
+
+    def test_attractor_missing_a_node_is_not_a_fixed_point(self):
+        res = solve_eternal(make_named("star", 3), 2)
+        first = next(i for i in range(1, len(res._rank)) if res._rank[i] is not None)
+        res._rank[first] = None  # one step re-attracts it
+        assert not attractor_is_fixed_point(res)
 
     def test_retained_bytes_per_state(self):
         # 81.5 B a state retained and 217.6 at the solve's peak.  Keeping the

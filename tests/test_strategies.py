@@ -380,6 +380,29 @@ class TestTargetBob:
         assert (v, c) == (5, 1)  # colour a with the smallest unused colour
         assert prio == 2
 
+    def test_blocking_sequence_drops_without_an_unused_colour_for_a(self):
+        # target 0 with neighbours 1, 2; outside vertices 3, 4 use up the palette
+        g = Graph(7, [(0, 1), (0, 2)])
+        bob = self._bob(g, 2, reserve_missing=0)
+        state = GameState(g, 2)
+        _observe_move(state, bob, (Player.ALICE, 3, 1))
+        _observe_move(state, bob, (Player.BOB, 4, 2))
+        assert list(bob._block_moves(state, 5, 6)) == []
+        assert bob.drop_log == ["pair (5,6) dropped: no unused colour for a"]
+
+    def test_blocking_sequence_drops_without_an_unused_colour_for_b(self):
+        g = Graph(7, [(0, 1), (0, 2)])
+        bob = self._bob(g, 2, reserve_missing=0)
+        state = GameState(g, 2)
+        _observe_move(state, bob, (Player.ALICE, 3, 1))
+        _observe_move(state, bob, (Player.BOB, 4, 2))
+        moves = []
+        for v, c in bob._block_moves(state, 3, 5):  # a = 3 holds colour 1, absent from N[0]
+            moves.append((v, c))
+            _observe_move(state, bob, (state.to_move, v, c))
+        assert moves == [(0, 1)]  # c_a goes in; b = 5 then finds no unused colour
+        assert bob.drop_log == ["pair (3,5) dropped: no unused colour for b"]
+
     # target 4 with neighbours 2, 3; vertices 0, 1 and 5 lie outside.  With
     # block_distance 3 every pair of unplayed vertices qualifies.
     _OUTSIDE_PAIRS = Graph(6, [(4, 2), (4, 3)])
