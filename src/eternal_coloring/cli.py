@@ -11,7 +11,7 @@ import json
 import sys
 
 from .audit import AuditParams, audit_graph
-from .engine import RuleVariant, play_game, transcript_to_json
+from .engine import RuleVariant, play_game
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -115,7 +115,7 @@ def _dispatch(args) -> int:
                     "fault": None if outcome.fault is None else outcome.fault.value,
                     "termination_round": outcome.termination_round,
                     "rounds_completed": outcome.rounds_completed,
-                    "transcript": json.loads(transcript_to_json(outcome.transcript)),
+                    "transcript": [rec.to_json_obj() for rec in outcome.transcript],
                 }
             )
         )
@@ -149,10 +149,13 @@ def _dispatch(args) -> int:
         report = audit_graph(graph, params)
         print(json.dumps(report.to_json_obj(), indent=2))
         return 0 if report.all_hold else 4
-    if args.command == "experiment":
+    if args.command in ("experiment", "threshold"):
         config = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
             config.master_seed = args.seed
+        if args.command == "threshold":
+            print(json.dumps(estimate_threshold(config), indent=2))
+            return 0
         out_dir = args.out or config.output
         if not out_dir:
             raise ConfigError("no output directory (use --out or config 'output')")
@@ -163,13 +166,6 @@ def _dispatch(args) -> int:
         records = run_experiment(config)
         paths = emit_outputs(records, config, out_dir)
         print(json.dumps(paths))
-        return 0
-    if args.command == "threshold":
-        config = ExperimentConfig.from_file(args.config)
-        if args.seed is not None:
-            config.master_seed = args.seed
-        result = estimate_threshold(config)
-        print(json.dumps(result, indent=2))
         return 0
     raise AssertionError(args.command)
 

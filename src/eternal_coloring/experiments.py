@@ -279,20 +279,13 @@ def trial_graph(config: ExperimentConfig, trial: int) -> Graph:
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
-    """One record per (k, trial) cell; fully deterministic from the config."""
-    records: list[TrialRecord] = []
-    shared_graph = None if config.fresh_graph else trial_graph(config, 0)
-    graphs: dict[int, Graph] = {}
-    for k in sorted(config.k_range):
-        for trial in range(config.trials):
-            if config.fresh_graph:
-                graph = graphs.get(trial)
-                if graph is None:
-                    graph = graphs[trial] = trial_graph(config, trial)
-            else:
-                graph = shared_graph
-            records.append(run_trial(config, graph, k, trial))
-    return records
+    """One record per (k, trial) cell, k-major; fully deterministic from the
+    config.  Each trial's graph is built once, before the first game."""
+    if config.fresh_graph:
+        graphs = [trial_graph(config, t) for t in range(config.trials)]
+    else:
+        graphs = [trial_graph(config, 0)] * config.trials
+    return [run_trial(config, graphs[t], k, t) for k in sorted(config.k_range) for t in range(config.trials)]
 
 
 def win_rates(records: list[TrialRecord]) -> dict[int, dict]:

@@ -412,7 +412,6 @@ class TargetBob(Strategy):
 
     def reset(self, graph, k, variant, seed=None):
         self.graph = graph
-        self.k = k
         self.target_mask = graph.closed[self.target]
         self.intro: list[int] = []  # colours in order of first appearance
         self.batches: deque[Iterator[tuple[int, int]]] = deque()  # blocking moves of each scan, FIFO
@@ -445,8 +444,8 @@ class TargetBob(Strategy):
         `seen_pairs` holds every pair of the batches before it and of its own
         batch before it, just as if all pairs had been tested here, and the
         pairs come in the same order.  The one exception is a row whose a the
-        live board has since coloured inside the target: its pairs would only
-        be dropped, so they are skipped unseen (see `_block_pairs`).
+        live board has since coloured inside the target: its pairs could gain
+        nothing, so they are skipped unseen (see `_block_pairs`).
         """
         u_mask = self.target_mask & state.color_pos[0]
         last_u = self.last_u
@@ -470,10 +469,12 @@ class TargetBob(Strategy):
         Row a is read against the live `state` too, at its top and after the
         sequence of each of its pairs (which may have coloured a): once a
         holds a colour present in N[target] the row ends.  In round 1 that
-        colour stays on a and stays inside, so every pair left in the row
-        would be dropped by `_block_moves` at its first step, and no later
-        scan offers the played a again; the skipped pairs never enter
-        `seen_pairs` or the drop log.
+        colour stays on a and stays inside, so no pair left in the row could
+        gain anything, and no later scan offers the played a again; the
+        skipped pairs never enter `seen_pairs` or the drop log.  These two
+        checks are the only guard against such stale pairs: nothing is played
+        between them and a pair's `_block_moves`, which assumes a holds no
+        colour inside N[target].
         """
         dist, closed = self.params.block_distance, self.graph.closed
         # colour c is inside N[target] iff seen_by[c] >> t & 1 (never for c = 0,
@@ -518,7 +519,8 @@ class TargetBob(Strategy):
         there; stage B does the same for b.  Each stage defers to Alice's
         pre-emptions.  A sequence that can no longer gain anything ends early
         and is logged as a drop.  The sequence resumes on the same `state`,
-        which play mutates in place.
+        which play mutates in place.  It starts with no colour of N[target]
+        on a, which `_block_pairs` checks.
         """
         # colour c is inside N[target] iff seen_by[c] >> t & 1, read at each
         # test: play changes seen_by between yields
@@ -530,24 +532,20 @@ class TargetBob(Strategy):
                 self._log_drop(a, b, "no unused colour for a")
                 return
             yield a, c_a
-        elif seen_by[c_a] >> t & 1:  # a was neutralized by a colour already in the target
-            self._log_drop(a, b, "a coloured inside-target colour")
-            return
         # If Alice played b with a colour missing from the target, that colour
-        # goes in first, c_a next, and the sequence ends there.
-        col_b, b_first = state.colors[b], None
-        if col_b and not seen_by[c_a] >> t & 1 and not seen_by[col_b] >> t & 1:
-            b_first = uncolored_taking(state, target, col_b)
-            if b_first is not None:
-                yield b_first, col_b
+        # goes in first and c_a next; stage B then finds b's colour inside and
+        # ends the sequence.
+        col_b = state.colors[b]
+        if col_b and not seen_by[col_b] >> t & 1:
+            u = uncolored_taking(state, target, col_b)
+            if u is not None:
+                yield u, col_b
         if not seen_by[c_a] >> t & 1:
             u = uncolored_taking(state, target, c_a)
             if u is None:
                 self._log_drop(a, b, "c_a not introducible")
                 return
             yield u, c_a
-        if b_first is not None:
-            return
         # Stage B.  Round 1 never recolours, so a b coloured inside ends it here.
         c_b = state.colors[b]
         if not c_b:
@@ -779,7 +777,7 @@ class MultiplicityBob(Strategy):
         The sequence resumes on the same `state`, which play mutates in place.
         """
         for a in members:
-            if state.colors[a] or state.is_played(a):
+            if state.colors[a]:
                 continue
             c = self._safe_kill_color(state, a)
             if c is None:

@@ -599,6 +599,7 @@ class _ReferenceTargetBob(TargetBob):
 
     def reset(self, graph, k, variant, seed=None):
         super().reset(graph, k, variant, seed)
+        self.k = k
         self.intro_time = [0] * (k + 1)  # move index of first appearance; 0 = unused
         self.move_clock = 0
         self.pending = deque()
