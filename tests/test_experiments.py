@@ -661,7 +661,6 @@ class TestCli:
             outputs[name] = (csv_text, summary, capsys.readouterr().out)
         assert outputs["flag"] == outputs["config"]
         assert outputs["flag"][0] != outputs["default"][0]  # the seed reaches the games
-        assert outputs["flag"][1]["config"]["master_seed"] == 5
 
     def test_impossible_multiplicity_plan_exit_code(self, tmp_path, capsys):
         config = _single_vertex_config(2).to_json_obj()
