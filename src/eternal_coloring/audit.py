@@ -179,7 +179,7 @@ def find_m_block_sets(
 ) -> dict:
     """m-sets whose closed neighbourhoods cover all but <= delta_count of S,
     plus a greedily-extracted maximal disjoint family of them."""
-    s_mask = S if isinstance(S, int) else mask_of(S)
+    s_mask = mask_of(S)
     n = graph.n
     found: list[tuple] = []
 

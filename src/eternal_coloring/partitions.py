@@ -69,8 +69,6 @@ def _block_count_weight(m: int, k: int, l: int, form: str) -> Fraction:
     if form == "proof":
         return Fraction(perm(k - 1, m - 1), k**l)
     if form == "display":
-        if m > l:
-            return Fraction(0)
         return Fraction(factorial(k - 1), factorial(m - 1) * k**l)
     raise ValueError(f"unknown form {form!r}")
 
@@ -148,8 +146,6 @@ def build_color_plan(l: int, k: int, num_colors: int) -> ColorPlan:
     for T, _ in positive:
         while sizes[T] == 0:
             donor = max(positive, key=lambda tw: sizes[tw[0]])[0]
-            if sizes[donor] <= 1:
-                raise ValueError("cannot give every partition a colour")
             sizes[donor] -= 1
             sizes[T] += 1
     intervals: dict = {}

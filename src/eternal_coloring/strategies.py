@@ -170,13 +170,12 @@ class RoundBook:
     # Bob-minus-Alice plays in N[v], per v, as two's-complement bit planes:
     # bit v of diff[j] is bit j of v's tally.  A tally lies in [-n, n], and
     # n.bit_length() + 1 planes hold that range.
-    diff: list[int] = field(default_factory=list)
+    diff: list[int] = field(init=False)
     danger_mask: int = 0
     last_bob_vertex: Optional[int] = None
 
     def __post_init__(self):
-        if not self.diff:
-            self.diff = [0] * (self.n.bit_length() + 1)
+        self.diff = [0] * (self.n.bit_length() + 1)
 
 
 def record_round_move(book: RoundBook, graph: Graph, player: Player, vertex: int, threshold: int) -> None:
@@ -231,9 +230,8 @@ class PriorityAlice(Strategy):
 
     name = "priorityAlice"
 
-    def __init__(self, params: StrategyParams, audit: bool = False):
+    def __init__(self, params: StrategyParams):
         self.params = params
-        self.audit = audit
 
     def reset(self, graph, k, variant, seed=None):
         self.graph = graph
@@ -250,8 +248,7 @@ class PriorityAlice(Strategy):
         if state.round > self.book.round:
             self.book = RoundBook(round=state.round, n=self.graph.n)
         v, c, prio = self._choose(state)
-        if self.audit:
-            self.audit_log.append((state.round, state.played.bit_count(), prio))
+        self.audit_log.append((state.round, state.played.bit_count(), prio))
         return v, c
 
     def _choose(self, state: GameState) -> tuple[int, Optional[int], int]:
@@ -405,10 +402,9 @@ class TargetBob(Strategy):
 
     name = "targetBob"
 
-    def __init__(self, params: StrategyParams, target: int = 0, audit: bool = False):
+    def __init__(self, params: StrategyParams, target: int = 0):
         self.params = params
         self.target = target
-        self.audit = audit
 
     def reset(self, graph, k, variant, seed=None):
         self.graph = graph
@@ -569,8 +565,7 @@ class TargetBob(Strategy):
         if state.round >= 2:
             return claim_or_first_fit(state, (self.target,))
         v, c, prio = self._round1_move(state)
-        if self.audit:
-            self.audit_log.append((state.round, state.played.bit_count(), prio))
+        self.audit_log.append((state.round, state.played.bit_count(), prio))
         return v, c
 
     def _round1_move(self, state: GameState) -> tuple[int, Optional[int], int]:
@@ -671,10 +666,9 @@ class MultiplicityBob(Strategy):
 
     name = "multiplicityBob"
 
-    def __init__(self, plan: TargetPlan, params: StrategyParams, audit: bool = False):
+    def __init__(self, plan: TargetPlan, params: StrategyParams):
         self.plan = plan
         self.params = params
-        self.audit = audit
 
     def reset(self, graph, k, variant, seed=None):
         self.graph = graph
@@ -793,8 +787,7 @@ class MultiplicityBob(Strategy):
         if state.round >= 2:
             return claim_or_first_fit(state, self.plan.ground_set)
         v, c, prio = self._round1_move(state)
-        if self.audit:
-            self.audit_log.append((state.round, state.played.bit_count(), prio))
+        self.audit_log.append((state.round, state.played.bit_count(), prio))
         return v, c
 
     def _round1_move(self, state: GameState):

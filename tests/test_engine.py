@@ -14,6 +14,7 @@ from eternal_coloring.engine import (
     Player,
     RuleVariant,
     Strategy,
+    _place,
     apply_move,
     is_proper,
     legal_colors,
@@ -112,6 +113,10 @@ class TestPlayGame:
         assert out.winner is Player.BOB
         assert out.termination_round == 2
         assert out.losing_vertex == 0
+
+    def test_no_round_cap_is_refused(self):
+        with pytest.raises(ValueError, match="max_rounds"):
+            play_game(make_named("empty", 1), 2, GreedyFirstFit(), GreedyFirstFit(), max_rounds=0)
 
     def test_k2_on_single_vertex_alice_survives(self):
         out = play_game(make_named("empty", 1), 2, GreedyFirstFit(), GreedyFirstFit(), max_rounds=10)
@@ -291,6 +296,13 @@ class TestTranscripts:
         final = replay_transcript(g, 5, RuleVariant.STANDARD, out.transcript)
         assert is_proper(final)
         assert final.round == 4
+
+    def test_is_proper_rejects_a_monochromatic_edge(self):
+        # known-false control: 0 and 1 are adjacent on path:3 and share colour 1
+        state = GameState(make_named("path", 3), 2)
+        _place(state, 0, 1)
+        _place(state, 1, 1)
+        assert not is_proper(state)
 
     def test_replay_rejects_out_of_order(self):
         g = make_named("path", 4)

@@ -26,7 +26,7 @@ from eternal_coloring.experiments import (
     win_rates,
 )
 from eternal_coloring.graph import Graph, derive_seed, make_named
-from eternal_coloring.strategies import MultiplicityBob, PriorityAlice, TargetBob
+from eternal_coloring.strategies import GreedyFirstFit, MultiplicityBob, PriorityAlice, TargetBob
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # trials.csv of configs/bob-even-sweep.json, recorded before the level-pruned
@@ -94,6 +94,23 @@ class TestRunExperiment:
     def test_shared_gnp_trials_csv_is_pinned(self):
         records = run_experiment(_shared_gnp_config())
         assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == SHARED_GNP_SHA256
+
+    def test_faulting_strategy_is_recorded_as_a_fault(self, monkeypatch):
+        class OffBoard(GreedyFirstFit):
+            def select(self, state):
+                return -1, 1  # no vertex
+
+        config = _shared_gnp_config()
+        build = experiments.build_strategy
+        monkeypatch.setattr(
+            experiments, "build_strategy", lambda spec, graph, k: OffBoard() if spec is config.alice else build(spec, graph, k)
+        )
+        records = run_experiment(config)
+        assert len(records) == 8
+        assert all(r.winner == "fault" and r.fault and r.moves_played == 0 for r in records)
+        rows = records_to_csv(records).splitlines()[1:]
+        assert [row.split(",")[3:] for row in rows] == [["fault", "", "0", "1"]] * 8
+        assert all(rates["fault_rate"] == 1.0 for rates in win_rates(records).values())
 
     def test_single_vertex_one_colour_all_bob_round_two(self):
         records = run_experiment(_single_vertex_config(1))
@@ -278,6 +295,14 @@ class TestBuilders:
         bob = build_strategy({"name": "multiplicityBob", "l": 2, "k_inv": 10**9}, g, 12)
         assert isinstance(bob, MultiplicityBob)
 
+    def test_block_set_size_null_is_the_default(self):
+        # README documents null as accepted: it builds what omitting the key does
+        g = build_graph({"kind": "gnp", "n": 20, "p": 0.5, "seed": 0})
+        omitted = build_strategy({"name": "multiplicityBob"}, g, 10)
+        null = build_strategy({"name": "multiplicityBob", "params": {"block_set_size": None}}, g, 10)
+        assert null.params == omitted.params
+        assert null.params.block_set_size is None
+
     def test_unknown_strategy(self):
         for spec in (
             {"name": "psychic"},
@@ -340,6 +365,11 @@ class TestAggregation:
         config = _single_vertex_config(1, trials=2)
         threshold = estimate_threshold(config)
         assert threshold["k_hat"] is None and threshold["censored"]
+
+    def test_emit_outputs_refuses_no_records(self, tmp_path):
+        with pytest.raises(ValueError, match="no records"):
+            emit_outputs([], _single_vertex_config(2), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_emit_outputs(self, tmp_path):
         config = _single_vertex_config(2, trials=3)
@@ -514,6 +544,24 @@ class TestCli:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, argv
+
+    def test_config_errors_make_no_output_dir(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        for update, word in (
+            ({"k_range": [0, 2]}, "k_range"),
+            ({"k_range": {"min": 3}}, "'max'"),
+            ({"graph": {"kind": "gnp", "n": 5}}, "'p'"),
+            ({"max_rounds": 0}, "max_rounds"),
+            ({"graph": {"kind": "gnp", "n": 12, "p": 0.5}, "bob": {"name": "multiplicityBob", "l": 200}}, "multiplicityBob plan"),
+        ):
+            config = _single_vertex_config(2).to_json_obj()
+            config.update(update)
+            path.write_text(json.dumps(config))
+            assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "run")]) == 2, update
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, (update, err)
+            assert word in err, (update, err)
+            assert not (tmp_path / "run").exists(), update  # refused before any output is made
 
     def test_seeded_gnp_with_fresh_graphs_exit_code(self, tmp_path, capsys):
         config = _single_vertex_config(2).to_json_obj()

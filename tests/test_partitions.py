@@ -1,5 +1,6 @@
 """Set partitions, exact weights, weight identity, colour plans."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -205,6 +206,24 @@ class TestColorPlan:
     def test_coverage_invariant(self):
         for l, k, num_colors in [(1, 2, 10), (2, 2, 10), (2, 4, 12), (3, 3, 13)]:
             assert plan_coverage_ok(build_color_plan(l, k, num_colors))
+
+    def test_zero_quota_partition_takes_a_colour_from_the_largest(self):
+        # p = 1/5 on a 3-set: the three two-block partitions weigh 4/125 each
+        # and the all-singletons one 12/125, so four colours apportion as
+        # quotas 2/3, 2/3, 2/3 and 2.  Largest remainder leaves one two-block
+        # partition at 0, and the repair moves one colour to it from the
+        # all-singletons partition.
+        plan = build_color_plan(3, 5, 4)
+        sizes = [len(plan.intervals[T]) for T in plan.partitions]
+        assert sizes == [1, 1, 1, 1]
+        assert sum(sizes) == 4
+        assert plan_coverage_ok(plan)
+
+    def test_coverage_check_rejects_an_emptied_plan(self):
+        # known-false control: a plan whose subsets hold no colour covers nothing
+        plan = build_color_plan(3, 5, 4)
+        emptied = dataclasses.replace(plan, subset_colors={A: frozenset() for A in plan.subset_colors})
+        assert not plan_coverage_ok(emptied)
 
     def test_too_few_colours_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from eternal_coloring.engine import GameState, Player, RuleVariant, legal_mask, play_game
+from eternal_coloring.engine import GameState, Player, RuleVariant, _place, legal_mask, play_game
 from eternal_coloring.graph import Graph, GnpSpec, gnp_generate, iter_bits, make_named
 from eternal_coloring.solver import (
     SolverInfeasible,
@@ -307,6 +307,23 @@ class TestWitnesses:
         res = solve_eternal(make_named("empty", 1), 2)
         with pytest.raises(ValueError):
             res.witness_strategy(Player.BOB)
+
+    def test_witness_refuses_a_colour_symmetric_solve(self):
+        res = solve_eternal(make_named("star", 3), 2, color_symmetry=True)
+        with pytest.raises(ValueError, match="colour-symmetry"):
+            res.witness_strategy(res.winner)
+
+    def test_witness_refuses_a_position_outside_its_table(self):
+        # the centre and leaf 1 both coloured 1: an improper colouring, which no game reaches
+        g = make_named("star", 3)
+        res = solve_eternal(g, 2)
+        witness = res.witness_strategy(res.winner)
+        witness.reset(g, 2, RuleVariant.STANDARD)
+        state = GameState(g, 2)
+        _place(state, 0, 1)
+        _place(state, 1, 1)
+        with pytest.raises(RuntimeError, match="position not in solved table"):
+            witness.select(state)
 
     def test_witness_bound_to_its_instance(self):
         res = solve_eternal(make_named("empty", 1), 2)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,6 +18,7 @@ from eternal_coloring.engine import (
     play_game,
     transcript_to_json,
 )
+from eternal_coloring.experiments import ExperimentConfig, build_strategy, trial_graph
 from eternal_coloring.graph import GnpSpec, Graph, derive_seed, gnp_generate, iter_bits, make_named, mask_of
 from eternal_coloring.solver import solve_eternal
 from eternal_coloring.strategies import (
@@ -38,6 +40,7 @@ from eternal_coloring.strategies import (
     unplayed_vertices,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # the transcripts of TestMultiplicityBob.test_pinned_transcripts_over_plans
 MULTIPLICITY_BOB_PLANS_SHA256 = "2ab3e47eaf2f9e4d01cdd3179777bd28fab1d2b2224a68e17995009b317aa83e"
 
@@ -249,7 +252,7 @@ class TestPriorityAlice:
             block_distance=1,
         )
         defaults.update(params)
-        alice = PriorityAlice(StrategyParams(**defaults), audit=True)
+        alice = PriorityAlice(StrategyParams(**defaults))
         alice.reset(graph, k, RuleVariant.STANDARD)
         return alice
 
@@ -306,7 +309,7 @@ class TestPriorityAlice:
         # replay a real game and recompute rule-1 applicability independently
         g = gnp_generate(GnpSpec(11, 0.5, 21))
         params = dataclasses.replace(StrategyParams.from_fractions(11), nearly_full_threshold=4)
-        alice = PriorityAlice(params, audit=True)
+        alice = PriorityAlice(params)
         out = play_game(g, g.max_degree() + 2, alice, GreedyFirstFit(), max_rounds=4)
         assert out.winner is Player.ALICE
         k = g.max_degree() + 2
@@ -336,7 +339,7 @@ class TestTargetBob:
             reserve_missing=3,
         )
         defaults.update(params)
-        bob = TargetBob(StrategyParams(**defaults), target=target, audit=True)
+        bob = TargetBob(StrategyParams(**defaults), target=target)
         bob.reset(graph, k, RuleVariant.STANDARD)
         return bob
 
@@ -368,6 +371,18 @@ class TestTargetBob:
         v, c = bob.select(state)
         assert c == 4  # FIFO by introduction time, not colour index
         assert bob.audit_log[-1][2] == 3
+
+    def test_blocking_tier_with_nothing_to_block_falls_through(self):
+        # the centre of star:6 is coloured, so every unplayed pair is two
+        # leaves, whose closed neighbourhoods miss 4 of the 6 uncoloured
+        # target vertices: the scan queues nothing, and tier 4 moves
+        g = make_named("star", 6)
+        bob = self._bob(g, 5, reserve_missing=0, danger_threshold=1, block_distance=1)
+        state = GameState(g, 5)
+        _observe_move(state, bob, (Player.ALICE, 0, 1))
+        assert bob.select(state) == (1, 2)
+        assert bob.audit_log == [(1, 1, 4)]
+        assert bob.seen_pairs == set()
 
     def test_blocking_sequence_opens_with_a_fresh_colour(self):
         # vertices 5,6 jointly dominate the uncoloured target nbhd {0..4}
@@ -952,7 +967,7 @@ class TestLockstepOracles:
                     for alice in (GreedyFirstFit(), RandomLegal()):
                         games = []
                         for cls in (_LoggedTargetBob, _ReferenceTargetBob):
-                            bob = cls(params, target=gseed % n, audit=True)
+                            bob = cls(params, target=gseed % n)
                             out = play_game(g, k, alice, bob, max_rounds=3, seed=gseed)
                             games.append((out, bob))
                         (out, bob), (ref_out, ref) = games
@@ -991,7 +1006,7 @@ class TestLockstepOracles:
                         for alice in (GreedyFirstFit(), RandomLegal(), PriorityAlice(params)):
                             games = []
                             for cls in (MultiplicityBob, _ReferenceMultiplicityBob):
-                                bob = cls(plan, params, audit=True)
+                                bob = cls(plan, params)
                                 out = play_game(g, k, alice, bob, max_rounds=3, seed=gseed)
                                 games.append((out, bob))
                             (out, bob), (ref_out, ref) = games
@@ -1044,7 +1059,7 @@ def _alice_lockstep(g, k, params, max_rounds, seed) -> list[int]:
     tiers[t] for t = 1, 2, 3 (tiers[0] stays 0)."""
     games = []
     for cls in (PriorityAlice, _ReferenceAlice):
-        alice = cls(params, audit=True)
+        alice = cls(params)
         out = play_game(g, k, alice, TargetBob(params), max_rounds=max_rounds, seed=seed)
         games.append((out, alice))
     (out, alice), (ref_out, ref) = games
@@ -1143,7 +1158,7 @@ class TestMultiplicityBob:
             multiplicity=4,
         )
         defaults.update(params)
-        bob = MultiplicityBob(plan, StrategyParams(**defaults), audit=True)
+        bob = MultiplicityBob(plan, StrategyParams(**defaults))
         bob.reset(graph, k, RuleVariant.STANDARD)
         return bob
 
@@ -1183,6 +1198,24 @@ class TestMultiplicityBob:
         v, c, prio = bob._round1_move(state)
         assert c == 1 and prio == 1
         assert plan.entries[0].vertices >> v & 1
+
+    def test_kill_scan_stops_at_the_m_set_limit(self):
+        # after these three moves one class needs two members to be covered
+        # within block_distance, so an m-set limit of 1 finds its kill only
+        # for the other class
+        g = gnp_generate(GnpSpec(60, 0.5, 3))
+        plan = bob_even_setup(g, 2, 2, 12)
+        kills = {}
+        for m in (1, None):
+            bob = self._bob(g, plan, 12, reserve_missing=0, block_set_size=m)
+            state = GameState(g, 12)
+            for player, v in ((Player.ALICE, 0), (Player.BOB, 1), (Player.ALICE, 59)):
+                _observe_move(state, bob, (player, v, min(legal_colors(state, v))))
+            bob._round1_move(state)
+            kills[m] = bob.seen_kills
+        assert len(kills[1]) == 1 and len(kills[None]) == 2
+        assert kills[1] < kills[None]
+        assert all(len(members) == 1 for members, _ in kills[1])
 
     def test_pinned_transcripts_over_plans(self):
         # 64 games on G(n, 1/2): plans over 1 to 3 ground vertices for
@@ -1231,3 +1264,19 @@ def test_no_claim_after_round2():
     for bob in (TargetBob(params, target=1), MultiplicityBob(plan, params)):
         bob.reset(g, 3, RuleVariant.STANDARD)
         assert bob.select(state) == first_fit(state) == (0, 1), bob.name
+
+
+def test_priority_strategies_always_keep_their_audit_log():
+    """Both strategies of a seed-0 alice-defence game, built as a run builds
+    them, log one (round, move index, tier) entry per priority-chosen move:
+    every Alice move, and every Bob move of round 1."""
+    config = ExperimentConfig.from_file(str(CONFIGS / "alice-defence.json"))
+    k = config.k_range[0]
+    graph = trial_graph(config, 0)
+    alice, bob = build_strategy(config.alice, graph, k), build_strategy(config.bob, graph, k)
+    out = play_game(graph, k, alice, bob, max_rounds=config.max_rounds, seed=derive_seed(config.master_seed, 0, k))
+    alice_moves = [(r.round, r.idx) for r in out.transcript if r.player is Player.ALICE]
+    bob_round1 = [(r.round, r.idx) for r in out.transcript if r.player is Player.BOB and r.round == 1]
+    assert [entry[:2] for entry in alice.audit_log] == alice_moves
+    assert [entry[:2] for entry in bob.audit_log] == bob_round1
+    assert len(alice_moves) > len(bob_round1) > 0
