@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
-from .engine import GameOutcome, Player, RuleVariant, play_game
+from .engine import RuleVariant, play_game
 from .graph import NAMED_KINDS, Graph, GnpSpec, derive_seed, gnp_generate, make_named
 from .strategies import (
     GreedyFirstFit,

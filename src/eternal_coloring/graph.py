@@ -4,7 +4,10 @@ Graphs are immutable after construction.  Adjacency is stored as one Python
 int per vertex (bit u set in adj[v] iff uv is an edge), so neighbourhood
 intersections are single AND operations; closed[v] is the same with bit v
 set.  A graph keeps these masks only.  ``bit_counts`` and ``split_by_count``
-count, across many masks, how often each bit is set, for all bits at once.
+count, across many masks, how often each bit is set, for all bits at once;
+the counts sit in bit planes, bit v of plane j being bit j of v's count.
+``planes_add`` and ``planes_sub`` keep such planes up to date, adding or
+subtracting one at every bit of a mask.
 """
 
 from __future__ import annotations
@@ -136,19 +139,45 @@ def bit_counts(masks: Iterable[int]) -> list[int]:
     return planes
 
 
+def planes_add(planes: list[int], mask: int) -> None:
+    """Add 1 to the count of every bit of mask, in place, on bit planes as
+    bit_counts returns them: a ripple carry that stops once it is spent.  A
+    carry out of the top plane is dropped, so the counts are taken modulo
+    2**len(planes), which holds two's-complement tallies as they are."""
+    for j, plane in enumerate(planes):
+        planes[j] = plane ^ mask
+        mask &= plane
+        if not mask:
+            break
+
+
+def planes_sub(planes: list[int], mask: int) -> None:
+    """Subtract 1 from the count of every bit of mask, in place: the ripple
+    borrow of planes_add, with the borrow out of the top plane dropped."""
+    for j, plane in enumerate(planes):
+        planes[j] = plane ^ mask
+        mask &= ~plane
+        if not mask:
+            break
+
+
 def split_by_count(mask: int, planes: list[int]) -> list[tuple[int, int]]:
     """The bits of mask grouped by their count in planes (from bit_counts):
-    disjoint nonempty (bits, count) pairs that cover mask."""
+    disjoint nonempty (bits, count) pairs that cover mask, in no set order.
+    The top plane splits first: counts close to each other share their high
+    bits, so the groups multiply only in the last few planes."""
     groups = [(mask, 0)] if mask else []
-    for j, plane in enumerate(planes):
+    for j in range(len(planes) - 1, -1, -1):
+        plane, bit = planes[j], 1 << j
         split = []
+        add = split.append
         for m, count in groups:
             hi = m & plane
             if hi:
-                split.append((hi, count | 1 << j))
+                add((hi, count | bit))
                 m ^= hi
             if m:
-                split.append((m, count))
+                add((m, count))
         groups = split
     return groups
 

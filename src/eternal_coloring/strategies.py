@@ -6,6 +6,12 @@ Bob's generalized multi-target strategy, plus two baselines.  All asymptotic
 thresholds are explicit integer knobs in StrategyParams so the strategies can
 run at desk scale.
 
+PriorityAlice keeps two records of her own, both updated in ``observe`` from
+the move just played, so she must observe every move from ``reset`` on: her
+round book of Bob-minus-Alice tallies, and her colour census, the number of
+palette colours each closed neighbourhood sees.  Both are bit planes that
+``planes_add`` and ``planes_sub`` update.
+
 Ties break deterministically, so that games against deterministic opponents
 are reproducible: lowest vertex index first, then smallest colour, except in
 PriorityAlice's two mirror tiers, which take the smallest colour first, then
@@ -21,7 +27,7 @@ from math import ceil
 from typing import Iterator, Optional
 
 from .engine import GameState, MoveRecord, Player, Strategy, legal_mask, seen_of
-from .graph import Graph, bit_counts, iter_bits, split_by_count
+from .graph import Graph, iter_bits, planes_add, planes_sub, split_by_count
 from .partitions import build_color_plan
 
 
@@ -186,31 +192,21 @@ def record_round_move(book: RoundBook, graph: Graph, player: Player, vertex: int
     is sticky for the rest of the round.
 
     The move adds (Bob) or subtracts (Alice) the mask N[vertex] on the tally
-    planes, all tallies at once, with a ripple carry or borrow that stops once
-    it is spent.  A tally rises one step at a time, so it first reaches the
-    threshold by equalling it just after one of Bob's moves in its closed
-    neighbourhood.  A threshold above n, which no tally reaches, endangers
-    nothing.
+    planes, all tallies at once (planes_add, planes_sub).  A tally rises one
+    step at a time, so it first reaches the threshold by equalling it just
+    after one of Bob's moves in its closed neighbourhood.  A threshold above
+    n, which no tally reaches, endangers nothing.
     """
     diff, m = book.diff, graph.closed[vertex]
     if player is Player.BOB:
         book.last_bob_vertex = vertex
-        carry = m
-        for j, plane in enumerate(diff):
-            diff[j] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
+        planes_add(diff, m)
         if threshold <= book.n:  # below 2**(len(diff) - 1): it cannot alias
             for j, plane in enumerate(diff):  # the vertices of N[vertex] whose tally is threshold
                 m &= plane if threshold >> j & 1 else ~plane
             book.danger_mask |= m
     else:  # Alice's plays only lower the tallies, so they endanger nothing
-        for j, plane in enumerate(diff):
-            diff[j] = plane ^ m
-            m &= ~plane
-            if not m:
-                break
+        planes_sub(diff, m)
 
 
 class PriorityAlice(Strategy):
@@ -223,9 +219,9 @@ class PriorityAlice(Strategy):
          with respect to the current danger set;
       3. the playable vertex covering the most pressure, or, before Bob
          has moved this round, the lowest-index unplayed vertex.
-    The chosen vertex always gets the smallest legal colour.  One bit-sliced
-    count of the colours each unplayed or dangerous vertex sees feeds all
-    three tiers.
+    The chosen vertex always gets the smallest legal colour.  One count of
+    the colours each unplayed or dangerous vertex sees feeds all three tiers:
+    the census, which observe keeps up to date move by move.
     """
 
     name = "priorityAlice"
@@ -238,11 +234,31 @@ class PriorityAlice(Strategy):
         self.k = k
         self.book = RoundBook(round=1, n=graph.n)
         self.audit_log: list[tuple[int, int, int]] = []  # (round, move idx, priority)
+        # The census: count[v], the palette colours N[v] sees, for every v,
+        # as bit planes (bit v of census[j] is bit j of count[v]).  No count
+        # exceeds k, so k.bit_length() planes hold it.  seen[c] is
+        # state.seen_by[c] as of the last observed move, and colors[v] the
+        # colour that move left at v: what a move changed is read off them.
+        self.census = [0] * k.bit_length()
+        self.seen = [0] * (k + 1)
+        self.colors = [0] * graph.n
 
     def observe(self, state: GameState, rec: MoveRecord):
         if rec.round > self.book.round:
             self.book = RoundBook(round=rec.round, n=self.graph.n)
         record_round_move(self.book, self.graph, rec.player, rec.vertex, self.params.danger_threshold)
+        # A move changes two census masks at most: seen_by[c] gains the
+        # vertices now seeing c, and seen_by[old] of a recolour loses those
+        # that no longer see v's previous colour.
+        v, c, census, seen, seen_by = rec.vertex, rec.color, self.census, self.seen, state.seen_by
+        old, self.colors[v] = self.colors[v], c
+        now = seen_by[c]
+        planes_add(census, now & ~seen[c])
+        seen[c] = now
+        if old:
+            now = seen_by[old]
+            planes_sub(census, seen[old] & ~now)
+            seen[old] = now
 
     def select(self, state: GameState):
         if state.round > self.book.round:
@@ -252,23 +268,21 @@ class PriorityAlice(Strategy):
         return v, c
 
     def _choose(self, state: GameState) -> tuple[int, Optional[int], int]:
-        # count[v], the palette colours N[v] sees, as bit planes over the
-        # vertices the tiers read: the unplayed and the dangerous ones.  One
-        # split by count serves every tier: tier 1 reads its unplayed part,
-        # tier 3 its dangerous part, lvl[L] = the dangerous vertices seeing L
-        # colours, up to the top level.
+        # The census split over the vertices the tiers read, the unplayed
+        # and the dangerous ones, serves every tier: tier 1 reads its
+        # unplayed part, tier 3 its dangerous part, lvl[L] = the dangerous
+        # vertices seeing L colours, up to the top level.
         seen_by, k = state.seen_by, self.k
         unplayed = ~state.played & self.graph.full_mask
         d_mask = self.book.danger_mask
         live = unplayed | d_mask
-        planes = bit_counts([s & live for s in seen_by])
         # (1) rescue vertices about to see the whole palette: fewest missing
         # colours first, then the lowest vertex.  A vertex already seeing
         # everything is unrescuable (playing it would concede), so it is no
         # candidate.
         urgent, most, full = 0, k - self.params.nearly_full_threshold, 0
         lvl, top = [0] * (k + 2), -1
-        for m, count in split_by_count(live, planes):
+        for m, count in split_by_count(live, self.census):
             u = m & unplayed
             if u:
                 if count == k:

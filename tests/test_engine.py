@@ -25,7 +25,7 @@ from eternal_coloring.engine import (
 from eternal_coloring.experiments import ExperimentConfig, build_graph, build_strategy
 from eternal_coloring.graph import GnpSpec, Graph, derive_seed, gnp_generate, iter_bits, make_named
 from eternal_coloring.solver import solve_eternal
-from eternal_coloring.strategies import GreedyFirstFit, RandomLegal
+from eternal_coloring.strategies import GreedyFirstFit, PriorityAlice, RandomLegal, StrategyParams
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -415,9 +415,24 @@ def _signed_tallies(planes, n):
     return tallies
 
 
+def _plane_counts(planes, n):
+    """The per-vertex counts held in unsigned bit planes: bit v of planes[j]
+    is bit j of v's count."""
+    return [sum((plane >> v & 1) << j for j, plane in enumerate(planes)) for v in range(n)]
+
+
+def _assert_alice_census(alice, state, recount, rec):
+    """PriorityAlice's census planes decode to the colours each closed
+    neighbourhood holds, counted on the recounted board census."""
+    n = state.graph.n
+    counts = [sum(s >> u & 1 for s in recount) for u in range(n)]
+    assert _plane_counts(alice.census, n) == counts, rec
+
+
 def test_defence_scale_bookkeeping_matches_recount():
-    """The board census and Alice's round book, recounted after every move of
-    three rounds at the alice-defence size: G(101, 1/2), k = 32."""
+    """The board census, Alice's colour census and her round book, recounted
+    after every move of three rounds at the alice-defence size: G(101, 1/2),
+    k = 32."""
     config = ExperimentConfig.from_file(str(CONFIGS / "alice-defence.json"))
     g = build_graph(config.graph, seed=derive_seed(0, 0, "graph"))
     k, rounds = 32, 3
@@ -443,12 +458,9 @@ def test_defence_scale_bookkeeping_matches_recount():
                 self.diff[u] += 1 if rec.player is Player.BOB else -1
                 if self.diff[u] >= threshold:
                     self.danger |= 1 << u
-            recount = [0] * (k + 1)
-            for u in range(g.n):
-                for w in nbrs[u]:
-                    if state.colors[w]:
-                        recount[state.colors[w]] |= 1 << u
+            recount = _recount_census(g, state.colors, k)
             assert state.seen_by == recount, rec
+            _assert_alice_census(alice, state, recount, rec)
             assert alice.book.round == rec.round
             assert _signed_tallies(alice.book.diff, g.n) == self.diff, rec
             assert alice.book.danger_mask == self.danger, rec
@@ -456,3 +468,22 @@ def test_defence_scale_bookkeeping_matches_recount():
     out = play_game(g, k, alice, CheckedBob(), RuleVariant(config.variant), rounds, derive_seed(0, 0, k))
     assert out.winner is Player.ALICE
     assert len(out.transcript) == rounds * g.n  # rounds 2 and 3 recolour every vertex
+
+
+@pytest.mark.parametrize("variant", [RuleVariant.GREEDY_BOB, RuleVariant.GREEDY_BOTH])
+def test_alice_census_matches_recount_under_greedy_rules(variant):
+    """PriorityAlice's colour census, recounted after every move of a small
+    three-round game under each greedy rule: round 1 colours, rounds 2 and 3
+    recolour every vertex."""
+    g = gnp_generate(GnpSpec(13, 0.5, 5))
+    k, rounds = g.max_degree() + 2, 3  # every vertex always has a legal colour
+    alice = PriorityAlice(StrategyParams.from_fractions(g.n))
+
+    class CheckedBob(RandomLegal):
+        # observed after Alice, so her census already holds the move
+        def observe(self, state, rec):
+            _assert_alice_census(alice, state, _recount_census(g, state.colors, k), rec)
+
+    out = play_game(g, k, alice, CheckedBob(), variant, rounds, seed=7)
+    assert out.winner is Player.ALICE
+    assert len(out.transcript) == rounds * g.n

@@ -247,6 +247,11 @@ class TestConfig:
             wrong[key] = value
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_json_obj(wrong)
+        for q in (-0.1, 1.5):
+            wrong = _single_vertex_config(2).to_json_obj()
+            wrong["survival_quantile"] = q
+            with pytest.raises(ConfigError, match=rf"^survival_quantile must be in \[0, 1\], got {q}$"):
+                ExperimentConfig.from_json_obj(wrong)
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -288,6 +293,9 @@ class TestBuilders:
         g = make_named("star", 4)
         bob = build_strategy({"name": "targetBob", "target": 2}, g, 3)
         assert isinstance(bob, TargetBob) and bob.target == 2
+        for target in (-1, 5):  # star:4 has vertices 0..4
+            with pytest.raises(ConfigError, match=rf"^targetBob target must be a vertex 0\.\.4, got {target}$"):
+                build_strategy({"name": "targetBob", "target": target}, g, 3)
 
     def test_multiplicity_bob_plans_at_a_huge_palette(self):
         # p = 10^-9: the plan's weights stay cheap at any k_inv

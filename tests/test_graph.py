@@ -12,6 +12,8 @@ from eternal_coloring.graph import (
     iter_bits,
     make_named,
     mask_of,
+    planes_add,
+    planes_sub,
     split_by_count,
 )
 
@@ -205,3 +207,60 @@ def test_bit_counts_of_nothing():
     assert split_by_count(0b110, []) == [(0b110, 0)]
     assert bit_counts([0b11] * 7) == [0b11] * 3
     assert bit_counts([1] * 70) == [0, 1, 1, 0, 0, 0, 1]  # 70 = 0b1000110
+
+
+def _step_planes(planes, counts, add, mask, lo, hi):
+    """Apply one add (or subtract) of mask to planes and to the integer
+    counts, on the bits whose count stays in [lo, hi]."""
+    mask &= mask_of(v for v, t in enumerate(counts) if (t < hi if add else t > lo))
+    (planes_add if add else planes_sub)(planes, mask)
+    for v in iter_bits(mask):
+        counts[v] += 1 if add else -1
+
+
+def _plane_values(planes, n, signed):
+    """The per-bit values held in planes, read as two's complement if signed."""
+    width = len(planes)
+    values = []
+    for v in range(n):
+        t = sum((p >> v & 1) << j for j, p in enumerate(planes))
+        values.append(t - (1 << width) if signed and t >> (width - 1) else t)
+    return values
+
+
+_OPS = st.lists(st.tuples(st.booleans(), st.integers(0, (1 << 20) - 1)), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(j=st.integers(1, 5), full_planes=st.booleans(), n=st.integers(1, 12), ops=_OPS)
+def test_plane_updates_match_unsigned_counts(j, full_planes, n, ops):
+    # counts in [0, k] on k.bit_length() planes: k = 2^j - 1 fills every
+    # plane, k = 2^j sets the top plane alone
+    k = (1 << j) - 1 if full_planes else 1 << j
+    planes, counts = [0] * k.bit_length(), [0] * n
+    for add, mask in ops:
+        _step_planes(planes, counts, add, mask, 0, k)
+        assert _plane_values(planes, n, False) == counts
+    for add, end in ((True, k), (False, 0)):  # every count up to exactly k, then back to 0
+        for _ in range(k):
+            _step_planes(planes, counts, add, (1 << n) - 1, 0, k)
+            assert _plane_values(planes, n, False) == counts
+        assert counts == [end] * n
+    assert planes == [0] * len(planes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 20), ops=_OPS)
+def test_plane_updates_match_signed_tallies(n, ops):
+    # tallies in [-n, n] as two's complement on n.bit_length() + 1 planes
+    planes, tallies = [0] * (n.bit_length() + 1), [0] * n
+    for add, mask in ops:
+        _step_planes(planes, tallies, add, mask, -n, n)
+        assert _plane_values(planes, n, True) == tallies
+    # every tally up to exactly n, down to exactly -n, back to 0
+    for add, steps, end in ((True, 2 * n, n), (False, 2 * n, -n), (True, n, 0)):
+        for _ in range(steps):
+            _step_planes(planes, tallies, add, (1 << n) - 1, -n, n)
+            assert _plane_values(planes, n, True) == tallies
+        assert tallies == [end] * n
+    assert planes == [0] * len(planes)

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from eternal_coloring.engine import GameState, Player, RuleVariant, _place, legal_mask, play_game
+from eternal_coloring.engine import GameState, Player, RuleVariant, _place, apply_move, legal_mask, play_game
 from eternal_coloring.graph import Graph, GnpSpec, gnp_generate, iter_bits, make_named
 from eternal_coloring.solver import (
     SolverInfeasible,
@@ -323,6 +323,30 @@ class TestWitnesses:
         _place(state, 0, 1)
         _place(state, 1, 1)
         with pytest.raises(RuntimeError, match="position not in solved table"):
+            witness.select(state)
+
+    @pytest.mark.parametrize(
+        "kind, size, k, winner, moves, refusal",
+        [
+            # star:3, k = 3 is Bob's, but once Alice opens round 2 by
+            # recolouring the centre 3, no move of his reaches his attractor
+            ("star", 3, 3, Player.BOB, [(0, 1), (1, 2), (2, 2), (3, 2), (0, 3)], "outside his winning region"),
+            # path:3, k = 3 is Alice's, but once Bob opens round 2 by
+            # recolouring an end 3, every move of hers is in his attractor
+            ("path", 3, 3, Player.ALICE, [(0, 1), (1, 2), (2, 3), (0, 3)], "inside Bob's attractor"),
+        ],
+    )
+    def test_witness_refuses_a_position_its_side_has_lost(self, kind, size, k, winner, moves, refusal):
+        g = make_named(kind, size)
+        res = solve_eternal(g, k)
+        assert res.winner is winner
+        witness = res.witness_strategy(winner)
+        witness.reset(g, k, RuleVariant.STANDARD)
+        state = GameState(g, k)
+        for v, c in moves:
+            apply_move(state, v, c)
+        assert state.to_move is winner
+        with pytest.raises(RuntimeError, match=refusal):
             witness.select(state)
 
     def test_witness_bound_to_its_instance(self):

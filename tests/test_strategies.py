@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from eternal_coloring.engine import (
     GameState,
+    MoveRecord,
     Player,
     RuleVariant,
     apply_move,
@@ -52,8 +53,6 @@ def _colour_mask(state, v):
 
 def _observe_move(state, *strategies_then_move):
     """Apply (v, c) to state and feed the move record to each strategy."""
-    from eternal_coloring.engine import MoveRecord
-
     *strategies, (player, v, c) = strategies_then_move
     rec = MoveRecord(state.round, state.played.bit_count(), player, v, c)
     apply_move(state, v, c)
@@ -172,11 +171,11 @@ def _exact_mirror(graph, w, danger, moves):
     after moves, w's among them, with Bob's last move w and the danger set."""
     alice = PriorityAlice(StrategyParams())
     alice.reset(graph, graph.n + 1, RuleVariant.STANDARD)
+    state = GameState(graph, graph.n + 1)
+    for v, c in moves:  # Alice's census follows the moves she observes
+        _observe_move(state, alice, (state.to_move, v, c))
     alice.book.danger_mask = mask_of(danger)
     alice.book.last_bob_vertex = w
-    state = GameState(graph, graph.n + 1)
-    for v, c in moves:
-        apply_move(state, v, c)
     assert state.is_played(w)  # as in play: w is a move of the current round
     v, _, prio = alice._choose(state)
     return (v if prio == 2 else None), state
@@ -1047,6 +1046,10 @@ class TestLockstepOracles:
         for cls in (PriorityAlice, _ReferenceAlice):
             alice = cls(StrategyParams(nearly_full_threshold=threshold))
             alice.reset(g, k, RuleVariant.STANDARD)
+            # Alice's census follows the moves she observes: one per coloured
+            # vertex, each reading the census masks of the final position
+            for v in iter_bits(g.full_mask & ~state.color_pos[0]):
+                alice.observe(state, MoveRecord(1, 0, Player.ALICE, v, state.colors[v]))
             alice.book.danger_mask = danger
             alice.book.last_bob_vertex = w
             picks.append(alice._choose(state))
