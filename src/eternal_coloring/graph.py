@@ -46,7 +46,8 @@ class GnpSpec:
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "closed", "full_mask")
+    # __weakref__ lets per-graph caches (strategies' pair rows) die with the graph
+    __slots__ = ("n", "adj", "closed", "full_mask", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         self.n = n

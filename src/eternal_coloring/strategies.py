@@ -10,7 +10,14 @@ PriorityAlice keeps two records of her own, both updated in ``observe`` from
 the move just played, so she must observe every move from ``reset`` on: her
 round book of Bob-minus-Alice tallies, and her colour census, the number of
 palette colours each closed neighbourhood sees.  Both are bit planes that
-``planes_add`` and ``planes_sub`` update.
+``planes_add`` and ``planes_sub`` update.  ``select`` refuses a position
+whose colouring differs from the one her observed moves left.  TargetBob
+keeps a colour book the same way (the colours in order of first appearance,
+and which of them have no copy in the target's closed neighbourhood), so he
+too must observe every move from ``reset`` on.  His first blocking-pair scan
+of a game depends only on the graph, block_distance and the uncoloured part
+of the target's closed neighbourhood, not on k: its rows are kept per graph
+in a weak-keyed table, shared by every game on the graph and gone with it.
 
 Ties break deterministically, so that games against deterministic opponents
 are reproducible: lowest vertex index first, then smallest colour, except in
@@ -21,6 +28,7 @@ the lowest vertex.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from math import ceil
@@ -261,6 +269,8 @@ class PriorityAlice(Strategy):
             seen[old] = now
 
     def select(self, state: GameState):
+        if self.colors != state.colors:
+            raise RuntimeError("PriorityAlice was handed a position she has not observed: she must observe every move from reset on")
         if state.round > self.book.round:
             self.book = RoundBook(round=state.round, n=self.graph.n)
         v, c, prio = self._choose(state)
@@ -397,6 +407,25 @@ class PriorityAlice(Strategy):
 # ---------------------------------------------------------------------------
 
 
+# The rows of TargetBob's first pair scans: _FIRST_SCAN_ROWS[graph][dist, u][a],
+# for block_distance dist and the uncoloured target part u, is the mask of
+# every b > a whose pair with a misses at most dist vertices of u, or None
+# until a game first reads row a.  The target enters only through u.  The keys
+# are weak, so a graph's rows go with it: a fresh run starts cold.
+_FIRST_SCAN_ROWS = weakref.WeakKeyDictionary()
+
+
+def _pair_row(miss: list[int], a: int, dist: int) -> int:
+    """The mask of the b > a whose pair with a misses at most dist vertices
+    of u (miss[x] = u minus N[x]).  Few pairs qualify, so a plain range walk
+    beats a bit walk."""
+    miss_a, row = miss[a], 0
+    for b in range(a + 1, len(miss)):
+        if (miss_a & miss[b]).bit_count() <= dist:
+            row |= 1 << b
+    return row
+
+
 class TargetBob(Strategy):
     """Bob's single-target strategy: flood the target's closed neighbourhood.
 
@@ -412,6 +441,13 @@ class TargetBob(Strategy):
       5. greedy first fit.
     In round 2, Bob claims the target if it sees the whole palette (choosing
     it wins); otherwise, and from round 3 on, he plays greedy first fit.
+
+    Tiers 1 and 3 read a colour book that observe keeps, so Bob must observe
+    every move from reset on: `intro`, the colours in order of first
+    appearance; `used`, their colour mask; `rank[c]`, c's index in `intro`;
+    and `out`, the mask of the ranks of the colours with no copy in
+    N[target].  Round 1 never recolours, so a colour once inside stays
+    inside and `out` is exact there; round 1 is the only round that reads it.
     """
 
     name = "targetBob"
@@ -424,6 +460,9 @@ class TargetBob(Strategy):
         self.graph = graph
         self.target_mask = graph.closed[self.target]
         self.intro: list[int] = []  # colours in order of first appearance
+        self.used = 0  # colour mask of intro
+        self.rank = [0] * (k + 1)  # rank[c]: c's index in intro, once used
+        self.out = 0  # rank mask of the intro colours absent from N[target]
         self.batches: deque[Iterator[tuple[int, int]]] = deque()  # blocking moves of each scan, FIFO
         self.seen_pairs: set[tuple[int, int]] = set()  # (a, b), a < b, drawn so far
         self.last_u: Optional[int] = None  # uncoloured part of N[target] at the last scan
@@ -431,8 +470,14 @@ class TargetBob(Strategy):
         self.drop_log: list[str] = []
 
     def observe(self, state: GameState, rec: MoveRecord):
-        if rec.color not in self.intro:
-            self.intro.append(rec.color)
+        c = rec.color
+        if not self.used >> c & 1:
+            self.used |= 1 << c
+            self.rank[c] = len(self.intro)
+            self.out |= 1 << len(self.intro)
+            self.intro.append(c)
+        if self.target_mask >> rec.vertex & 1:
+            self.out &= ~(1 << self.rank[c])
 
     # -- round-1 helpers ----------------------------------------------------
 
@@ -455,7 +500,9 @@ class TargetBob(Strategy):
         batch before it, just as if all pairs had been tested here, and the
         pairs come in the same order.  The one exception is a row whose a the
         live board has since coloured inside the target: its pairs could gain
-        nothing, so they are skipped unseen (see `_block_pairs`).
+        nothing, so they are skipped unseen (see `_block_pairs`).  A game's
+        first batch tests its pairs through rows shared by every game on the
+        graph (`_FIRST_SCAN_ROWS`); its later batches test them afresh.
         """
         u_mask = self.target_mask & state.color_pos[0]
         last_u = self.last_u
@@ -474,7 +521,11 @@ class TargetBob(Strategy):
         pair that qualified at the last scan is seen already.  A pair new to
         the queue thus misses a vertex of `gone`, the part of u coloured since
         the last scan: only such pairs are tested.  The first scan of a game
-        (gone None) tests them all.
+        (gone None) takes them all, and depends on the graph, block_distance
+        and u alone, not on k, the target or the play: its row a, the
+        qualifying b > a, is computed by the first game on the graph that
+        reads it and kept in `_FIRST_SCAN_ROWS`, and a game reads the
+        unplayed part of it.
 
         Row a is read against the live `state` too, at its top and after the
         sequence of each of its pairs (which may have coloured a): once a
@@ -486,11 +537,14 @@ class TargetBob(Strategy):
         between them and a pair's `_block_moves`, which assumes a holds no
         colour inside N[target].
         """
-        dist, closed = self.params.block_distance, self.graph.closed
+        dist, graph = self.params.block_distance, self.graph
+        closed = graph.closed
         # colour c is inside N[target] iff seen_by[c] >> t & 1 (never for c = 0,
         # uncoloured); it is read at each test, since play changes it between yields
         colors, seen_by, t = state.colors, state.seen_by, self.target
         miss = [u_mask & ~c for c in closed]  # miss[x] = u minus N[x]
+        if gone is None:
+            rows = _FIRST_SCAN_ROWS.setdefault(graph, {}).setdefault((dist, u_mask), [None] * graph.n)
         seen_pairs = self.seen_pairs
         while rest:
             low = rest & -rest
@@ -499,7 +553,10 @@ class TargetBob(Strategy):
             if seen_by[colors[a]] >> t & 1:
                 continue
             if gone is None:
-                cand = rest
+                row = rows[a]
+                if row is None:
+                    row = rows[a] = _pair_row(miss, a, dist)
+                cand, miss_a = rest & row, 0  # the row holds only qualifying b
             else:
                 hit = gone & ~closed[a]
                 if not hit:
@@ -510,7 +567,7 @@ class TargetBob(Strategy):
                     hit ^= bit
                     cand |= ~closed[bit.bit_length() - 1]
                 cand &= rest
-            miss_a = miss[a]
+                miss_a = miss[a]
             while cand:
                 bit = cand & -cand
                 cand ^= bit
@@ -583,10 +640,15 @@ class TargetBob(Strategy):
         return v, c
 
     def _round1_move(self, state: GameState) -> tuple[int, Optional[int], int]:
-        pos, target_mask = state.color_pos, self.target_mask
-        # (1) colours seen >= twice outside, absent inside, FIFO
-        for c in self.intro:
-            if not pos[c] & target_mask and pos[c].bit_count() >= 2:
+        pos, target_mask, intro = state.color_pos, self.target_mask, self.intro
+        # (1) colours seen >= twice outside, absent inside, FIFO: the colours
+        # of `out` in rank order
+        out = self.out
+        while out:
+            low = out & -out
+            out ^= low
+            c = intro[low.bit_length() - 1]
+            if pos[c].bit_count() >= 2:
                 u = uncolored_taking(state, target_mask, c)
                 if u is not None:
                     return u, c, 1
@@ -598,8 +660,12 @@ class TargetBob(Strategy):
             if mv is not None:
                 return mv[0], mv[1], 2
         # (3) colours seen exactly once outside, absent inside, FIFO
-        for c in self.intro:
-            if not pos[c] & target_mask and pos[c].bit_count() == 1:
+        out = self.out
+        while out:
+            low = out & -out
+            out ^= low
+            c = intro[low.bit_length() - 1]
+            if pos[c].bit_count() == 1:
                 u = uncolored_taking(state, target_mask, c)
                 if u is not None:
                     return u, c, 3

@@ -1,5 +1,6 @@
 """Experiment runner: configs, determinism, records, outputs, and the CLI."""
 
+import gc
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eternal_coloring import experiments
+from eternal_coloring import experiments, strategies
 from eternal_coloring.cli import main
 from eternal_coloring.experiments import (
     ConfigError,
@@ -111,6 +112,40 @@ class TestRunExperiment:
         rows = records_to_csv(records).splitlines()[1:]
         assert [row.split(",")[3:] for row in rows] == [["fault", "", "0", "1"]] * 8
         assert all(rates["fault_rate"] == 1.0 for rates in win_rates(records).values())
+
+    def test_first_scan_rows_live_as_long_as_the_run_s_graphs(self, monkeypatch):
+        # every k plays each trial's one graph, so TargetBob's first scans
+        # after the first k read rows an earlier game computed; a run of the
+        # last k alone computes them afresh.  Warm or cold, play is the same,
+        # and the rows go with the run's graphs.
+        config = ExperimentConfig(
+            graph={"kind": "gnp", "n": 21, "p": 0.5},
+            k_range=[8, 9, 10, 11, 12],
+            alice={"name": "greedyFirstFit"},
+            bob={"name": "targetBob", "params": {"reserve_missing": 2}},
+            trials=3,
+            fresh_graph=True,
+        )
+        gc.collect()
+        before = len(strategies._FIRST_SCAN_ROWS)
+        sizes, run_trial = [], experiments.run_trial
+
+        def counted(config, graph, k, trial):
+            record = run_trial(config, graph, k, trial)
+            sizes.append(len(strategies._FIRST_SCAN_ROWS) - before)
+            return record
+
+        monkeypatch.setattr(experiments, "run_trial", counted)
+        warm = run_experiment(config)
+        assert sizes == [1, 2, 3] + [3] * 12  # one table per trial graph, kept across k
+        gc.collect()
+        assert len(strategies._FIRST_SCAN_ROWS) == before
+        assert records_to_csv(run_experiment(config)) == records_to_csv(warm)
+        config.k_range = [12]
+        cold = run_experiment(config)
+        assert records_to_csv(cold) == records_to_csv([r for r in warm if r.k == 12])
+        gc.collect()
+        assert len(strategies._FIRST_SCAN_ROWS) == before
 
     def test_single_vertex_one_colour_all_bob_round_two(self):
         records = run_experiment(_single_vertex_config(1))

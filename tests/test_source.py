@@ -1,4 +1,5 @@
-"""Source hygiene: every module under src/ reads what it imports."""
+"""Source hygiene: every module under src/ reads what it imports, and keeps
+no strong cache at module level."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,86 @@ def test_the_check_finds_unused_imports():
     assert _unused_imports("from .engine import Player as P\n") == ["line 1: P"]
     assert _unused_imports("from __future__ import annotations\nimport os.path\nos.path.join('a')\n") == []
     assert _unused_imports("from .engine import Player\n__all__ = ['Player']\n") == []
+
+
+# A module-level container built by one of these forms is strong: what a
+# function puts in it lives as long as the module.  A weakref.WeakKeyDictionary
+# is no such form.
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+_CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_MUTATORS = {"setdefault", "append", "add", "update", "extend", "insert", "__setitem__"}
+
+
+def _is_container(node) -> bool:
+    if isinstance(node, _CONTAINER_NODES):
+        return True
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (getattr(func, "id", None) or getattr(func, "attr", None)) in _CONTAINER_CALLS
+
+
+def _mutated_module_containers(source: str) -> list[str]:
+    """The module-level dicts, lists and sets a function fills, as
+    'line N: name', where N is the line of the filling statement: an item
+    assignment or one of _MUTATORS called on the name.  A function that
+    binds the name locally fills its own container, not the module's."""
+    tree = ast.parse(source)
+    containers = set()
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+        if getattr(stmt, "value", None) is not None and _is_container(stmt.value):
+            containers.update(t.id for t in targets if isinstance(t, ast.Name))
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        params = func.args
+        local = {a.arg for a in params.posonlyargs + params.args + params.kwonlyargs + [params.vararg, params.kwarg] if a}
+        local.update(n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+        local.difference_update(name for n in ast.walk(func) if isinstance(n, ast.Global) for name in n.names)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                owner = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+                owner = node.func.value
+            else:
+                continue
+            if isinstance(owner, ast.Name) and owner.id in containers and owner.id not in local:
+                found.add((node.lineno, owner.id))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_no_module_under_src_fills_a_module_level_container():
+    filled = {}
+    for path in sorted(SRC.rglob("*.py")):
+        found = _mutated_module_containers(path.read_text())
+        if found:
+            filled[str(path.relative_to(SRC))] = found
+    assert filled == {}
+
+
+def test_the_check_finds_filled_module_level_containers():
+    # a known-false control: a strong memo, filled in the three usual ways
+    flagged = (
+        "_MEMO = {}\n"
+        "_SEEN: set = set()\n"
+        "def f(g, k):\n"
+        "    _MEMO[g] = k\n"
+        "    _MEMO.setdefault(g, []).append(k)\n"
+        "    _SEEN.add(g)\n"
+    )
+    assert _mutated_module_containers(flagged) == ["line 4: _MEMO", "line 5: _MEMO", "line 6: _SEEN"]
+    # weak keys, reads, module-level set-up and a local of the same name pass
+    passing = (
+        "import weakref\n"
+        "_ROWS = weakref.WeakKeyDictionary()\n"
+        "_TABLE = {'a': 1}\n"
+        "_TABLE['b'] = 2\n"
+        "def f(g):\n"
+        "    _ROWS.setdefault(g, {})[0] = 1\n"
+        "    return _TABLE['a']\n"
+        "def h():\n"
+        "    _TABLE = {}\n"
+        "    _TABLE['c'] = 3\n"
+        "    return _TABLE\n"
+    )
+    assert _mutated_module_containers(passing) == []

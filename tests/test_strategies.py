@@ -292,6 +292,17 @@ class TestPriorityAlice:
         assert (v, c) == (2, 2)  # leaf 2 mirrors leaf 1 (danger set empty)
         assert alice.audit_log[-1][2] == 2
 
+    def test_refuses_a_position_she_has_not_observed(self):
+        # her census and round book follow the moves she observes; a board
+        # that moved without her would be read as an empty one
+        g = make_named("star", 5)
+        alice = self._alice(g, 3)
+        state = GameState(g, 3)
+        _observe_move(state, alice, (Player.ALICE, 0, 1))
+        apply_move(state, 1, 2)  # Bob's move, never shown to her
+        with pytest.raises(RuntimeError, match="has not observed"):
+            alice.select(state)
+
     def test_always_plays_smallest_legal_colour(self):
         g = gnp_generate(GnpSpec(9, 0.5, 8))
         alice = PriorityAlice(StrategyParams.from_fractions(9))
@@ -359,6 +370,18 @@ class TestTargetBob:
         _observe_move(state, bob, (Player.BOB, 4, 5))
         v, c = bob.select(state)
         assert c == 5 and v == 0  # colour seen twice outside, copied inside
+        assert bob.audit_log[-1][2] == 1
+
+    def test_twice_outside_colours_enter_fifo(self):
+        g = Graph(9, [(0, 1), (0, 2)])
+        bob = self._bob(g, 6, reserve_missing=99)
+        state = GameState(g, 6)
+        _observe_move(state, bob, (Player.ALICE, 3, 4))  # colour 4 first
+        _observe_move(state, bob, (Player.BOB, 4, 2))  # colour 2 second
+        _observe_move(state, bob, (Player.ALICE, 5, 2))
+        _observe_move(state, bob, (Player.BOB, 6, 4))
+        v, c = bob.select(state)
+        assert c == 4  # FIFO by introduction time, not colour index
         assert bob.audit_log[-1][2] == 1
 
     def test_once_outside_colours_enter_fifo(self):
@@ -471,6 +494,21 @@ class TestTargetBob:
         assert state.k - _colour_mask(state, 0).bit_count() == 1
         assert bob.select(state) == GreedyFirstFit().select(state)
 
+    def test_colour_book_matches_the_board_after_every_round1_move(self):
+        # RandomLegal introduces colours out of index order, so intro is no
+        # sorted list and out's ranks are no colours
+        checked = unsorted = 0
+        for n, gseed in _LOCKSTEP_GAMES:
+            g = gnp_generate(GnpSpec(n, 0.5, gseed))
+            params = StrategyParams(block_distance=2, danger_threshold=2, reserve_missing=2)
+            for target in (0, n - 1):
+                for k in (n // 2, n // 2 + 3):
+                    bob = _BookCheckedTargetBob(params, target=target)
+                    play_game(g, k, RandomLegal(), bob, max_rounds=2, seed=gseed)
+                    checked += bob.checked
+                    unsorted += bob.intro != sorted(bob.intro)
+        assert checked > 500 and unsorted > 40, (checked, unsorted)
+
     def test_beats_greedy_alice_where_solver_says_bob_wins(self):
         # exact-solver-confirmed Bob wins; the priority strategy realizes them
         for kind, size, k in [("star", 4, 3), ("path", 5, 3), ("cycle", 5, 3)]:
@@ -479,6 +517,29 @@ class TestTargetBob:
             bob = TargetBob(StrategyParams(), target=0)
             out = play_game(g, k, GreedyFirstFit(), bob, max_rounds=10)
             assert out.winner is Player.BOB, (kind, size, k)
+
+
+class _BookCheckedTargetBob(TargetBob):
+    """TargetBob checking his colour book against the board after every
+    round-1 move: intro in order of first appearance in play, and out the
+    ranks of the intro colours with no copy in N[target]."""
+
+    def reset(self, graph, k, variant, seed=None):
+        super().reset(graph, k, variant, seed)
+        self.appeared = []
+        self.checked = 0
+
+    def observe(self, state, rec):
+        super().observe(state, rec)
+        if rec.color not in self.appeared:
+            self.appeared.append(rec.color)
+        if rec.round == 1:
+            pos = state.color_pos
+            assert self.intro == self.appeared
+            assert self.used == mask_of(self.appeared)
+            assert [self.rank[c] for c in self.appeared] == list(range(len(self.appeared)))
+            assert self.out == mask_of(i for i, c in enumerate(self.appeared) if not pos[c] & self.target_mask)
+            self.checked += 1
 
 
 class _LoggedTargetBob(TargetBob):
@@ -960,17 +1021,19 @@ class TestLockstepOracles:
         queued = drops = stale = lazy = 0
         for n, gseed in _LOCKSTEP_GAMES:
             g = gnp_generate(GnpSpec(n, 0.5, gseed))
-            for dist in (1, 2, 3):
+            # several distances and targets on the one graph object, whose
+            # first-scan rows every game on it shares
+            for target, dist in [(target, dist) for target in (gseed, n - 1 - gseed) for dist in (1, 2, 3)]:
                 params = StrategyParams(block_distance=dist, danger_threshold=2, reserve_missing=2)
                 for k in (n // 2, n // 2 + 3):
                     for alice in (GreedyFirstFit(), RandomLegal()):
                         games = []
                         for cls in (_LoggedTargetBob, _ReferenceTargetBob):
-                            bob = cls(params, target=gseed % n)
+                            bob = cls(params, target=target)
                             out = play_game(g, k, alice, bob, max_rounds=3, seed=gseed)
                             games.append((out, bob))
                         (out, bob), (ref_out, ref) = games
-                        case = (n, gseed, dist, k, alice.name)
+                        case = (n, gseed, target, dist, k, alice.name)
                         assert out.transcript == ref_out.transcript, case
                         assert bob.audit_log == ref.audit_log, case
                         # The lazy stream draws, in order, exactly the pairs the
