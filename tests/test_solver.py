@@ -1,6 +1,7 @@
 """Exact solver: attractor computation, chromatic scans, witnesses, one-round game."""
 
 import gc
+import hashlib
 import tracemalloc
 from collections import deque
 from functools import lru_cache
@@ -161,6 +162,31 @@ class TestLockstepOracle:
                 if not symmetric:  # only a plain solve has a witness, which owns the key lookup
                     lookup = res.witness_strategy(res.winner)._index
                     assert all(lookup[key] == sid for sid, key in enumerate(res._states)), where
+
+    @pytest.mark.parametrize(
+        "size, k, variant, symmetric, states, digests",
+        [
+            (8, 3, RuleVariant.GREEDY_BOTH, False, 6897, (
+                "9113cd07579e358f9eda9184748278bc653d00a496cdad9d3bbc9e05c3d5b842",
+                "6aa5c45638b7490b6fa261e13f2211e607adba5c684580fcb1d889565529a0e4",
+                "c5afc74ff023e746f99e225e0ceaa21d8f32ae6398a94205ad5fe41a8f5e9e8e",
+                "416f845dba548b89ed31225ca210b5c296b30da01523a58c7d360f9f4925dee1",
+            )),
+            (6, 4, RuleVariant.STANDARD, True, 28656, (
+                "a272c8f43eb05b296eff3cb8206f7fb1500a699f538bbc5ceeeed9117a5737a2",
+                "08eeeb8f868550c40305b054074619208e4509ab718a40635465c94edf1a98d7",
+                "95f2d44545c02ef5c1e0423a037cbf3ae5ca4c74874bfc7b9f14fb3c3aca6912",
+                "1b9913382e30b0323bdcbebbf436321a3990f311785fbbe334ac93cd050ba217",
+            )),
+        ],
+    )
+    def test_tables_match_their_pinned_digests(self, size, k, variant, symmetric, states, digests):
+        # stars too large for the reference: SHA-256 of each table's repr,
+        # in the order _states, _moves, _start, _rank
+        res = solve_eternal(make_named("star", size), k, variant, color_symmetry=symmetric)
+        assert res.states_explored == states
+        tables = (res._states, res._moves, res._start, res._rank)
+        assert tuple(hashlib.sha256(repr(list(t)).encode()).hexdigest() for t in tables) == digests
 
 
 class TestSolveEternal:
