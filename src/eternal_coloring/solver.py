@@ -145,16 +145,18 @@ def solve_eternal(
 
     initial = _pack([0] * n, 0, ALICE, 0, k)
     index: dict[int, int] = {initial: 0}
+    get = index.get
     states = [initial]
     moves = array("q")
     start = array("q", [0])
-    # legality rows, one per colouring: (legal masks by vertex, keep bounds
-    # by vertex), keyed by the colour fields with the greedy flag at the
-    # played field's low bit
+    indeg, sink = [0], 0  # indeg[s]: the moves into state s so far; sink: the stuck-vertex moves
+    # move templates, one row per colouring keyed by the colour fields with the
+    # greedy flag at the played field's low bit: row[v] holds (xor, tail,
+    # renumber) per colour c legal at v, shared by (v, old colour, legal, keep[v])
     rows: dict[int, tuple] = {}
+    templates: dict[tuple, tuple] = {}
     relabelled: dict[int, int] = {}  # child colour fields -> the same renumbered
     trivial = (k + 1,) * n  # no colour exceeds k, so no child is renumbered
-    clear = [~(cmask << s) for s in shifts]  # clear[v]: every bit but v's colour field
     sid = 0
     while sid < len(states):  # ids are handed out in discovery order: breadth-first
         key = states[sid]
@@ -165,60 +167,59 @@ def solve_eternal(
         row = rows.get(colouring)
         if row is None:
             cols = [key >> s & cmask for s in shifts]
-            legal_of = []
-            for v in range(n):
-                seen = 0
-                for u in closed[v]:
-                    seen |= 1 << cols[u]  # bit 0 (uncoloured) lies outside the palette
-                legal_of.append(legal_mask(seen, palette, greedy))
             # The colours are numbered by first appearance under colour
             # symmetry.  A child whose new colour at v is at most keep[v] is
             # numbered so too; keep[v] is 0 when v holds the first appearance
             # of its colour, which may be what numbers the colours after v.
             if color_symmetry:
                 tops = accumulate(cols, max, initial=0)  # the largest colour before v
-                keep = tuple(top + 1 if old <= top else 0 for old, top in zip(cols, tops))
+                keep = [top + 1 if old <= top else 0 for old, top in zip(cols, tops)]
             else:
                 keep = trivial
-            row = rows[colouring] = (tuple(legal_of), keep)
-        legal_of, keep_of = row
-        flipped = key ^ mover_bit
+            row = []
+            for v, old, s, keep_v in zip(range(n), cols, shifts, keep):
+                seen = 0
+                for u in closed[v]:
+                    seen |= 1 << cols[u]  # bit 0 (uncoloured) lies outside the palette
+                legal = legal_mask(seen, palette, greedy)
+                tpl = templates.get(tkey := (v, old, legal, keep_v))
+                if tpl is None:  # a child is key ^ xor: mover flipped, v played, its old colour swapped for c
+                    flip = mover_bit | 1 << pshift + v
+                    tpl = templates[tkey] = tuple(
+                        (flip | (old ^ c) << s, 1 << tshift | v << width | c, c > keep_v) for c in iter_bits(legal))
+                row.append(tpl)
+            row = rows[colouring] = tuple(row)
         m = full & ~played
+        if not m & m - 1:  # one vertex left: its move turns the round over
+            key ^= full << pshift | phase_bit & ~key
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
-            legal = legal_of[v]
-            if not legal:
+            if not row[v]:  # v is stuck: a move into the sink
                 moves.append(v << width)
-                continue
-            s = shifts[v]
-            # the child keys minus v's colour field: v cleared and played, mover flipped
-            base = flipped & clear[v] | low << pshift
-            if played | low == full:
-                base = base - (full << pshift) | phase_bit
-            keep = keep_of[v]
-            while legal:
-                cbit = legal & -legal
-                legal ^= cbit
-                c = cbit.bit_length() - 1
-                child = base | c << s
-                if c > keep:
+                sink += 1
+            for xor, tail, renumber in row[v]:
+                child = key ^ xor
+                if renumber:
                     fields = child & colour_fields
                     renumbered = relabelled.get(fields)
                     if renumbered is None:
                         renumbered = relabelled[fields] = _relabelled(fields, shifts, k)
                     child ^= fields ^ renumbered
-                tid = index.get(child)
+                tid = get(child)
                 if tid is None:
                     tid = len(states)
                     if tid >= state_cap:
                         raise SolverInfeasible(f"reachable states exceed cap {state_cap}")
                     index[child] = tid
                     states.append(child)
-                moves.append((tid + 1) << tshift | v << width | c)
+                    indeg.append(1)
+                else:
+                    indeg[tid] += 1
+                moves.append((tid << tshift) + tail)
         start.append(len(moves))
-    del index, rows, relabelled  # exploration only: free them before the attractor's tables
+    del index, get, rows, templates, relabelled  # exploration only: free them before the attractor's tables
 
     num = len(states)
     # Backward fixed point over nodes t = state id + 1, from the sink t = 0.
@@ -226,10 +227,9 @@ def solve_eternal(
     # move order: each block is filled from its end.  A rank is 1 + the
     # least (Bob) or greatest (Alice) rank among the successors, so the
     # order does not matter.
-    pstart = [0] * (num + 2)
-    for mv in moves:
-        pstart[mv >> tshift] += 1
-    pstart = list(accumulate(pstart))  # pstart[t]: the end of t's block
+    indeg.append(0)
+    pstart = list(accumulate(indeg, initial=sink))  # pstart[t]: the end of t's block
+    del indeg
     pred = [0] * len(moves)
     for u in range(1, num + 1):
         for mv in moves[start[u - 1]:start[u]]:
