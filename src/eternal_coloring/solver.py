@@ -30,6 +30,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
+from math import comb
 from typing import Optional
 
 from .engine import GameState, Player, RuleVariant, Strategy, legal_mask
@@ -104,6 +105,16 @@ def _relabelled(fields: int, shifts: list, k: int) -> int:
     return key
 
 
+def _renamings(n: int, k: int) -> list:
+    """counts[m]: the colourings of m vertices by at most k colours, up to
+    renaming the colours: the sum over j <= min(k, m) of Stirling's S(m, j)."""
+    row, counts = [1], [1]  # row[j] = S(m, j)
+    for m in range(1, n + 1):
+        row = [0] + [j * a + b for j, a, b in zip(range(1, m + 1), row[1:] + [0], row)]
+        counts.append(sum(row[: k + 1]))
+    return counts
+
+
 def solve_eternal(
     graph: Graph,
     k: int,
@@ -119,16 +130,21 @@ def solve_eternal(
     reachable positions exceeds state_cap: first-round positions number at
     most (k+1)^n (the played set is the coloured set, and its parity fixes
     the mover), later ones at most k^n 2^n, twice that for odd n, where
-    either player may open a round.
+    either player may open a round.  Under colour symmetry the colourings
+    are counted up to renaming, with the same played-set and mover factors.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = graph.n
-    bound = (k + 1) ** n + k**n * (1 << n) * (1 + n % 2)
-    if bound > state_cap:
-        raise SolverInfeasible(f"up to {bound} reachable states exceeds cap {state_cap}")
     if color_symmetry and variant is not RuleVariant.STANDARD:
         raise ValueError("colour-symmetry reduction is only sound for STANDARD rules")
+    n = graph.n
+    if color_symmetry:  # a first-round position's coloured set, then its colouring
+        counts = _renamings(n, k)
+        bound = sum(comb(n, m) * c for m, c in enumerate(counts)) + counts[n] * (1 << n) * (1 + n % 2)
+    else:
+        bound = (k + 1) ** n + k**n * (1 << n) * (1 + n % 2)
+    if bound > state_cap:
+        raise SolverInfeasible(f"up to {bound} reachable states exceeds cap {state_cap}")
 
     full = graph.full_mask
     closed = [tuple(iter_bits(m)) for m in graph.closed]  # N[v] for the walk below

@@ -5,6 +5,7 @@ import hashlib
 import tracemalloc
 from collections import deque
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -217,6 +218,20 @@ class TestSolveEternal:
                 assert solve_eternal(graph, k, variant, state_cap=bound).states_explored <= bound
             with pytest.raises(SolverInfeasible):
                 solve_eternal(graph, k, state_cap=bound - 1)
+            # colour symmetry: the same count over colourings numbered by first appearance
+            first = sum(_canonical_colors(c) == c for c in product(range(k + 1), repeat=n))
+            later = sum(_canonical_colors(c) == c for c in product(range(1, k + 1), repeat=n))
+            bound = first + later * 2**n * (1 + n % 2)
+            assert solve_eternal(graph, k, color_symmetry=True, state_cap=bound).states_explored <= bound
+            with pytest.raises(SolverInfeasible):
+                solve_eternal(graph, k, color_symmetry=True, state_cap=bound - 1)
+
+    def test_color_symmetric_bound_admits_complete_7(self):
+        # the plain bound, 2.1e8, refuses it at the default cap; 4,140 + 877 * 2^7 * 2 does not
+        res = solve_eternal(make_named("complete", 7), 7, color_symmetry=True)
+        assert res.winner is Player.BOB and res.states_explored == 128
+        with pytest.raises(SolverInfeasible):
+            solve_eternal(make_named("complete", 7), 7)
 
     def test_attractor_is_a_fixed_point(self):
         # the Bob wins attract every state; the Alice wins leave states outside,
