@@ -309,13 +309,17 @@ class PriorityAlice(Strategy):
             return v, smallest_legal(state, v), 1
         # Bob's last move of this round; the book starts afresh each round, so
         # w, when set, is played and no candidate.  Before Bob has moved this
-        # round there is nothing to mirror: take the lowest unplayed vertex.
+        # round there is nothing to mirror: open on the lowest playable vertex.
+        # With no playable vertex, the lowest unplayed one concedes.
         w = self.book.last_bob_vertex
-        if w is None:
-            return (*first_fit(state), 3)
+        playable = unplayed & ~full
+        if w is None or not playable:
+            low = playable or unplayed
+            v = (low & -low).bit_length() - 1
+            return v, smallest_legal(state, v), 3
         # cands[i] = (c, got): got holds the playable vertices whose smallest
         # legal colour is c, for ascending c
-        cands, left, c = [], unplayed & ~full, 1
+        cands, left, c = [], playable, 1
         while left:
             got = left & ~seen_by[c]
             if got:
@@ -329,22 +333,19 @@ class PriorityAlice(Strategy):
         # vertices down to those on w's side of it: about half of them.
         if not d_mask >> w & 1:
             adj = self.graph.adj
-            near, mirrors, rest = adj[w], unplayed & ~full & ~d_mask, d_mask
+            near, mirrors, rest = adj[w], playable & ~d_mask, d_mask
             while rest and mirrors:
                 low = rest & -rest
                 rest ^= low
                 t = low.bit_length() - 1
                 mirrors &= adj[t] if near & low else ~adj[t]
             if mirrors:
-                for c, got in cands:  # the groups partition unplayed & ~full
+                for c, got in cands:  # the groups partition the playable vertices
                     got &= mirrors
                     if got:
                         return (got & -got).bit_length() - 1, c, 2
         # (3) the arbitrary move is free, so spend it where the pressure is:
         # cover the most-pressured neighbourhoods, coolest colour on ties.
-        # With no playable vertex, the lowest unplayed one concedes.
-        if not cands:
-            return (*first_fit(state), 3)
         return (*self._playable_mirror(state, cands, lvl, top), 3)
 
     def _playable_mirror(self, state: GameState, cands: list[tuple[int, int]], lvl: list[int], top: int) -> tuple[int, int]:

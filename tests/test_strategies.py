@@ -43,7 +43,7 @@ from eternal_coloring.strategies import (
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # the transcripts of TestMultiplicityBob.test_pinned_transcripts_over_plans
-MULTIPLICITY_BOB_PLANS_SHA256 = "2ab3e47eaf2f9e4d01cdd3179777bd28fab1d2b2224a68e17995009b317aa83e"
+MULTIPLICITY_BOB_PLANS_SHA256 = "6580ae4548112ecc7cc4a1fd31e5d59e4d5f369bd61aba3145866de27c385887"
 
 
 def _colour_mask(state, v):
@@ -261,6 +261,19 @@ class TestPriorityAlice:
         state = GameState(g, 3)
         assert alice.select(state) == (0, 1)
         assert alice.audit_log[-1][2] == 3  # the fallback priority
+
+    def test_opens_a_round_on_the_lowest_playable_vertex(self):
+        # round 2 opens with the centre seeing all three colours: choosing it
+        # would concede, so Alice recolours leaf 1, the lowest playable vertex
+        g = make_named("star", 3)
+        alice = self._alice(g, 3)
+        state = GameState(g, 3)
+        for player, v, c in [(Player.ALICE, 0, 1), (Player.BOB, 1, 2), (Player.ALICE, 2, 3), (Player.BOB, 3, 2)]:
+            _observe_move(state, alice, (player, v, c))
+        assert state.round == 2 and state.to_move is Player.ALICE
+        assert _colour_mask(state, 0) == state.palette
+        assert alice.select(state) == (1, 3)
+        assert alice.audit_log[-1][2] == 3
 
     def test_rescues_a_nearly_full_leaf_first(self):
         # after round 1 each leaf's closed nbhd {leaf, centre} misses exactly
@@ -770,7 +783,10 @@ class _ReferenceAlice(PriorityAlice):
             v = self._weighted_mirror(state, w)
             if v is not None:
                 return v, 3
-        return next(unplayed_vertices(state)), 3
+        # a round opens on the lowest playable vertex; with none, the lowest unplayed one concedes
+        unplayed = list(unplayed_vertices(state))
+        playable = [v for v in unplayed if self._smallest_legal(state, v) is not None]
+        return (playable or unplayed)[0], 3
 
     def _exact_mirror(self, state, w):
         d_mask = self.book.danger_mask
@@ -1285,8 +1301,8 @@ class TestMultiplicityBob:
 
     def test_pinned_transcripts_over_plans(self):
         # 64 games on G(n, 1/2): plans over 1 to 3 ground vertices for
-        # p = 1/2 and 1/3, against two Alices; the digest was recorded before
-        # the plan was stored as class masks and ascending colour tuples
+        # p = 1/2 and 1/3, against two Alices; the digest was recorded once
+        # PriorityAlice opened each round on her lowest playable vertex
         digest = hashlib.sha256()
         for n in (40, 60):
             for gseed in (0, 1):
