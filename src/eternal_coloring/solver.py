@@ -20,8 +20,12 @@ a move rather than a pointer to a separately allocated int.  Under the
 default state cap no move int reaches 2^63: that takes 2^(63 - tshift)
 states, over 10^8 while k < 2^28, and the cap refuses any larger k.  Which
 colours are legal at a vertex depends only on the colouring and on whether
-the mover plays greedily, so a solve computes each colouring's legal masks
-once, not once per position.
+the mover plays greedily, so a solve builds each colouring's move templates
+once, not once per position: per vertex v and legal colour c, the XOR that
+takes a parent key to the child's, the move int into state 0 (the child's
+id, shifted to the target field, is added to it), and whether the child's
+colours need renumbering.  Each state's in-degree is counted as it is
+explored, so the predecessor table needs one pass over the moves.
 """
 
 from __future__ import annotations
@@ -138,7 +142,7 @@ def solve_eternal(
     if color_symmetry and variant is not RuleVariant.STANDARD:
         raise ValueError("colour-symmetry reduction is only sound for STANDARD rules")
     n = graph.n
-    if color_symmetry:  # a first-round position's coloured set, then its colouring
+    if color_symmetry:  # counts[m]: the colourings of m coloured vertices, up to renaming
         counts = _renamings(n, k)
         bound = sum(comb(n, m) * c for m, c in enumerate(counts)) + counts[n] * (1 << n) * (1 + n % 2)
     else:

@@ -226,7 +226,8 @@ class PriorityAlice(Strategy):
       2. if Bob's previous move w is not dangerous, a playable mirror of w
          with respect to the current danger set;
       3. the playable vertex covering the most pressure, or, before Bob
-         has moved this round, the lowest-index unplayed vertex.
+         has moved this round, the lowest-index playable vertex; with no
+         playable vertex, the lowest-index unplayed one (a concession).
     The chosen vertex always gets the smallest legal colour.  One count of
     the colours each unplayed or dangerous vertex sees feeds all three tiers:
     the census, which observe keeps up to date move by move.
@@ -314,8 +315,8 @@ class PriorityAlice(Strategy):
         w = self.book.last_bob_vertex
         playable = unplayed & ~full
         if w is None or not playable:
-            low = playable or unplayed
-            v = (low & -low).bit_length() - 1
+            pool = playable or unplayed
+            v = (pool & -pool).bit_length() - 1
             return v, smallest_legal(state, v), 3
         # cands[i] = (c, got): got holds the playable vertices whose smallest
         # legal colour is c, for ascending c

@@ -256,7 +256,7 @@ class TestSolveEternal:
         assert not attractor_is_fixed_point(res)
 
     def test_retained_bytes_per_state(self):
-        # 81.5 B a state retained and 217.6 at the solve's peak.  Keeping the
+        # 81.5 B a state retained and 224.1 at the solve's peak.  Keeping the
         # position index retained 149.0; filling the predecessor table
         # through a second offsets list peaked at 256.6, and both at 341.9
         graph = make_named("star", 3)
