@@ -557,11 +557,22 @@ class _BookCheckedTargetBob(TargetBob):
 
 class _LoggedTargetBob(TargetBob):
     """TargetBob logging each block pair as its lazy batch starts the pair's
-    blocking sequence."""
+    blocking sequence, and counting the moves drawn from the batches after
+    a game's first.  Batches drain FIFO, so the first batch to run is the
+    first one queued."""
 
     def reset(self, graph, k, variant, seed=None):
         super().reset(graph, k, variant, seed)
         self.pair_log = []
+        self.batches_run = 0
+        self.later_moves = 0
+
+    def _block_pairs(self, state, u_mask, gone, rest):
+        self.batches_run += 1
+        later = self.batches_run > 1
+        for mv in super()._block_pairs(state, u_mask, gone, rest):
+            self.later_moves += later
+            yield mv
 
     def _block_moves(self, state, a, b):
         self.pair_log.append((a, b))
@@ -1034,15 +1045,19 @@ class TestLockstepOracles:
     the full recomputations and hand-stepped obligations of the references."""
 
     def test_target_bob_scan_matches_full_rescan(self):
-        queued = drops = stale = lazy = 0
-        for n, gseed in _LOCKSTEP_GAMES:
+        queued = drops = stale = lazy = later = 0
+        # PriorityAlice, above all at n = 41, reaches the scans after a
+        # game's first, which the baselines rarely do; they sit out n = 41,
+        # where the reference's full rescans are dear
+        for n, gseed in _LOCKSTEP_GAMES + [(41, gseed) for gseed in range(3)]:
             g = gnp_generate(GnpSpec(n, 0.5, gseed))
             # several distances and targets on the one graph object, whose
-            # first-scan rows every game on it shares
+            # scan rows every game on it shares
             for target, dist in [(target, dist) for target in (gseed, n - 1 - gseed) for dist in (1, 2, 3)]:
                 params = StrategyParams(block_distance=dist, danger_threshold=2, reserve_missing=2)
                 for k in (n // 2, n // 2 + 3):
-                    for alice in (GreedyFirstFit(), RandomLegal()):
+                    baselines = (GreedyFirstFit(), RandomLegal()) if n < 41 else ()
+                    for alice in (*baselines, PriorityAlice(params)):
                         games = []
                         for cls in (_LoggedTargetBob, _ReferenceTargetBob):
                             bob = cls(params, target=target)
@@ -1063,7 +1078,9 @@ class TestLockstepOracles:
                         stale += len(ref.drop_log) - len(live_drops)
                         lazy += len(bob.pair_log)
                         drops += len(bob.drop_log)
+                        later += bob.later_moves
         assert drops > 100 and stale > 1000  # the scans really ran, and really went stale
+        assert later > 50, later  # the later scans really moved
         assert lazy < queued  # and the lazy queue tested fewer pairs in play
 
     def test_multiplicity_bob_kills_match_hand_stepped_obligations(self):
