@@ -14,10 +14,11 @@ palette colours each closed neighbourhood sees.  Both are bit planes that
 whose colouring differs from the one her observed moves left.  TargetBob
 keeps a colour book the same way (the colours in order of first appearance,
 and which of them have no copy in the target's closed neighbourhood), so he
-too must observe every move from ``reset`` on.  His first blocking-pair scan
-of a game depends only on the graph, block_distance and the uncoloured part
-of the target's closed neighbourhood, not on k: its rows are kept per graph
-in a weak-keyed table, shared by every game on the graph and gone with it.
+too must observe every move from ``reset`` on.  Each of his blocking-pair
+scans depends only on the graph, block_distance, the uncoloured part of the
+target's closed neighbourhood and the part of it coloured since his last
+scan, not on k: its rows are kept per graph in a weak-keyed table, shared by
+every game on the graph and gone with it.
 
 Ties break deterministically, so that games against deterministic opponents
 are reproducible: lowest vertex index first, then smallest colour, except in
@@ -409,21 +410,26 @@ class PriorityAlice(Strategy):
 # ---------------------------------------------------------------------------
 
 
-# The rows of TargetBob's first pair scans: _FIRST_SCAN_ROWS[graph][dist, u][a],
-# for block_distance dist and the uncoloured target part u, is the mask of
-# every b > a whose pair with a misses at most dist vertices of u, or None
-# until a game first reads row a.  The target enters only through u.  The keys
-# are weak, so a graph's rows go with it: a fresh run starts cold.
-_FIRST_SCAN_ROWS = weakref.WeakKeyDictionary()
+# The rows of TargetBob's pair scans: _SCAN_ROWS[graph][dist, u, gone][a], for
+# block_distance dist, the uncoloured target part u and the part `gone` of
+# the last scan's u coloured since, is the mask of every b > a whose pair
+# with a misses at most dist vertices of u and some vertex of gone, or None
+# until a game first reads row a.  The target enters only through u and gone.
+# The keys are weak, so a graph's rows go with it: a fresh run starts cold.
+_SCAN_ROWS = weakref.WeakKeyDictionary()
 
 
-def _pair_row(miss: list[int], a: int, dist: int) -> int:
+def _pair_row(miss: list[int], far: list[int], a: int, dist: int) -> int:
     """The mask of the b > a whose pair with a misses at most dist vertices
-    of u (miss[x] = u minus N[x]).  Few pairs qualify, so a plain range walk
-    beats a bit walk."""
+    of u and some vertex of gone (miss[x] = u minus N[x], far[x] = gone
+    minus N[x]).  Few pairs qualify, so a plain range walk beats a bit
+    walk."""
+    far_a = far[a]
+    if not far_a:
+        return 0
     miss_a, row = miss[a], 0
     for b in range(a + 1, len(miss)):
-        if (miss_a & miss[b]).bit_count() <= dist:
+        if (miss_a & miss[b]).bit_count() <= dist and far_a & far[b]:
             row |= 1 << b
     return row
 
@@ -467,7 +473,7 @@ class TargetBob(Strategy):
         self.out = 0  # rank mask of the intro colours absent from N[target]
         self.batches: deque[Iterator[tuple[int, int]]] = deque()  # blocking moves of each scan, FIFO
         self.seen_pairs: set[tuple[int, int]] = set()  # (a, b), a < b, drawn so far
-        self.last_u: Optional[int] = None  # uncoloured part of N[target] at the last scan
+        self.last_u = -1  # uncoloured part of N[target] at the last scan; -1 before the first
         self.audit_log: list[tuple[int, int, int]] = []
         self.drop_log: list[str] = []
 
@@ -502,19 +508,18 @@ class TargetBob(Strategy):
         batch before it, just as if all pairs had been tested here, and the
         pairs come in the same order.  The one exception is a row whose a the
         live board has since coloured inside the target: its pairs could gain
-        nothing, so they are skipped unseen (see `_block_pairs`).  A game's
-        first batch tests its pairs through rows shared by every game on the
-        graph (`_FIRST_SCAN_ROWS`); its later batches test them afresh.
+        nothing, so they are skipped unseen (see `_block_pairs`).  Every
+        batch tests its pairs through rows shared by every game on the graph
+        (`_SCAN_ROWS`).
         """
         u_mask = self.target_mask & state.color_pos[0]
         last_u = self.last_u
         if u_mask == last_u:
             return
         self.last_u = u_mask
-        gone = None if last_u is None else last_u & ~u_mask
-        self.batches.append(self._block_pairs(state, u_mask, gone, ~state.played & self.graph.full_mask))
+        self.batches.append(self._block_pairs(state, u_mask, last_u & ~u_mask, ~state.played & self.graph.full_mask))
 
-    def _block_pairs(self, state: GameState, u_mask: int, gone: Optional[int], rest: int) -> Iterator[tuple[int, int]]:
+    def _block_pairs(self, state: GameState, u_mask: int, gone: int, rest: int) -> Iterator[tuple[int, int]]:
         """The blocking moves of the new qualifying pairs of one scan.  A
         pair is tested once the sequence of the pair before it has ended.
 
@@ -522,12 +527,14 @@ class TargetBob(Strategy):
         part u and the unplayed set, so a pair's miss count never rises and a
         pair that qualified at the last scan is seen already.  A pair new to
         the queue thus misses a vertex of `gone`, the part of u coloured since
-        the last scan: only such pairs are tested.  The first scan of a game
-        (gone None) takes them all, and depends on the graph, block_distance
-        and u alone, not on k, the target or the play: its row a, the
+        the last scan: only such pairs are tested.  `last_u` starts at -1,
+        every vertex, so a game's first scan counts every vertex outside u as
+        gone, those above n included: every pair misses one, and the scan
+        tests them all.  Which pairs qualify depends on the graph, block_distance,
+        u and gone alone, not on k, the target or the play: row a, the
         qualifying b > a, is computed by the first game on the graph that
-        reads it and kept in `_FIRST_SCAN_ROWS`, and a game reads the
-        unplayed part of it.
+        reads it and kept in `_SCAN_ROWS`, and a game reads the unplayed part
+        of it.
 
         Row a is read against the live `state` too, at its top and after the
         sequence of each of its pairs (which may have coloured a): once a
@@ -540,13 +547,11 @@ class TargetBob(Strategy):
         colour inside N[target].
         """
         dist, graph = self.params.block_distance, self.graph
-        closed = graph.closed
         # colour c is inside N[target] iff seen_by[c] >> t & 1 (never for c = 0,
         # uncoloured); it is read at each test, since play changes it between yields
         colors, seen_by, t = state.colors, state.seen_by, self.target
-        miss = [u_mask & ~c for c in closed]  # miss[x] = u minus N[x]
-        if gone is None:
-            rows = _FIRST_SCAN_ROWS.setdefault(graph, {}).setdefault((dist, u_mask), [None] * graph.n)
+        rows = _SCAN_ROWS.setdefault(graph, {}).setdefault((dist, u_mask, gone), [None] * graph.n)
+        miss = far = None  # built once a row must be filled
         seen_pairs = self.seen_pairs
         while rest:
             low = rest & -rest
@@ -554,27 +559,18 @@ class TargetBob(Strategy):
             a = low.bit_length() - 1
             if seen_by[colors[a]] >> t & 1:
                 continue
-            if gone is None:
-                row = rows[a]
-                if row is None:
-                    row = rows[a] = _pair_row(miss, a, dist)
-                cand, miss_a = rest & row, 0  # the row holds only qualifying b
-            else:
-                hit = gone & ~closed[a]
-                if not hit:
-                    continue
-                cand = 0  # the b that miss some vertex of `gone` a misses too
-                while hit:
-                    bit = hit & -hit
-                    hit ^= bit
-                    cand |= ~closed[bit.bit_length() - 1]
-                cand &= rest
-                miss_a = miss[a]
+            row = rows[a]
+            if row is None:
+                if miss is None:
+                    miss = [u_mask & ~c for c in graph.closed]
+                    far = [gone & ~c for c in graph.closed]
+                row = rows[a] = _pair_row(miss, far, a, dist)
+            cand = rest & row
             while cand:
                 bit = cand & -cand
                 cand ^= bit
                 b = bit.bit_length() - 1
-                if (miss_a & miss[b]).bit_count() <= dist and (a, b) not in seen_pairs:
+                if (a, b) not in seen_pairs:
                     seen_pairs.add((a, b))
                     yield from self._block_moves(state, a, b)
                     if seen_by[colors[a]] >> t & 1:
@@ -693,8 +689,7 @@ class PlanSetupError(ValueError):
 
 @dataclass(frozen=True)
 class PlanEntry:
-    subset: frozenset  # which ground vertices this class is adjacent to
-    vertices: int  # bitmask
+    vertices: int  # bitmask of a class: the vertices adjacent to the same ground vertices
     colors: tuple  # designated colour set Y_i, ascending
 
 
@@ -732,7 +727,7 @@ def bob_even_setup(graph: Graph, l: int, k: int, num_colors: int) -> TargetPlan:
         vertices = classes.get(subset, 0)
         if vertices == 0:
             raise PlanSetupError(f"class for trace {sorted(subset)} is empty but needs colours")
-        entries.append(PlanEntry(subset, vertices, tuple(sorted(colors))))
+        entries.append(PlanEntry(vertices, tuple(sorted(colors))))
     return TargetPlan(ground_set=ground, entries=tuple(entries))
 
 

@@ -113,39 +113,48 @@ class TestRunExperiment:
         assert [row.split(",")[3:] for row in rows] == [["fault", "", "0", "1"]] * 8
         assert all(rates["fault_rate"] == 1.0 for rates in win_rates(records).values())
 
-    def test_first_scan_rows_live_as_long_as_the_run_s_graphs(self, monkeypatch):
-        # every k plays each trial's one graph, so TargetBob's first scans
-        # after the first k read rows an earlier game computed; a run of the
-        # last k alone computes them afresh.  Warm or cold, play is the same,
-        # and the rows go with the run's graphs.
+    def test_scan_rows_live_as_long_as_the_run_s_graphs(self, monkeypatch):
+        # every k plays each trial's one graph, so TargetBob's scans after
+        # the first k read rows an earlier game computed, the scans after a
+        # game's first among them; a run of one k alone computes them afresh.
+        # Warm or cold, play is the same, and the rows go with the run's graphs.
         config = ExperimentConfig(
-            graph={"kind": "gnp", "n": 21, "p": 0.5},
-            k_range=[8, 9, 10, 11, 12],
+            graph={"kind": "gnp", "n": 41, "p": 0.5},
+            k_range=[18, 19, 20, 21, 22],
             alice={"name": "greedyFirstFit"},
-            bob={"name": "targetBob", "params": {"reserve_missing": 2}},
+            bob={"name": "targetBob", "params": {"reserve_missing": 2, "danger_threshold": 2}},
             trials=3,
             fresh_graph=True,
         )
         gc.collect()
-        before = len(strategies._FIRST_SCAN_ROWS)
-        sizes, run_trial = [], experiments.run_trial
+        before = len(strategies._SCAN_ROWS)
+        sizes, later, run_trial = [], {}, experiments.run_trial
 
         def counted(config, graph, k, trial):
             record = run_trial(config, graph, k, trial)
-            sizes.append(len(strategies._FIRST_SCAN_ROWS) - before)
+            sizes.append(len(strategies._SCAN_ROWS) - before)
+            # the rows filled for scans after a game's first, whose gone
+            # lies inside the graph; the last k of a trial sees them all
+            table = strategies._SCAN_ROWS.get(graph, {})
+            later[k, trial] = sum(row is not None for (_, _, gone), rows in table.items() if gone >= 0 for row in rows)
             return record
 
         monkeypatch.setattr(experiments, "run_trial", counted)
         warm = run_experiment(config)
         assert sizes == [1, 2, 3] + [3] * 12  # one table per trial graph, kept across k
+        warm_later = sum(later[22, trial] for trial in range(3))
         gc.collect()
-        assert len(strategies._FIRST_SCAN_ROWS) == before
+        assert len(strategies._SCAN_ROWS) == before
         assert records_to_csv(run_experiment(config)) == records_to_csv(warm)
-        config.k_range = [12]
-        cold = run_experiment(config)
-        assert records_to_csv(cold) == records_to_csv([r for r in warm if r.k == 12])
+        later.clear()
+        for k in config.k_range:
+            config.k_range = [k]
+            cold = run_experiment(config)
+            assert records_to_csv(cold) == records_to_csv([r for r in warm if r.k == k])
         gc.collect()
-        assert len(strategies._FIRST_SCAN_ROWS) == before
+        assert len(strategies._SCAN_ROWS) == before
+        # the k shared later-scan rows: apart, they fill more of them
+        assert 0 < warm_later < sum(later.values())
 
     def test_single_vertex_one_colour_all_bob_round_two(self):
         records = run_experiment(_single_vertex_config(1))

@@ -35,6 +35,7 @@ from eternal_coloring.strategies import (
     TargetPlan,
     bob_even_setup,
     first_fit,
+    _SCAN_ROWS,
     next_move,
     record_round_move,
     uncolored_taking,
@@ -1040,12 +1041,27 @@ def _mirror_positions(draw):
 _LOCKSTEP_GAMES = [(n, gseed) for n in (13, 17, 21, 25) for gseed in range(3)]
 
 
+def _check_scan_rows(g) -> int:
+    """Check that each filled row a of TargetBob's table for g, under key
+    (dist, u, gone), holds the b > a whose pair with a misses at most dist
+    vertices of u and some vertex of gone; return how many rows of scans
+    after a game's first (gone inside the graph) were checked."""
+    closed, later = g.closed, 0
+    for (dist, u, gone), rows in _SCAN_ROWS[g].items():
+        for a, row in enumerate(rows):
+            if row is not None:
+                missed = [~(closed[a] | closed[b]) for b in range(g.n)]
+                assert row == sum(1 << b for b in range(a + 1, g.n) if (u & missed[b]).bit_count() <= dist and gone & missed[b])
+                later += gone >= 0
+    return later
+
+
 class TestLockstepOracles:
     """The incremental hot loops and the generator sequences play exactly as
     the full recomputations and hand-stepped obligations of the references."""
 
     def test_target_bob_scan_matches_full_rescan(self):
-        queued = drops = stale = lazy = later = 0
+        queued = drops = stale = lazy = later = later_rows = 0
         # PriorityAlice, above all at n = 41, reaches the scans after a
         # game's first, which the baselines rarely do; they sit out n = 41,
         # where the reference's full rescans are dear
@@ -1079,8 +1095,9 @@ class TestLockstepOracles:
                         lazy += len(bob.pair_log)
                         drops += len(bob.drop_log)
                         later += bob.later_moves
+            later_rows += _check_scan_rows(g)
         assert drops > 100 and stale > 1000  # the scans really ran, and really went stale
-        assert later > 50, later  # the later scans really moved
+        assert later > 50 and later_rows > 150, (later, later_rows)  # the later scans really moved, and filled rows
         assert lazy < queued  # and the lazy queue tested fewer pairs in play
 
     def test_multiplicity_bob_kills_match_hand_stepped_obligations(self):
@@ -1196,7 +1213,7 @@ class TestSafeKillColor:
         g, k, state, _, _ = position
         state.variant, state.to_move = variant, Player.BOB
         entries = tuple(
-            PlanEntry(frozenset(), data.draw(st.integers(1, g.full_mask)), tuple(sorted(data.draw(st.sets(st.integers(1, k), min_size=1)))))
+            PlanEntry(data.draw(st.integers(1, g.full_mask)), tuple(sorted(data.draw(st.sets(st.integers(1, k), min_size=1)))))
             for i in range(data.draw(st.integers(1, 3)))
         )
         plan = TargetPlan(ground_set=tuple(range(data.draw(st.integers(1, 3)))), entries=entries)
@@ -1207,6 +1224,14 @@ class TestSafeKillColor:
             assert bob._safe_kill_color(state, v) == _set_safe_kill_color(bob, state, v), v
 
 
+def _entry_trace(g, plan, entry):
+    """The ground vertices adjacent to the vertices of entry's class, which
+    must all share them."""
+    traces = {frozenset(x for x in plan.ground_set if g.adj[v] >> x & 1) for v in iter_bits(entry.vertices)}
+    assert len(traces) == 1, traces
+    return traces.pop()
+
+
 class TestBobEvenSetup:
     def test_single_ground_vertex_degenerates_to_inside_outside(self):
         g = make_named("star", 4)
@@ -1214,14 +1239,14 @@ class TestBobEvenSetup:
         assert plan.ground_set == (0,)
         assert len(plan.entries) == 1
         entry = plan.entries[0]
-        assert entry.subset == frozenset({0})
+        assert _entry_trace(g, plan, entry) == frozenset({0})
         assert set(iter_bits(entry.vertices)) == {1, 2, 3, 4}
         assert entry.colors == tuple(range(1, 6))
 
     def test_l2_empty_trace_class_gets_no_colours(self):
         g = gnp_generate(GnpSpec(30, 0.5, 6))
         plan = bob_even_setup(g, l=2, k=2, num_colors=8)
-        assert all(e.subset != frozenset() for e in plan.entries)
+        assert all(_entry_trace(g, plan, e) != frozenset() for e in plan.entries)
 
     def test_coverage_every_ground_vertex_sees_full_palette(self):
         g = gnp_generate(GnpSpec(40, 0.5, 12))
@@ -1230,7 +1255,7 @@ class TestBobEvenSetup:
             for x in plan.ground_set:
                 union = set()
                 for e in plan.entries:
-                    if x in e.subset:
+                    if x in _entry_trace(g, plan, e):
                         union.update(e.colors)
                 assert union == set(range(1, num_colors + 1)), (l, k, num_colors)
 
