@@ -530,11 +530,11 @@ class TargetBob(Strategy):
         the last scan: only such pairs are tested.  `last_u` starts at -1,
         every vertex, so a game's first scan counts every vertex outside u as
         gone, those above n included: every pair misses one, and the scan
-        tests them all.  Which pairs qualify depends on the graph, block_distance,
-        u and gone alone, not on k, the target or the play: row a, the
-        qualifying b > a, is computed by the first game on the graph that
-        reads it and kept in `_SCAN_ROWS`, and a game reads the unplayed part
-        of it.
+        tests them all.  Which pairs qualify depends on the graph,
+        block_distance, u and gone alone, not on k, the target or the play:
+        row a, the qualifying b > a, is computed by the first game on the
+        graph that reads it and kept in `_SCAN_ROWS`, and a game reads the
+        unplayed part of it.
 
         Row a is read against the live `state` too, at its top and after the
         sequence of each of its pairs (which may have coloured a): once a
