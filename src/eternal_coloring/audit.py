@@ -17,7 +17,7 @@ from itertools import accumulate, combinations
 from math import ceil, comb
 from typing import Optional
 
-from .graph import Graph, bit_counts, iter_bits, mask_of, split_by_count
+from .graph import Graph, iter_bits, mask_of, planes_add, split_by_count
 
 
 @dataclass
@@ -160,8 +160,11 @@ def count_nearly_full_vertices(
     for c, closed in zip(coloring, graph.closed):
         if 0 < c <= num_colors:
             seen_by[c] |= closed
+    planes = [0] * num_colors.bit_length()  # the counts, at most num_colors, as bit planes
+    for m in seen_by:
+        planes_add(planes, m)
     nearly_full = 0
-    for m, count in split_by_count(graph.full_mask, bit_counts(seen_by)):
+    for m, count in split_by_count(graph.full_mask, planes):
         if num_colors - count <= missing_threshold:
             nearly_full |= m
     out = list(iter_bits(nearly_full))

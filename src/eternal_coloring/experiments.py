@@ -349,11 +349,12 @@ def emit_outputs(records: list[TrialRecord], config: ExperimentConfig, out_dir: 
     json_path = os.path.join(out_dir, "summary.json")
     with open(csv_path, "w") as fh:
         fh.write(records_to_csv(records))
+    threshold = estimate_threshold(config, records)
     summary = {
         "version": __version__,
         "config": config.to_json_obj(),
-        "win_rates": {str(k): v for k, v in win_rates(records).items()},
-        "threshold": estimate_threshold(config, records),
+        "win_rates": {str(k): v for k, v in threshold["curve"].items()},
+        "threshold": threshold,
     }
     with open(json_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -3,11 +3,10 @@
 Graphs are immutable after construction.  Adjacency is stored as one Python
 int per vertex (bit u set in adj[v] iff uv is an edge), so neighbourhood
 intersections are single AND operations; closed[v] is the same with bit v
-set.  A graph keeps these masks only.  ``bit_counts`` and ``split_by_count``
-count, across many masks, how often each bit is set, for all bits at once;
-the counts sit in bit planes, bit v of plane j being bit j of v's count.
-``planes_add`` and ``planes_sub`` keep such planes up to date, adding or
-subtracting one at every bit of a mask.
+set.  A graph keeps these masks only.  Bit planes count, for all bits at
+once, how often each bit is set across many masks: bit v of plane j is bit j
+of v's count.  ``planes_add`` and ``planes_sub`` add or subtract one at every
+bit of a mask, and ``split_by_count`` groups the bits of a mask by count.
 """
 
 from __future__ import annotations
@@ -119,32 +118,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bit_counts(masks: Iterable[int]) -> list[int]:
-    """Count, for every bit position v, how many of masks have bit v set, all
-    positions at once: bit v of the j-th returned plane is bit j of that
-    count.  A carry-save adder tree: each full adder folds three masks of
-    one weight into one of that weight and a carry of the next."""
-    planes, col = [], [m for m in masks if m]
-    while col:
-        carries = []
-        while len(col) > 1:
-            a, b = col.pop(), col.pop()
-            c = col.pop() if col else 0  # a half adder when two are left
-            t = a ^ b
-            col.append(t ^ c)
-            carry = a & b | t & c
-            if carry:
-                carries.append(carry)
-        planes.append(col[0])
-        col = carries
-    return planes
-
-
 def planes_add(planes: list[int], mask: int) -> None:
-    """Add 1 to the count of every bit of mask, in place, on bit planes as
-    bit_counts returns them: a ripple carry that stops once it is spent.  A
-    carry out of the top plane is dropped, so the counts are taken modulo
-    2**len(planes), which holds two's-complement tallies as they are."""
+    """Add 1 to the count of every bit of mask, in place, on bit planes (bit
+    v of planes[j] is bit j of v's count): a ripple carry that stops once it
+    is spent.  A carry out of the top plane is dropped, so the counts are
+    taken modulo 2**len(planes), which holds two's-complement tallies as
+    they are.  Counts from zero need planes enough for the largest."""
     for j, plane in enumerate(planes):
         planes[j] = plane ^ mask
         mask &= plane
@@ -163,10 +142,11 @@ def planes_sub(planes: list[int], mask: int) -> None:
 
 
 def split_by_count(mask: int, planes: list[int]) -> list[tuple[int, int]]:
-    """The bits of mask grouped by their count in planes (from bit_counts):
-    disjoint nonempty (bits, count) pairs that cover mask, in no set order.
-    The top plane splits first: counts close to each other share their high
-    bits, so the groups multiply only in the last few planes."""
+    """The bits of mask grouped by their count in planes (as planes_add
+    keeps them): disjoint nonempty (bits, count) pairs that cover mask, in
+    no set order.  The top plane splits first: counts close to each other
+    share their high bits, so the groups multiply only in the last few
+    planes."""
     groups = [(mask, 0)] if mask else []
     for j in range(len(planes) - 1, -1, -1):
         plane, bit = planes[j], 1 << j

@@ -22,9 +22,10 @@ states, over 10^8 while k < 2^28, and the cap refuses any larger k.  Which
 colours are legal at a vertex depends only on the colouring and on whether
 the mover plays greedily, so a solve builds each colouring's move templates
 once, not once per position: per vertex v and legal colour c, the XOR that
-takes a parent key to the child's, the move int into state 0 (the child's
-id, shifted to the target field, is added to it), and whether the child's
-colours need renumbering.  Each state's in-degree is counted as it is
+takes a parent key to the child's, and the move int into state 0 (the
+child's id, shifted to the target field, is added to it).  Under colour
+symmetry every child's colours are renumbered, through a cache of the
+renumbered colour fields.  Each state's in-degree is counted as it is
 explored, so the predecessor table needs one pass over the moves.
 """
 
@@ -171,12 +172,11 @@ def solve_eternal(
     start = array("q", [0])
     indeg, sink = [0], 0  # indeg[s]: the moves into state s so far; sink: the stuck-vertex moves
     # move templates, one row per colouring keyed by the colour fields with the
-    # greedy flag at the played field's low bit: row[v] holds (xor, tail,
-    # renumber) per colour c legal at v, shared by (v, old colour, legal, keep[v])
+    # greedy flag at the played field's low bit: row[v] holds (xor, tail) per
+    # colour c legal at v, shared by (v, old colour, legal)
     rows: dict[int, tuple] = {}
     templates: dict[tuple, tuple] = {}
     relabelled: dict[int, int] = {}  # child colour fields -> the same renumbered
-    trivial = (k + 1,) * n  # no colour exceeds k, so no child is renumbered
     sid = 0
     while sid < len(states):  # ids are handed out in discovery order: breadth-first
         key = states[sid]
@@ -187,26 +187,17 @@ def solve_eternal(
         row = rows.get(colouring)
         if row is None:
             cols = [key >> s & cmask for s in shifts]
-            # The colours are numbered by first appearance under colour
-            # symmetry.  A child whose new colour at v is at most keep[v] is
-            # numbered so too; keep[v] is 0 when v holds the first appearance
-            # of its colour, which may be what numbers the colours after v.
-            if color_symmetry:
-                tops = accumulate(cols, max, initial=0)  # the largest colour before v
-                keep = [top + 1 if old <= top else 0 for old, top in zip(cols, tops)]
-            else:
-                keep = trivial
             row = []
-            for v, old, s, keep_v in zip(range(n), cols, shifts, keep):
+            for v, old, s in zip(range(n), cols, shifts):
                 seen = 0
                 for u in closed[v]:
                     seen |= 1 << cols[u]  # bit 0 (uncoloured) lies outside the palette
                 legal = legal_mask(seen, palette, greedy)
-                tpl = templates.get(tkey := (v, old, legal, keep_v))
+                tpl = templates.get(tkey := (v, old, legal))
                 if tpl is None:  # a child is key ^ xor: mover flipped, v played, its old colour swapped for c
                     flip = mover_bit | 1 << pshift + v
                     tpl = templates[tkey] = tuple(
-                        (flip | (old ^ c) << s, 1 << tshift | v << width | c, c > keep_v) for c in iter_bits(legal))
+                        (flip | (old ^ c) << s, 1 << tshift | v << width | c) for c in iter_bits(legal))
                 row.append(tpl)
             row = rows[colouring] = tuple(row)
         m = full & ~played
@@ -219,9 +210,9 @@ def solve_eternal(
             if not row[v]:  # v is stuck: a move into the sink
                 moves.append(v << width)
                 sink += 1
-            for xor, tail, renumber in row[v]:
+            for xor, tail in row[v]:
                 child = key ^ xor
-                if renumber:
+                if color_symmetry:  # colours numbered 1, 2, ... by first appearance
                     fields = child & colour_fields
                     renumbered = relabelled.get(fields)
                     if renumbered is None:
@@ -352,32 +343,22 @@ class WitnessStrategy(Strategy):
 @dataclass
 class ChromaticScan:
     k_star: Optional[int]
-    winners: dict  # k -> Player
-    monotone: bool  # says something only under full_scan; a default scan ends at its first Alice win
+    winners: dict  # k -> Player, for every k solved: 1 up to k_star
 
 
 def eternal_game_chromatic_number(
     graph: Graph,
     variant: RuleVariant = RuleVariant.STANDARD,
     state_cap: int = 10**8,
-    full_scan: bool = False,
 ) -> ChromaticScan:
-    """Smallest k with an Alice win; k = Delta + 2 always suffices.
-
-    By default the scan stops at the first Alice win; full_scan continues to
-    Delta + 2 and reports whether 'Alice wins' was monotone in k.
-    """
-    k_max = graph.max_degree() + 2
+    """Smallest k with an Alice win; k = Delta + 2 always suffices.  The scan
+    stops at the first Alice win."""
     winners: dict[int, Player] = {}
     k_star = None
-    for k in range(1, k_max + 1):
+    for k in range(1, graph.max_degree() + 3):
         res = solve_eternal(graph, k, variant, state_cap=state_cap)
         winners[k] = res.winner
-        if res.winner is Player.ALICE and k_star is None:
+        if res.winner is Player.ALICE:
             k_star = k
-            if not full_scan:
-                break
-    alice_flags = [w is Player.ALICE for w in winners.values()]  # by ascending k
-    first_win = alice_flags.index(True) if True in alice_flags else len(alice_flags)
-    monotone = all(alice_flags[first_win:])
-    return ChromaticScan(k_star=k_star, winners=winners, monotone=monotone)
+            break
+    return ChromaticScan(k_star=k_star, winners=winners)

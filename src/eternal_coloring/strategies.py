@@ -451,11 +451,13 @@ class TargetBob(Strategy):
     it wins); otherwise, and from round 3 on, he plays greedy first fit.
 
     Tiers 1 and 3 read a colour book that observe keeps, so Bob must observe
-    every move from reset on: `intro`, the colours in order of first
-    appearance; `used`, their colour mask; `rank[c]`, c's index in `intro`;
-    and `out`, the mask of the ranks of the colours with no copy in
-    N[target].  Round 1 never recolours, so a colour once inside stays
-    inside and `out` is exact there; round 1 is the only round that reads it.
+    every round-1 move from reset on: `intro`, the colours in order of first
+    appearance; `rank[c]`, c's index in `intro`; and `out`, the mask of the
+    ranks of the colours with no copy in N[target].  Round 1 never
+    recolours, so a move's colour is new when the moved vertex holds its
+    only copy, a colour once inside stays inside, and `out` is exact there.
+    Round 1 is the only round that reads the book, so observe stops keeping
+    it after round 1.  Tiers 1 and 3 share one walk of `out`.
     """
 
     name = "targetBob"
@@ -468,8 +470,7 @@ class TargetBob(Strategy):
         self.graph = graph
         self.target_mask = graph.closed[self.target]
         self.intro: list[int] = []  # colours in order of first appearance
-        self.used = 0  # colour mask of intro
-        self.rank = [0] * (k + 1)  # rank[c]: c's index in intro, once used
+        self.rank = [0] * (k + 1)  # rank[c]: c's index in intro, once in it
         self.out = 0  # rank mask of the intro colours absent from N[target]
         self.batches: deque[Iterator[tuple[int, int]]] = deque()  # blocking moves of each scan, FIFO
         self.seen_pairs: set[tuple[int, int]] = set()  # (a, b), a < b, drawn so far
@@ -478,9 +479,10 @@ class TargetBob(Strategy):
         self.drop_log: list[str] = []
 
     def observe(self, state: GameState, rec: MoveRecord):
+        if rec.round > 1:
+            return
         c = rec.color
-        if not self.used >> c & 1:
-            self.used |= 1 << c
+        if state.color_pos[c] == 1 << rec.vertex:  # c's first copy
             self.rank[c] = len(self.intro)
             self.out |= 1 << len(self.intro)
             self.intro.append(c)
@@ -640,7 +642,10 @@ class TargetBob(Strategy):
     def _round1_move(self, state: GameState) -> tuple[int, Optional[int], int]:
         pos, target_mask, intro = state.color_pos, self.target_mask, self.intro
         # (1) colours seen >= twice outside, absent inside, FIFO: the colours
-        # of `out` in rank order
+        # of `out` in rank order.  The same walk finds tier 3's move, the
+        # first colour seen once (round 1 leaves a copy of each) that can go
+        # in; tier 2 below only queues and draws, so it changes no board.
+        once = None
         out = self.out
         while out:
             low = out & -out
@@ -650,6 +655,10 @@ class TargetBob(Strategy):
                 u = uncolored_taking(state, target_mask, c)
                 if u is not None:
                     return u, c, 1
+            elif once is None:
+                u = uncolored_taking(state, target_mask, c)
+                if u is not None:
+                    once = u, c, 3
         # (2) blocking obligations
         unused = pos.count(0) - (not pos[0])  # pos[0], the uncoloured set, is no colour
         if unused >= self.params.reserve_missing and (target_mask & pos[0]).bit_count() >= self.params.danger_threshold:
@@ -658,15 +667,8 @@ class TargetBob(Strategy):
             if mv is not None:
                 return mv[0], mv[1], 2
         # (3) colours seen exactly once outside, absent inside, FIFO
-        out = self.out
-        while out:
-            low = out & -out
-            out ^= low
-            c = intro[low.bit_length() - 1]
-            if pos[c].bit_count() == 1:
-                u = uncolored_taking(state, target_mask, c)
-                if u is not None:
-                    return u, c, 3
+        if once is not None:
+            return once
         # (4) brand-new colours into the target
         c = self._smallest_unused(state)
         if c is not None:

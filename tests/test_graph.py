@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from eternal_coloring.graph import (
     GnpSpec,
     Graph,
-    bit_counts,
     derive_seed,
     gnp_generate,
     iter_bits,
@@ -182,15 +181,22 @@ def _masks(draw):
     return masks, draw(st.one_of(st.just(0), mask))
 
 
+def _planes(masks, width):
+    """The per-bit counts of masks in width bit planes, added one mask at a time."""
+    planes = [0] * width
+    for m in masks:
+        planes_add(planes, m)
+    return planes
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=_masks())
-def test_bit_counts_and_split_match_per_bit_sums(case):
+def test_planes_add_and_split_match_per_bit_sums(case):
     masks, vertices = case
-    planes = bit_counts(masks)
+    planes = _planes(masks, len(masks).bit_length())
     counts = [sum(m >> v & 1 for m in masks) for v in range(_BITS)]
     for v in range(_BITS):
         assert sum((p >> v & 1) << j for j, p in enumerate(planes)) == counts[v], v
-    assert len(planes) == max(counts).bit_length()
     groups = split_by_count(vertices, planes)
     union = 0
     for m, count in groups:
@@ -201,12 +207,12 @@ def test_bit_counts_and_split_match_per_bit_sums(case):
     assert len({count for _, count in groups}) == len(groups)
 
 
-def test_bit_counts_of_nothing():
-    assert bit_counts([]) == bit_counts([0, 0]) == []
-    assert split_by_count(0, []) == split_by_count(0, bit_counts([5, 3])) == []
+def test_planes_and_split_of_nothing():
+    assert _planes([], 2) == _planes([0, 0], 2) == [0, 0]
+    assert split_by_count(0, []) == split_by_count(0, _planes([5, 3], 2)) == []
     assert split_by_count(0b110, []) == [(0b110, 0)]
-    assert bit_counts([0b11] * 7) == [0b11] * 3
-    assert bit_counts([1] * 70) == [0, 1, 1, 0, 0, 0, 1]  # 70 = 0b1000110
+    assert _planes([0b11] * 7, 3) == [0b11] * 3
+    assert _planes([1] * 70, 7) == [0, 1, 1, 0, 0, 0, 1]  # 70 = 0b1000110
 
 
 def _step_planes(planes, counts, add, mask, lo, hi):

@@ -304,12 +304,14 @@ class TestChromaticScan:
         assert scan.k_star == 3
 
     def test_star4_greedy_bob_exact_value(self):
-        scan = eternal_game_chromatic_number(
-            make_named("star", 4), RuleVariant.GREEDY_BOB, full_scan=True
-        )
+        g = make_named("star", 4)
+        scan = eternal_game_chromatic_number(g, RuleVariant.GREEDY_BOB)
         assert scan.k_star == 4
-        assert scan.winners[3] is Player.BOB
-        assert scan.monotone
+        # every k up to Delta + 2, past the scan's stop: Alice wins from k* on
+        winners = {k: solve_eternal(g, k, RuleVariant.GREEDY_BOB).winner for k in range(1, g.max_degree() + 3)}
+        assert scan.winners == {k: winners[k] for k in range(1, 5)}
+        assert winners[3] is Player.BOB
+        assert all(w is Player.ALICE for k, w in winners.items() if k >= 4)
 
     def test_variant_ordering_greedy_bob_at_most_greedy_both(self):
         for kind, size in [("star", 3), ("star", 4), ("path", 3), ("path", 4), ("cycle", 4)]:

@@ -523,6 +523,30 @@ class TestTargetBob:
                     unsorted += bob.intro != sorted(bob.intro)
         assert checked > 500 and unsorted > 40, (checked, unsorted)
 
+    def test_scan_rows_are_keyed_by_gone(self):
+        # two scans with one u and nested gone sets: the larger set's scan
+        # finds more pairs, and must not read the rows the smaller one filled
+        g = gnp_generate(GnpSpec(21, 0.5, 0))
+        state = GameState(g, 10)
+        u = g.closed[0]
+        small, large = 1 << 1, g.full_mask & ~u  # vertex 1 lies outside u
+
+        def scan(gone):
+            bob = self._bob(g, 10, block_distance=2)
+            moves = list(bob._block_pairs(state, u, gone, g.full_mask))
+            return bob.seen_pairs, moves
+
+        try:
+            _SCAN_ROWS.pop(g, None)
+            small_pairs, _ = scan(small)
+            warm = scan(large)
+            _SCAN_ROWS.pop(g)
+            cold = scan(large)
+        finally:
+            _SCAN_ROWS.pop(g, None)
+        assert warm == cold
+        assert small_pairs < cold[0], (len(small_pairs), len(cold[0]))
+
     def test_beats_greedy_alice_where_solver_says_bob_wins(self):
         # exact-solver-confirmed Bob wins; the priority strategy realizes them
         for kind, size, k in [("star", 4, 3), ("path", 5, 3), ("cycle", 5, 3)]:
@@ -550,7 +574,6 @@ class _BookCheckedTargetBob(TargetBob):
         if rec.round == 1:
             pos = state.color_pos
             assert self.intro == self.appeared
-            assert self.used == mask_of(self.appeared)
             assert [self.rank[c] for c in self.appeared] == list(range(len(self.appeared)))
             assert self.out == mask_of(i for i, c in enumerate(self.appeared) if not pos[c] & self.target_mask)
             self.checked += 1
