@@ -116,37 +116,25 @@ def check_unbalanced_triple(
     if 2 * set_size > n:
         return PropertyCheck("unbalanced_triple", True, "exhaustive")
 
-    def count_imbalanced(a_mask: int, b_mask: int) -> list[int]:
-        out = []
-        for v in range(n):
-            adj = graph.adj[v]
-            if (adj & b_mask).bit_count() - (adj & a_mask).bit_count() >= imbalance:
-                out.append(v)
-        return out
-
     if n <= 12:
-        verts = range(n)
-        for A in combinations(verts, set_size):
-            a_mask = mask_of(A)
-            rest = [v for v in verts if not a_mask >> v & 1]
-            for B in combinations(rest, set_size):
-                b_mask = mask_of(B)
-                bad = count_imbalanced(a_mask, b_mask)
-                if len(bad) >= K:
-                    return PropertyCheck(
-                        "unbalanced_triple", False, "exhaustive", (sorted(A), sorted(B), bad[:K])
-                    )
-        return PropertyCheck("unbalanced_triple", True, "exhaustive")
-
-    rng = random.Random(seed)
-    verts = list(range(n))
-    for _ in range(samples):
-        picked = rng.sample(verts, 2 * set_size)
-        A, B = picked[:set_size], picked[set_size:]
-        bad = count_imbalanced(mask_of(A), mask_of(B))
+        method = "exhaustive"
+        pairs = (
+            (A, B)
+            for A in combinations(range(n), set_size)
+            for B in combinations([v for v in range(n) if v not in A], set_size)
+        )
+    else:
+        method, rng = "sampled", random.Random(seed)
+        draws = (rng.sample(range(n), 2 * set_size) for _ in range(samples))  # lazy: drawn until a hit
+        pairs = ((picked[:set_size], picked[set_size:]) for picked in draws)
+    for A, B in pairs:
+        a_mask, b_mask = mask_of(A), mask_of(B)
+        bad = [
+            v for v, adj in enumerate(graph.adj) if (adj & b_mask).bit_count() - (adj & a_mask).bit_count() >= imbalance
+        ]
         if len(bad) >= K:
-            return PropertyCheck("unbalanced_triple", False, "sampled", (sorted(A), sorted(B), bad[:K]))
-    return PropertyCheck("unbalanced_triple", True, "sampled")
+            return PropertyCheck("unbalanced_triple", False, method, (sorted(A), sorted(B), bad[:K]))
+    return PropertyCheck("unbalanced_triple", True, method)
 
 
 def count_nearly_full_vertices(
@@ -184,7 +172,6 @@ def find_m_block_sets(
     plus a greedily-extracted maximal disjoint family of them."""
     s_mask = mask_of(S)
     n = graph.n
-    found: list[tuple] = []
 
     def misses(members) -> int:
         rem = s_mask
@@ -193,21 +180,12 @@ def find_m_block_sets(
         return rem.bit_count()
 
     if comb(n, m) <= enumeration_cap:
-        method = "exhaustive"
-        for members in combinations(range(n), m):
-            if misses(members) <= delta_count:
-                found.append(members)
+        method, candidates = "exhaustive", combinations(range(n), m)
     else:
-        method = "sampled"
-        rng = random.Random(seed)
-        seen = set()
-        for _ in range(samples):
-            members = tuple(sorted(rng.sample(range(n), m)))
-            if members in seen:
-                continue
-            seen.add(members)
-            if misses(members) <= delta_count:
-                found.append(members)
+        method, rng = "sampled", random.Random(seed)
+        # the distinct draws, in the order first drawn
+        candidates = dict.fromkeys(tuple(sorted(rng.sample(range(n), m))) for _ in range(samples))
+    found = [members for members in candidates if misses(members) <= delta_count]
 
     disjoint: list[tuple] = []
     used = 0

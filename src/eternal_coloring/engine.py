@@ -16,8 +16,9 @@ are bitmasks with bit v standing for vertex v.  GameState keeps a census per
 colour: ``seen_by[c]`` is the set of vertices whose closed neighbourhood N[v]
 holds colour c.  Placing c at v ORs N[v] into ``seen_by[c]``; a recolour
 away from ``old`` rebuilds ``seen_by[old]`` from the vertices still coloured
-``old``, so no move walks N[v].  ``seen_of(state, v)`` collects v's colour
-mask from the census, and ``legal_mask`` turns it into the legal colours.
+``old``, so no move walks N[v].  ``legal_at(state, v)`` collects v's colour
+mask from the census and turns it into the legal colours with
+``legal_mask``.
 """
 
 from __future__ import annotations
@@ -105,14 +106,14 @@ def legal_mask(seen: int, palette: int, greedy: bool) -> int:
     return free & -free if greedy else free
 
 
-def seen_of(state: GameState, v: int) -> int:
-    """The colour mask of N[v], from the census: bit c is set iff some vertex
-    of N[v] has colour c."""
+def legal_at(state: GameState, v: int) -> int:
+    """The colours the mover may assign to v right now, as a mask: the
+    legality rule applied to the colour mask of N[v], read off the census."""
     seen = 0
     for c, s in enumerate(state.seen_by):
         if s >> v & 1:
             seen |= 1 << c
-    return seen
+    return legal_mask(seen, state.palette, state.greedy_applies())
 
 
 def legal_colors(state: GameState, v: int) -> set[int]:
@@ -124,7 +125,7 @@ def legal_colors(state: GameState, v: int) -> set[int]:
         raise IllegalMoveError(f"vertex {v!r} out of range")
     if state.is_played(v):
         raise IllegalMoveError(f"vertex {v} already played in round {state.round}")
-    return set(iter_bits(legal_mask(seen_of(state, v), state.palette, state.greedy_applies())))
+    return set(iter_bits(legal_at(state, v)))
 
 
 def apply_move(state: GameState, v: int, c: int) -> GameState:
@@ -220,7 +221,7 @@ def play_game(
         # any other move is judged on v's legal colours, so that a stuck v
         # is Bob's win whatever colour comes with it
         if not (standard and type(c) is int and 0 < c <= k and not seen_by[c] >> v & 1):
-            legal = legal_mask(seen_of(state, v), state.palette, state.greedy_applies())
+            legal = legal_at(state, v)
             if not legal:
                 return GameOutcome(
                     winner=Player.BOB,

@@ -56,6 +56,14 @@ def _check_type(what: str, value, kind: type) -> None:
         raise ConfigError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
+def _check_keys(what: str, obj: dict, allowed: set) -> None:
+    """ConfigError naming the keys of obj outside allowed, if any: a typo,
+    not a default."""
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+
+
 @dataclass
 class ExperimentConfig:
     graph: dict  # {'kind': 'gnp', 'n':, 'p':} or {'kind': 'star'|'path'|..., 'size':}
@@ -104,17 +112,13 @@ class ExperimentConfig:
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
         _check_type("a config", obj, dict)
         fields = dataclasses.fields(cls)
-        unknown = set(obj) - {f.name for f in fields}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _check_keys("config keys", obj, {f.name for f in fields})
         for f in fields:
             if f.name not in obj and f.default is dataclasses.MISSING:
                 raise ConfigError(f"missing config key: {f.name!r}")
         kr = obj["k_range"]
         if isinstance(kr, dict):
-            unknown = set(kr) - {"min", "max"}
-            if unknown:
-                raise ConfigError(f"unknown k_range keys: {sorted(unknown)}")
+            _check_keys("k_range keys", kr, {"min", "max"})
             for end in ("min", "max"):
                 if end not in kr:
                     raise ConfigError(f"missing config key: {end!r}")
@@ -156,9 +160,7 @@ def build_graph(spec: dict, seed: Optional[int] = None) -> Graph:
         raise ConfigError(f"unknown graph kind {kind!r}")
     needed = {"n": int, "p": float} if kind == "gnp" else {"size": int}
     allowed = {"kind", "seed", *needed} if kind == "gnp" else {"kind", *needed}
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys for graph kind {kind!r}: {sorted(unknown)}")
+    _check_keys(f"keys for graph kind {kind!r}", spec, allowed)
     for key, value_kind in needed.items():
         if key not in spec:
             raise ConfigError(f"graph kind {kind!r} needs {key!r}")
@@ -200,9 +202,7 @@ def build_strategy(spec: dict, graph: Graph, k: int):
     name = spec.get("name")
     if not isinstance(name, str) or name not in _SPEC_KEYS:
         raise ConfigError(f"unknown strategy {name!r}")
-    unknown = set(spec) - _SPEC_KEYS[name]
-    if unknown:
-        raise ConfigError(f"unknown keys for {name!r}: {sorted(unknown)}")
+    _check_keys(f"keys for {name!r}", spec, _SPEC_KEYS[name])
     params_obj = spec.get("params", {})
     if name == "greedyFirstFit":
         return GreedyFirstFit()
@@ -210,9 +210,7 @@ def build_strategy(spec: dict, graph: Graph, k: int):
         return RandomLegal()
     params = StrategyParams.from_fractions(graph.n)
     _check_type(f"{name} params", params_obj, dict)
-    unknown = set(params_obj) - _PARAM_KEYS[name]
-    if unknown:
-        raise ConfigError(f"unknown params for {name!r}: {sorted(unknown)}")
+    _check_keys(f"params for {name!r}", params_obj, _PARAM_KEYS[name])
     for key, value in params_obj.items():
         if not (key == "block_set_size" and value is None):
             _check_type(f"{name} params {key}", value, int)

@@ -89,18 +89,12 @@ def weight_identity_check(k: int, l: int, form: str = "proof") -> dict[frozenset
             counts[A][len(T) - 1] += 1
     p = Fraction(1, k)
     report: dict[frozenset, bool] = {}
-    ground = range(l)
     for size in range(1, l + 1):
-        for A in _subsets_of_size(ground, size):
+        for A in map(frozenset, combinations(range(l), size)):
             total = sum((c * w for c, w in zip(counts[A], weight) if c), Fraction(0))
             target = p**size * (1 - p) ** (l - size)
             report[A] = total == target
     return report
-
-
-def _subsets_of_size(ground, size):
-    for combo in combinations(ground, size):
-        yield frozenset(combo)
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,7 @@ def build_color_plan(l: int, k: int, num_colors: int) -> ColorPlan:
     assert start - 1 == num_colors
     subset_colors: dict = {}
     for size in range(0, l + 1):
-        for A in _subsets_of_size(range(l), size):
+        for A in map(frozenset, combinations(range(l), size)):
             cols: set[int] = set()
             for T, _ in positive:
                 if A in T:

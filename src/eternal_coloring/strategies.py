@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from math import ceil
 from typing import Iterator, Optional
 
-from .engine import GameState, MoveRecord, Player, Strategy, legal_mask, seen_of
+from .engine import GameState, MoveRecord, Player, Strategy, legal_at
 from .graph import Graph, iter_bits, planes_add, planes_sub, split_by_count
 from .partitions import build_color_plan
 
@@ -137,7 +137,7 @@ def claim_or_first_fit(state: GameState, ground) -> tuple[int, Optional[int]]:
     greedy first fit."""
     if state.round == 2:
         for x in ground:
-            if not state.is_played(x) and seen_of(state, x) == state.palette:
+            if not state.is_played(x) and not legal_at(state, x):
                 return x, None
     return first_fit(state)
 
@@ -164,8 +164,7 @@ class RandomLegal(Strategy):
         self.rng = random.Random(seed if seed is not None else self._init_seed)
 
     def select(self, state: GameState):
-        palette, greedy = state.palette, state.greedy_applies()
-        pairs = [(v, c) for v in unplayed_vertices(state) for c in iter_bits(legal_mask(seen_of(state, v), palette, greedy))]
+        pairs = [(v, c) for v in unplayed_vertices(state) for c in iter_bits(legal_at(state, v))]
         if not pairs:
             return next(unplayed_vertices(state)), None
         return pairs[self.rng.randrange(len(pairs))]
@@ -806,7 +805,7 @@ class MultiplicityBob(Strategy):
     def _safe_kill_color(self, state: GameState, vertex: int) -> Optional[int]:
         """Smallest colour legal at vertex whose extra copy will not itself
         force a priority-(1) move."""
-        legal = legal_mask(seen_of(state, vertex), state.palette, state.greedy_applies())
+        legal = legal_at(state, vertex)
         for c in iter_bits(legal):
             if not self._forces_copy(state, c, state.color_pos[c].bit_count() + 1):
                 return c
@@ -829,11 +828,7 @@ class MultiplicityBob(Strategy):
             # and it is never a member.
             members, remaining = [], u_mask
             while len(members) < m:
-                best, best_cov = None, 0
-                for a in iter_bits(unplayed):
-                    cov = (remaining & closed[a]).bit_count()
-                    if cov > best_cov:
-                        best, best_cov = a, cov
+                best = max(iter_bits(unplayed), key=lambda a: (remaining & closed[a]).bit_count())
                 members.append(best)
                 remaining &= ~closed[best]
                 if remaining.bit_count() <= dist:

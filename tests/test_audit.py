@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from eternal_coloring import audit
 from eternal_coloring.audit import (
     AuditParams,
+    PropertyCheck,
     audit_graph,
     check_degree_bounds,
     check_unbalanced_triple,
@@ -18,7 +19,7 @@ from eternal_coloring.audit import (
     find_m_block_sets,
     hoeffding_check,
 )
-from eternal_coloring.graph import GnpSpec, Graph, gnp_generate, make_named
+from eternal_coloring.graph import GnpSpec, Graph, gnp_generate, make_named, mask_of
 
 
 def _direct_tails(n, p, eps):
@@ -99,6 +100,17 @@ class TestUnbalancedTriple:
         check = check_unbalanced_triple(g, set_size=30, imbalance=15, K=40, samples=3000, seed=7)
         assert check.holds
         assert check.method == "sampled"
+
+    def test_sampled_search_returns_the_first_hit_in_draw_order(self):
+        # pins the seeded draw order: the first hit is draw 237, so 236
+        # draws find nothing
+        g = gnp_generate(GnpSpec(30, 0.5, 1))
+        check = check_unbalanced_triple(g, set_size=2, imbalance=2, K=6, samples=2000, seed=1)
+        assert check == PropertyCheck("unbalanced_triple", False, "sampled", ([19, 27], [18, 23], [2, 5, 8, 11, 12, 16]))
+        assert check_unbalanced_triple(g, set_size=2, imbalance=2, K=6, samples=236, seed=1).holds
+        A, B, bad = check.witness
+        for v in bad:
+            assert (g.adj[v] & mask_of(B)).bit_count() - (g.adj[v] & mask_of(A)).bit_count() >= 2, v
 
 
 class TestNearlyFull:

@@ -1,10 +1,12 @@
-"""Source hygiene: every module under src/ reads what it imports, and keeps
-no strong cache at module level."""
+"""Source hygiene: every module under src/ reads what it imports, keeps no
+strong cache at module level, and defines no function or class that nothing
+reads."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -127,3 +129,53 @@ def test_the_check_finds_filled_module_level_containers():
         "    return _TABLE\n"
     )
     assert _mutated_module_containers(passing) == []
+
+
+def _definitions(source: str) -> dict[str, int]:
+    """The module-level functions and classes of a module, by name, with
+    their lines."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name: node.lineno for node in ast.parse(source).body if isinstance(node, defs)}
+
+
+def _names_read(source: str) -> set[str]:
+    """Every name a module reads: a bare name, an attribute, or a name it
+    imports.  A definition's own name is none of these."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _dead_definitions(defining: str, read: set[str]) -> list[str]:
+    """The module-level functions and classes of defining whose names are
+    not in read, as 'line N: name'."""
+    return [f"line {line}: {name}" for name, line in _definitions(defining).items() if name not in read]
+
+
+def test_every_function_and_class_under_src_is_read():
+    sources = {path: path.read_text() for top in ("src", "tests", "perfbench") for path in sorted((ROOT / top).rglob("*.py"))}
+    read = set().union(*map(_names_read, sources.values()))
+    dead = {}
+    for path, source in sources.items():
+        if path.is_relative_to(SRC):
+            found = _dead_definitions(source, read)
+            if found:
+                dead[str(path.relative_to(SRC))] = found
+    assert dead == {}
+
+
+def test_the_check_finds_dead_definitions():
+    # a known-false control: a helper and a class nothing reads
+    defining = "def used():\n    pass\n\ndef helper():\n    pass\n\nclass Orphan:\n    pass\n"
+    assert _dead_definitions(defining, _names_read("from .m import used\n")) == ["line 4: helper", "line 7: Orphan"]
+    # a call, an attribute and an import each count as a read
+    assert _dead_definitions(defining, _names_read("used()\nm.helper\nfrom .m import Orphan\n")) == []
+    # and so does a read in the defining module itself
+    reading = defining + "x = helper() or Orphan\n"
+    assert _dead_definitions(reading, _names_read(reading)) == ["line 1: used"]

@@ -1320,6 +1320,18 @@ class TestMultiplicityBob:
         assert (v, c) == (1, 1)  # smallest class vertex, smallest colour
         assert prio == 5
 
+    def test_kill_sequence_skips_a_member_with_no_legal_colour(self):
+        # the leaves 1 and 2 show the whole palette to the centre, so the
+        # kill colours only leaf 3, whose class already holds colour 1
+        g = make_named("star", 3)
+        plan = bob_even_setup(g, l=1, k=2, num_colors=2)
+        bob = self._bob(g, plan, 2)
+        state = GameState(g, 2)
+        _observe_move(state, bob, (Player.ALICE, 1, 1))
+        _observe_move(state, bob, (Player.BOB, 2, 2))
+        assert bob._safe_kill_color(state, 0) is None
+        assert list(bob._kill_moves(state, [0, 3])) == [(3, 1)]
+
     def test_end_stage_copies_alices_missing_colour(self):
         # star plus an isolated vertex; class = leaves 1..6
         g = Graph(8, [(0, i) for i in range(1, 7)])
