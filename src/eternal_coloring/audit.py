@@ -18,25 +18,24 @@ from math import ceil, comb
 from typing import Optional
 
 from .graph import Graph, iter_bits, mask_of, planes_add, split_by_count
+from .strategies import BETA, DELTA
+
+# K: witness count; M: block-set size; C, D: the C log n and D log n count caps
+K, M, C, D = 5, 2, 5, 5
 
 
 @dataclass
 class AuditParams:
     """Property thresholds, as fractions of n plus their resolved integers.
 
-    All fractions resolve by ceiling (the conservative direction for
-    'at most'-style properties).
+    beta and delta are the strategies' BETA and DELTA.  All fractions
+    resolve by ceiling (the conservative direction for 'at most'-style
+    properties).
     """
 
     p: float = 0.5
     epsilon: float = 0.1
-    beta: float = 0.02
     gamma: float = 0.02
-    delta: float = 0.05
-    K: int = 5
-    m: int = 2
-    C: int = 5
-    D: int = 5
     sample_budget: int = 20000
     seed: int = 0
 
@@ -44,10 +43,9 @@ class AuditParams:
         return {
             "danger": ceil(self.epsilon / 100 * n),
             "imbalance": ceil(self.epsilon / 200 * n),
-            "set_size": ceil(self.epsilon / 200 * n),
-            "beta_n": ceil(self.beta * n),
+            "beta_n": ceil(BETA * n),
             "gamma_n": ceil(self.gamma * n),
-            "delta_n": ceil(self.delta * n),
+            "delta_n": ceil(DELTA * n),
         }
 
 
@@ -312,7 +310,7 @@ def audit_graph(graph: Graph, params: AuditParams) -> PropertyReport:
             graph,
             set_size=res["imbalance"],
             imbalance=res["imbalance"],
-            K=params.K,
+            K=K,
             samples=params.sample_budget,
             seed=params.seed,
         )
@@ -320,17 +318,17 @@ def audit_graph(graph: Graph, params: AuditParams) -> PropertyReport:
 
     log_n = max(1, ceil(math.log(max(n, 2))))
     wide = max(1, ceil((params.p / 2 + params.epsilon) * n))
-    small = max(1, res["set_size"])
+    small = max(1, res["imbalance"])
     # (name, palette size, missing threshold, cap on the count, battery seed)
     for name, num_colors, missing, cap, seed in (
-        ("few_nearly_full", wide, 2 * res["beta_n"], params.C * log_n, params.seed),
-        ("few_small_color_full", small, res["gamma_n"], params.D * log_n, params.seed + 1),
+        ("few_nearly_full", wide, 2 * res["beta_n"], C * log_n, params.seed),
+        ("few_small_color_full", small, res["gamma_n"], D * log_n, params.seed + 1),
     ):
         worst, worst_witness = 0, None
         for coloring in _adversarial_colorings(graph, num_colors, seed):
             count, verts = count_nearly_full_vertices(graph, coloring, missing, num_colors)
             if count > worst:
-                worst, worst_witness = count, verts[: params.K]
+                worst, worst_witness = count, verts[:K]
         report.checks.append(PropertyCheck(name, worst <= cap, "sampled", worst_witness if worst > cap else None))
 
     rng = random.Random(params.seed + 2)
@@ -339,7 +337,7 @@ def audit_graph(graph: Graph, params: AuditParams) -> PropertyReport:
     blocks = find_m_block_sets(
         graph,
         S,
-        m=params.m,
+        m=M,
         delta_count=res["delta_n"],
         enumeration_cap=10**6,
         samples=params.sample_budget,
@@ -348,9 +346,9 @@ def audit_graph(graph: Graph, params: AuditParams) -> PropertyReport:
     report.checks.append(
         PropertyCheck(
             "block_scarcity",
-            len(blocks["disjoint_family"]) <= params.K,
+            len(blocks["disjoint_family"]) <= K,
             blocks["method"],
-            blocks["disjoint_family"][: params.K + 1] or None,
+            blocks["disjoint_family"][: K + 1] or None,
         )
     )
     return report

@@ -327,7 +327,7 @@ class TestAuditGraph:
         # thresholds wide enough to be honest at n = 300 (they concentrate
         # much harder at large n); frozen after checking they genuinely hold
         g = gnp_generate(GnpSpec(300, 0.5, 9))
-        params = AuditParams(p=0.5, epsilon=50, gamma=0.003, delta=0.05, K=5, sample_budget=2000, seed=9)
+        params = AuditParams(p=0.5, epsilon=50, gamma=0.003, sample_budget=2000, seed=9)
         report = audit_graph(g, params)
         assert report.all_hold, [c.name for c in report.checks if not c.holds]
 
@@ -340,7 +340,7 @@ class TestAuditGraph:
         assert obj["all_hold"] is False
 
     def test_resolved_thresholds_are_ceilinged(self):
-        res = AuditParams(epsilon=5.0, beta=0.02, gamma=0.02, delta=0.05).resolved(101)
+        res = AuditParams(epsilon=5.0, gamma=0.02).resolved(101)
         assert res["danger"] == 6  # ceil(5/100 * 101)
         assert res["imbalance"] == 3  # ceil(5/200 * 101)
         assert res["beta_n"] == 3
