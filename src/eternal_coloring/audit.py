@@ -28,9 +28,9 @@ K, M, C, D = 5, 2, 5, 5
 class AuditParams:
     """Property thresholds, as fractions of n plus their resolved integers.
 
-    beta and delta are the strategies' BETA and DELTA.  All fractions
-    resolve by ceiling (the conservative direction for 'at most'-style
-    properties).
+    epsilon is a percent of n.  beta and delta are the strategies' BETA and
+    DELTA.  All fractions resolve by ceiling (the conservative direction for
+    'at most'-style properties).
     """
 
     p: float = 0.5
@@ -317,7 +317,7 @@ def audit_graph(graph: Graph, params: AuditParams) -> PropertyReport:
     )
 
     log_n = max(1, ceil(math.log(max(n, 2))))
-    wide = max(1, ceil((params.p / 2 + params.epsilon) * n))
+    wide = max(1, ceil((params.p / 2 + params.epsilon / 100) * n))
     small = max(1, res["imbalance"])
     # (name, palette size, missing threshold, cap on the count, battery seed)
     for name, num_colors, missing, cap, seed in (

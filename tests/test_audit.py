@@ -323,6 +323,12 @@ class TestAuditGraph:
         report = audit_graph(make_named("complete", 200), AuditParams(p=0.5, epsilon=0.1))
         assert not report.by_name("max_degree").holds  # 199 > (0.5 + 0.001) * 200
 
+    def test_complete_graph_is_full_of_nearly_full_vertices(self):
+        # the palette is ceil((p/2 + epsilon/100) n) = 30 colours; the rainbow
+        # colouring shows all 30 to every vertex of K_40, far over 5 ceil(ln 40)
+        check = audit_graph(make_named("complete", 40), AuditParams(p=0.5, epsilon=50)).by_name("few_nearly_full")
+        assert not check.holds and check.witness == [0, 1, 2, 3, 4]
+
     def test_random_graph_passes_under_sampled_auditing(self):
         # thresholds wide enough to be honest at n = 300 (they concentrate
         # much harder at large n); frozen after checking they genuinely hold
