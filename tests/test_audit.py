@@ -20,6 +20,7 @@ from eternal_coloring.audit import (
     hoeffding_check,
 )
 from eternal_coloring.graph import GnpSpec, Graph, gnp_generate, make_named, mask_of
+from eternal_coloring.strategies import StrategyParams
 
 
 def _direct_tails(n, p, eps):
@@ -345,9 +346,24 @@ class TestAuditGraph:
         json.dumps(obj)
         assert obj["all_hold"] is False
 
-    def test_resolved_thresholds_are_ceilinged(self):
-        res = AuditParams(epsilon=5.0, gamma=0.02).resolved(101)
+    def test_resolved_thresholds_are_ceilinged(self, monkeypatch):
+        params = AuditParams(epsilon=5.0, gamma=0.02)
+        res = params.resolved(101)
         assert res["danger"] == 6  # ceil(5/100 * 101)
         assert res["imbalance"] == 3  # ceil(5/200 * 101)
         assert res["beta_n"] == 3
         assert res["delta_n"] == 6
+        # one owner: the strategies' beta and delta, resolved at the same n
+        strategy = StrategyParams.from_fractions(101)
+        assert (res["beta_n"], res["delta_n"]) == (strategy.nearly_full_threshold, strategy.block_distance)
+        # the small palette is the triple's set size, imbalance
+        palettes = set()
+
+        def count(graph, coloring, missing_threshold, num_colors):
+            palettes.add((num_colors, missing_threshold))
+            return count_nearly_full_vertices(graph, coloring, missing_threshold, num_colors)
+
+        monkeypatch.setattr(audit, "count_nearly_full_vertices", count)
+        audit_graph(gnp_generate(GnpSpec(101, 0.5, 3)), params)
+        # wide: ceil((0.5/2 + 5/100) * 101) colours, missing 2 beta_n; small: imbalance, missing gamma_n
+        assert palettes == {(31, 2 * res["beta_n"]), (res["imbalance"], res["gamma_n"])}
