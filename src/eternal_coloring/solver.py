@@ -18,7 +18,9 @@ vertex: Bob's win.
 The move table and its per-state offsets are ``array("q")`` buffers, 8 bytes
 a move rather than a pointer to a separately allocated int.  Under the
 default state cap no move int reaches 2^63: that takes 2^(63 - tshift)
-states, over 10^8 while k < 2^28, and the cap refuses any larger k.  Which
+states, over 10^8 while k < 2^28, and the cap refuses any larger k.  The
+positions are an ``array("q")`` too when a key fits, in width * n + n + 2
+<= 63 bits, and a list of ints otherwise.  Which
 colours are legal at a vertex depends only on the colouring and on whether
 the mover plays greedily, so a solve builds each colouring's move templates
 once, not once per position: per vertex v and legal colour c, the XOR that
@@ -56,7 +58,9 @@ class SolveResult:
     graph: Graph
     k: int
     variant: RuleVariant
-    _states: list  # state id -> position key; a witness builds the reverse lookup it needs
+    # state id -> position key: array("q") when a key fits in 63 bits, else a
+    # list; a witness builds the reverse lookup it needs
+    _states: array | list
     # _rank is indexed by node = state id + 1: a node's attractor rank, None
     # outside Bob's attractor; node 0 is the stuck-vertex sink, of rank 0
     _rank: list
@@ -167,7 +171,7 @@ def solve_eternal(
     initial = _pack([0] * n, 0, ALICE, 0, k)
     index: dict[int, int] = {initial: 0}
     get = index.get
-    states = [initial]
+    states = array("q", [initial]) if pshift + n + 2 <= 63 else [initial]
     moves = array("q")
     start = array("q", [0])
     indeg, sink = [0], 0  # indeg[s]: the moves into state s so far; sink: the stuck-vertex moves

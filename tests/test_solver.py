@@ -233,6 +233,12 @@ class TestSolveEternal:
         with pytest.raises(SolverInfeasible):
             solve_eternal(make_named("complete", 7), 7)
 
+    def test_keys_wider_than_63_bits_are_kept(self):
+        # 7-bit colours: 8 * 7 + 8 + 2 = 66-bit keys, too wide for array("q")
+        res = solve_eternal(make_named("complete", 8), 64, color_symmetry=True)
+        assert res.winner is Player.ALICE and res.states_explored == 510
+        assert max(res._states).bit_length() > 63
+
     def test_attractor_is_a_fixed_point(self):
         # the Bob wins attract every state; the Alice wins leave states outside,
         # which the fixed-point check must re-test
@@ -256,9 +262,10 @@ class TestSolveEternal:
         assert not attractor_is_fixed_point(res)
 
     def test_retained_bytes_per_state(self):
-        # 81.5 B a state retained and 224.1 at the solve's peak.  Keeping the
-        # position index retained 149.0; filling the predecessor table
-        # through a second offsets list peaked at 256.6, and both at 341.9
+        # 49.9 B a state retained and 208.4 at the solve's peak, with the
+        # positions in an array("q"); 82.0 and 222.2 in a list of ints.
+        # Keeping the position index retained 149.0; filling the predecessor
+        # table through a second offsets list peaked at 256.6, and both at 341.9
         graph = make_named("star", 3)
         gc.collect()
         tracemalloc.start()
