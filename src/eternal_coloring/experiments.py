@@ -24,7 +24,6 @@ from .strategies import (
     GreedyFirstFit,
     PriorityAlice,
     MultiplicityBob,
-    PlanSetupError,
     TargetBob,
     RandomLegal,
     StrategyParams,
@@ -234,7 +233,7 @@ def build_strategy(spec: dict, graph: Graph, k: int):
         raise ConfigError(f"multiplicityBob num_colors must be in 1..{k}, got {setup[2]}")
     try:
         plan = bob_even_setup(graph, *setup)
-    except PlanSetupError as e:
+    except ValueError as e:  # no plan fits the graph, l, k_inv and num_colors
         raise ConfigError(f"multiplicityBob plan: {e}") from None
     return MultiplicityBob(plan, params)
 

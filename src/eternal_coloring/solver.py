@@ -136,22 +136,21 @@ def solve_eternal(
     color_symmetry canonicalizes colour labels; it is only sound for the
     STANDARD variant (greedy rules depend on colour order) and is rejected
     otherwise.  An instance is refused up front when an upper bound of its
-    reachable positions exceeds state_cap: first-round positions number at
-    most (k+1)^n (the played set is the coloured set, and its parity fixes
-    the mover), later ones at most k^n 2^n, twice that for odd n, where
-    either player may open a round.  Under colour symmetry the colourings
-    are counted up to renaming, with the same played-set and mover factors.
+    reachable positions exceeds state_cap.  With c_m the colourings of m
+    vertices (k^m, or up to renaming under colour symmetry), first-round
+    positions number at most sum_m C(n, m) c_m, (k+1)^n plainly (the played
+    set is the coloured set, and its parity fixes the mover), later ones at
+    most c_n 2^n, twice that for odd n, where either player may open a
+    round.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if color_symmetry and variant is not RuleVariant.STANDARD:
         raise ValueError("colour-symmetry reduction is only sound for STANDARD rules")
     n = graph.n
-    if color_symmetry:  # counts[m]: the colourings of m coloured vertices, up to renaming
-        counts = _renamings(n, k)
-        bound = sum(comb(n, m) * c for m, c in enumerate(counts)) + counts[n] * (1 << n) * (1 + n % 2)
-    else:
-        bound = (k + 1) ** n + k**n * (1 << n) * (1 + n % 2)
+    # counts[m]: the colourings of m coloured vertices, up to renaming under colour symmetry
+    counts = _renamings(n, k) if color_symmetry else [k**m for m in range(n + 1)]
+    bound = sum(comb(n, m) * c for m, c in enumerate(counts)) + counts[n] * (1 << n) * (1 + n % 2)
     if bound > state_cap:
         raise SolverInfeasible(f"up to {bound} reachable states exceeds cap {state_cap}")
 

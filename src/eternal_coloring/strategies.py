@@ -450,13 +450,13 @@ class TargetBob(Strategy):
     it wins); otherwise, and from round 3 on, he plays greedy first fit.
 
     Tiers 1 and 3 read a colour book that observe keeps, so Bob must observe
-    every round-1 move from reset on: `intro`, the colours in order of first
-    appearance; `rank[c]`, c's index in `intro`; and `out`, the mask of the
-    ranks of the colours with no copy in N[target].  Round 1 never
+    every round-1 move from reset on: `outside`, the colours with no copy in
+    N[target] in order of first appearance, as dict keys.  Round 1 never
     recolours, so a move's colour is new when the moved vertex holds its
-    only copy, a colour once inside stays inside, and `out` is exact there.
-    Round 1 is the only round that reads the book, so observe stops keeping
-    it after round 1.  Tiers 1 and 3 share one walk of `out`.
+    only copy, and a colour once inside stays inside: popping it leaves the
+    others in order.  Round 1 is the only round that reads the book, so
+    observe stops keeping it after round 1.  Tiers 1 and 3 share one walk of
+    `outside`.
     """
 
     name = "targetBob"
@@ -468,9 +468,7 @@ class TargetBob(Strategy):
     def reset(self, graph, k, variant, seed=None):
         self.graph = graph
         self.target_mask = graph.closed[self.target]
-        self.intro: list[int] = []  # colours in order of first appearance
-        self.rank = [0] * (k + 1)  # rank[c]: c's index in intro, once in it
-        self.out = 0  # rank mask of the intro colours absent from N[target]
+        self.outside: dict[int, None] = {}  # colours absent from N[target], by first appearance
         self.batches: deque[Iterator[tuple[int, int]]] = deque()  # blocking moves of each scan, FIFO
         self.seen_pairs: set[tuple[int, int]] = set()  # (a, b), a < b, drawn so far
         self.last_u = -1  # uncoloured part of N[target] at the last scan; -1 before the first
@@ -481,12 +479,10 @@ class TargetBob(Strategy):
         if rec.round > 1:
             return
         c = rec.color
-        if state.color_pos[c] == 1 << rec.vertex:  # c's first copy
-            self.rank[c] = len(self.intro)
-            self.out |= 1 << len(self.intro)
-            self.intro.append(c)
         if self.target_mask >> rec.vertex & 1:
-            self.out &= ~(1 << self.rank[c])
+            self.outside.pop(c, None)
+        elif state.color_pos[c] == 1 << rec.vertex:  # c's first copy
+            self.outside[c] = None
 
     # -- round-1 helpers ----------------------------------------------------
 
@@ -639,17 +635,13 @@ class TargetBob(Strategy):
         return v, c
 
     def _round1_move(self, state: GameState) -> tuple[int, Optional[int], int]:
-        pos, target_mask, intro = state.color_pos, self.target_mask, self.intro
+        pos, target_mask = state.color_pos, self.target_mask
         # (1) colours seen >= twice outside, absent inside, FIFO: the colours
-        # of `out` in rank order.  The same walk finds tier 3's move, the
+        # of `outside` in order.  The same walk finds tier 3's move, the
         # first colour seen once (round 1 leaves a copy of each) that can go
         # in; tier 2 below only queues and draws, so it changes no board.
         once = None
-        out = self.out
-        while out:
-            low = out & -out
-            out ^= low
-            c = intro[low.bit_length() - 1]
+        for c in self.outside:
             if pos[c].bit_count() >= 2:
                 u = uncolored_taking(state, target_mask, c)
                 if u is not None:
@@ -684,10 +676,6 @@ class TargetBob(Strategy):
 # ---------------------------------------------------------------------------
 
 
-class PlanSetupError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class PlanEntry:
     vertices: int  # bitmask of a class: the vertices adjacent to the same ground vertices
@@ -708,13 +696,11 @@ def bob_even_setup(graph: Graph, l: int, k: int, num_colors: int) -> TargetPlan:
     """Fix the lowest-index l vertices as the ground set, split the rest by
     adjacency trace, and attach the colour-plan sets.  Requires p = 1/k style
     palettes: the colour plan construction needs the exact partition weights.
+    ValueError when l is out of range or no plan fits l, k and num_colors.
     """
     if l < 1 or l > graph.n:
-        raise PlanSetupError(f"l={l} out of range")
-    try:
-        plan = build_color_plan(l, k, num_colors)
-    except ValueError as e:  # k or num_colors admits no colour plan
-        raise PlanSetupError(str(e)) from e
+        raise ValueError(f"l={l} out of range")
+    plan = build_color_plan(l, k, num_colors)
     ground = tuple(range(l))
     classes: dict[frozenset, int] = {}
     for v in range(l, graph.n):
@@ -727,7 +713,7 @@ def bob_even_setup(graph: Graph, l: int, k: int, num_colors: int) -> TargetPlan:
             continue
         vertices = classes.get(subset, 0)
         if vertices == 0:
-            raise PlanSetupError(f"class for trace {sorted(subset)} is empty but needs colours")
+            raise ValueError(f"class for trace {sorted(subset)} is empty but needs colours")
         entries.append(PlanEntry(vertices, tuple(sorted(colors))))
     return TargetPlan(ground_set=ground, entries=tuple(entries))
 

@@ -28,7 +28,6 @@ from eternal_coloring.strategies import (
     MultiplicityBob,
     TargetBob,
     PlanEntry,
-    PlanSetupError,
     RandomLegal,
     RoundBook,
     StrategyParams,
@@ -509,8 +508,8 @@ class TestTargetBob:
         assert bob.select(state) == GreedyFirstFit().select(state)
 
     def test_colour_book_matches_the_board_after_every_round1_move(self):
-        # RandomLegal introduces colours out of index order, so intro is no
-        # sorted list and out's ranks are no colours
+        # RandomLegal introduces colours out of index order, so the order of
+        # first appearance is no sorted list
         checked = unsorted = 0
         for n, gseed in _LOCKSTEP_GAMES:
             g = gnp_generate(GnpSpec(n, 0.5, gseed))
@@ -520,7 +519,7 @@ class TestTargetBob:
                     bob = _BookCheckedTargetBob(params, target=target)
                     play_game(g, k, RandomLegal(), bob, max_rounds=2, seed=gseed)
                     checked += bob.checked
-                    unsorted += bob.intro != sorted(bob.intro)
+                    unsorted += bob.appeared != sorted(bob.appeared)
         assert checked > 500 and unsorted > 40, (checked, unsorted)
 
     def test_scan_rows_are_keyed_by_gone(self):
@@ -559,8 +558,8 @@ class TestTargetBob:
 
 class _BookCheckedTargetBob(TargetBob):
     """TargetBob checking his colour book against the board after every
-    round-1 move: intro in order of first appearance in play, and out the
-    ranks of the intro colours with no copy in N[target]."""
+    round-1 move: `outside` holds the colours with no copy in N[target], in
+    order of first appearance in play."""
 
     def reset(self, graph, k, variant, seed=None):
         super().reset(graph, k, variant, seed)
@@ -569,13 +568,11 @@ class _BookCheckedTargetBob(TargetBob):
 
     def observe(self, state, rec):
         super().observe(state, rec)
-        if rec.color not in self.appeared:
-            self.appeared.append(rec.color)
         if rec.round == 1:
+            if rec.color not in self.appeared:
+                self.appeared.append(rec.color)
             pos = state.color_pos
-            assert self.intro == self.appeared
-            assert [self.rank[c] for c in self.appeared] == list(range(len(self.appeared)))
-            assert self.out == mask_of(i for i, c in enumerate(self.appeared) if not pos[c] & self.target_mask)
+            assert list(self.outside) == [c for c in self.appeared if not pos[c] & self.target_mask]
             self.checked += 1
 
 
@@ -1291,7 +1288,7 @@ class TestBobEvenSetup:
             used |= e.vertices
 
     def test_empty_needed_class_is_a_setup_failure(self):
-        with pytest.raises(PlanSetupError):
+        with pytest.raises(ValueError, match=r"^class for trace \[0\] is empty but needs colours$"):
             bob_even_setup(make_named("empty", 5), l=2, k=2, num_colors=4)
 
 
