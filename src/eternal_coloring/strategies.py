@@ -158,7 +158,6 @@ class RandomLegal(Strategy):
 
     def __init__(self, seed: Optional[int] = None):
         self._init_seed = seed
-        self.rng = random.Random(seed)
 
     def reset(self, graph, k, variant, seed=None):
         self.rng = random.Random(seed if seed is not None else self._init_seed)
