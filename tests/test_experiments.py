@@ -1,5 +1,6 @@
 """Experiment runner: configs, determinism, records, outputs, and the CLI."""
 
+import ast
 import gc
 import hashlib
 import io
@@ -310,7 +311,64 @@ class TestConfig:
             assert config.graph == {"kind": "gnp", "n": 101, "p": 0.5}
 
 
+def _params_read(source: str) -> dict:
+    """Each class's `name` in source mapped to the StrategyParams fields its
+    body reads as self.params.<field>; a class that reads none is absent."""
+    read = {}
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        fields = {
+            node.attr
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "params"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "self"
+        }
+        if fields:
+            names = [
+                stmt.value.value
+                for stmt in cls.body
+                if isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "name" for t in stmt.targets)
+            ]
+            read[names[0] if names else cls.name] = fields
+    return read
+
+
+def _param_table_mismatches(source: str) -> dict:
+    """The strategy names whose params read in source differ from
+    experiments._PARAM_KEYS, mapped to (read, table)."""
+    read, table = _params_read(source), experiments._PARAM_KEYS
+    return {name: (read.get(name), table.get(name)) for name in read.keys() | table.keys() if read.get(name) != table.get(name)}
+
+
 class TestBuilders:
+    def test_param_keys_are_the_params_each_strategy_reads(self):
+        assert _param_table_mismatches(Path(strategies.__file__).read_text()) == {}
+
+    def test_the_param_scan_flags_a_read_outside_the_table(self):
+        # known-false control: a class reading its table and one field more,
+        # and one reading params with no table at all
+        table = experiments._PARAM_KEYS["targetBob"]
+        source = (
+            "class A(Strategy):\n"
+            "    name = 'targetBob'\n"
+            "    def select(self, state):\n"
+            f"        return {', '.join(f'self.params.{f}' for f in sorted(table | {'multiplicity'}))}\n"
+            "class B(Strategy):\n"
+            "    name = 'greedyFirstFit'\n"
+            "    def select(self, state):\n"
+            "        return self.params.danger_threshold\n"
+        )
+        assert _param_table_mismatches(source) == {
+            "targetBob": (table | {"multiplicity"}, table),
+            "greedyFirstFit": ({"danger_threshold"}, None),
+            "priorityAlice": (None, experiments._PARAM_KEYS["priorityAlice"]),
+            "multiplicityBob": (None, experiments._PARAM_KEYS["multiplicityBob"]),
+        }
+
     def test_build_graph_kinds(self):
         assert build_graph({"kind": "star", "size": 3}).n == 4
         assert build_graph({"kind": "gnp", "n": 10, "p": 0.5, "seed": 1}).n == 10
