@@ -238,8 +238,10 @@ def _tails(n: int, p: Fraction, epsilon: Fraction) -> tuple[int, int, int]:
 def exact_binomial_tails(n: int, p: Fraction, epsilon: Fraction) -> tuple[Fraction, Fraction]:
     """(P(Bin >= (p+eps)n), P(Bin <= (p-eps)n)) exactly, p rational.
 
-    Both tails are read from one table of term sums per (n, p), reused while
-    only epsilon changes.
+    epsilon is a plain fraction, so 1/5 means 20% of n, unlike
+    ``AuditParams.epsilon``, which is a percent of n.  Both tails are read
+    from one table of term sums per (n, p), reused while only epsilon
+    changes.
     """
     upper, lower, total = _tails(n, p, epsilon)
     return Fraction(upper, total), Fraction(lower, total)
@@ -248,8 +250,10 @@ def exact_binomial_tails(n: int, p: Fraction, epsilon: Fraction) -> tuple[Fracti
 def hoeffding_check(n: int, p, epsilon) -> dict:
     """Exact binomial tails vs exp(-2 eps^2 n), both sides.
 
-    The tails are first compared with a float just below the float value of
-    the exponential, taken as a lower bound of the true exponential.  A pass
+    epsilon is a plain fraction, as in ``exact_binomial_tails``: 1/5 means
+    20% of n, where ``AuditParams.epsilon`` would read 20.  The tails are
+    first compared with a float just below the float value of the
+    exponential, taken as a lower bound of the true exponential.  A pass
     there decides the check with ``decided_by: "certified"``.  Otherwise the
     tails are compared with the float value itself, which is not certified
     either way (``decided_by: "float_fallback"``).  Both comparisons are

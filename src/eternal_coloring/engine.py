@@ -42,6 +42,13 @@ class Player(enum.Enum):
     BOB = "bob"
 
 
+# Function bodies read the members through these module globals.  CPython
+# 3.11's EnumType defines a Python-level __getattr__, so every attribute read
+# on an enum class, Player.ALICE included, goes through that slow hook.
+ALICE, BOB = Player.ALICE, Player.BOB
+STANDARD, GREEDY_BOB, GREEDY_BOTH = RuleVariant.STANDARD, RuleVariant.GREEDY_BOB, RuleVariant.GREEDY_BOTH
+
+
 class IllegalMoveError(ValueError):
     pass
 
@@ -81,7 +88,7 @@ class GameState:
         self.colors = [0] * graph.n  # 0 = uncoloured (round 1 only)
         self.round = 1
         self.played = 0  # bitmask of vertices played this round
-        self.to_move = Player.ALICE
+        self.to_move = ALICE
         # color_pos[c] = bitmask of vertices currently coloured c (c = 0: uncoloured)
         self.color_pos = [graph.full_mask] + [0] * k
         # seen_by[c] = bitmask of the vertices whose closed neighbourhood
@@ -93,9 +100,8 @@ class GameState:
         return bool(self.played >> v & 1)
 
     def greedy_applies(self) -> bool:
-        if self.variant is RuleVariant.GREEDY_BOTH:
-            return True
-        return self.variant is RuleVariant.GREEDY_BOB and self.to_move is Player.BOB
+        variant = self.variant
+        return variant is GREEDY_BOTH or variant is GREEDY_BOB and self.to_move is BOB
 
 
 def legal_mask(seen: int, palette: int, greedy: bool) -> int:
@@ -109,9 +115,9 @@ def legal_mask(seen: int, palette: int, greedy: bool) -> int:
 def legal_at(state: GameState, v: int) -> int:
     """The colours the mover may assign to v right now, as a mask: the
     legality rule applied to the colour mask of N[v], read off the census."""
-    seen = 0
+    seen, bit = 0, 1 << v
     for c, s in enumerate(state.seen_by):
-        if s >> v & 1:
+        if s & bit:
             seen |= 1 << c
     return legal_mask(seen, state.palette, state.greedy_applies())
 
@@ -155,7 +161,7 @@ def _place(state: GameState, v: int, c: int) -> GameState:
             seen |= closed[low.bit_length() - 1]
         seen_by[old] = seen
     state.played |= bit
-    state.to_move = Player.BOB if state.to_move is Player.ALICE else Player.ALICE
+    state.to_move = BOB if state.to_move is ALICE else ALICE
     if state.played == state.graph.full_mask:
         state.round += 1
         state.played = 0
@@ -208,10 +214,10 @@ def play_game(
     alice.reset(graph, k, variant, None if seed is None else derive_seed(seed, "alice"))
     bob.reset(graph, k, variant, None if seed is None else derive_seed(seed, "bob"))
     transcript: list[MoveRecord] = []
-    standard, seen_by = variant is RuleVariant.STANDARD, state.seen_by
+    standard, seen_by = variant is STANDARD, state.seen_by
     while state.round <= max_rounds:
         mover = state.to_move
-        strat = alice if mover is Player.ALICE else bob
+        strat = alice if mover is ALICE else bob
         v, c = strat.select(state)
         # a bool or float is no vertex or colour, though it may index or
         # compare equal to one
@@ -224,7 +230,7 @@ def play_game(
             legal = legal_at(state, v)
             if not legal:
                 return GameOutcome(
-                    winner=Player.BOB,
+                    winner=BOB,
                     termination_round=state.round,
                     rounds_completed=state.round - 1,
                     transcript=transcript,
@@ -237,7 +243,7 @@ def play_game(
         transcript.append(rec)
         alice.observe(state, rec)
         bob.observe(state, rec)
-    return GameOutcome(winner=Player.ALICE, rounds_completed=max_rounds, transcript=transcript)
+    return GameOutcome(winner=ALICE, rounds_completed=max_rounds, transcript=transcript)
 
 
 def replay_transcript(graph: Graph, k: int, variant: RuleVariant, transcript: list[MoveRecord]) -> GameState:

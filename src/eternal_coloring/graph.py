@@ -49,8 +49,6 @@ class Graph:
     __slots__ = ("n", "adj", "closed", "full_mask", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        self.n = n
-        self.full_mask = (1 << n) - 1
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -59,8 +57,15 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        self._set_adj(adj)
+
+    def _set_adj(self, adj: list[int]) -> None:
+        """Keep adj, whose rows must already be symmetric and loop-free, and
+        derive the other masks from it: the one path every graph is built by."""
+        self.n = n = len(adj)
+        self.full_mask = (1 << n) - 1
         self.adj = adj
-        self.closed = [adj[v] | (1 << v) for v in range(n)]
+        self.closed = [m | 1 << v for v, m in enumerate(adj)]
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -175,15 +180,21 @@ def gnp_generate(spec: GnpSpec) -> Graph:
 
     One Mersenne-Twister draw per vertex pair, pairs visited in lexicographic
     order (i, j) with i < j; identical spec always yields the identical graph.
+    Each edge goes straight into both adjacency rows as it is drawn, without
+    the constructor's edge checks, which a pair i < j < n cannot fail.
     """
-    rng = random.Random(spec.seed)
-    n, p = spec.n, spec.p
-    edges = []
+    draw, n, p = random.Random(spec.seed).random, spec.n, spec.p
+    adj = [0] * n
     for i in range(n):
+        bit, row = 1 << i, 0
         for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
-    return Graph(n, edges)
+            if draw() < p:
+                row |= 1 << j
+                adj[j] |= bit
+        adj[i] |= row
+    graph = Graph.__new__(Graph)
+    graph._set_adj(adj)
+    return graph
 
 
 NAMED_KINDS = ("star", "path", "cycle", "complete", "empty")

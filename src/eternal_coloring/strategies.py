@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from math import ceil
 from typing import Iterator, Optional
 
-from .engine import GameState, MoveRecord, Player, Strategy, legal_at
+from .engine import ALICE, BOB, GameState, MoveRecord, Player, Strategy, legal_at
 from .graph import Graph, iter_bits, planes_add, planes_sub, split_by_count
 from .partitions import build_color_plan
 
@@ -81,9 +81,9 @@ class StrategyParams:
 
 def smallest_legal(state: GameState, v: int) -> Optional[int]:
     """The smallest colour N[v] does not see, under any variant."""
-    seen_by = state.seen_by
+    seen_by, bit = state.seen_by, 1 << v
     for c in range(1, state.k + 1):
-        if not seen_by[c] >> v & 1:
+        if not seen_by[c] & bit:
             return c
     return None
 
@@ -205,7 +205,7 @@ def record_round_move(book: RoundBook, graph: Graph, player: Player, vertex: int
     n, which no tally reaches, endangers nothing.
     """
     diff, m = book.diff, graph.closed[vertex]
-    if player is Player.BOB:
+    if player is BOB:
         book.last_bob_vertex = vertex
         planes_add(diff, m)
         if threshold <= book.n:  # below 2**(len(diff) - 1): it cannot alias
@@ -753,7 +753,7 @@ class MultiplicityBob(Strategy):
             entry = self.plan.entries[i]
             missing = sum(1 for c in entry.colors if not state.color_pos[c] & entry.vertices)
             self.end_stage[i] = missing <= self.params.reserve_missing
-        if rec.player is Player.ALICE:
+        if rec.player is ALICE:
             self.alice_last_entry = i
             self.alice_last_color = rec.color
 

@@ -1,5 +1,8 @@
 """Graph construction, G(n,p) sampling, named families, serialization."""
 
+import gc
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +18,7 @@ from eternal_coloring.graph import (
     planes_sub,
     split_by_count,
 )
+from eternal_coloring.strategies import _SCAN_ROWS
 
 
 def closed_neighborhood(g: Graph, v: int) -> set[int]:
@@ -53,6 +57,29 @@ class TestGnp:
             GnpSpec(-1, 0.5, 0)
         with pytest.raises(ValueError):
             GnpSpec(0, 0.5, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 101])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+    def test_sampler_matches_the_edge_list_reference(self, n, p):
+        # the RNG contract, sampled the plain way: one random() per pair,
+        # pairs in lexicographic order, the edges through Graph(n, edges)
+        for seed in range(5):
+            rng = random.Random(seed)
+            want = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+            got = gnp_generate(GnpSpec(n, p, seed))
+            assert (got.n, got.adj, got.closed, got.full_mask) == (want.n, want.adj, want.closed, want.full_mask)
+            assert got == want and hash(got) == hash(want)
+
+    def test_sampled_graph_is_a_weak_key(self):
+        # the strategies' per-graph pair rows must go with a sampled graph
+        g = gnp_generate(GnpSpec(21, 0.5, 0))
+        gc.collect()
+        before = len(_SCAN_ROWS)
+        _SCAN_ROWS[g] = {}
+        assert len(_SCAN_ROWS) == before + 1 and _SCAN_ROWS[g] == {}
+        del g
+        gc.collect()
+        assert len(_SCAN_ROWS) == before
 
 
 class TestNamed:

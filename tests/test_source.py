@@ -1,6 +1,7 @@
 """Source hygiene: every module under src/ reads what it imports, keeps no
 strong cache at module level, and defines no function or class that nothing
-reads."""
+reads; the engine and the strategies read no enum member in a function
+body."""
 
 import ast
 from pathlib import Path
@@ -179,3 +180,61 @@ def test_the_check_finds_dead_definitions():
     # and so does a read in the defining module itself
     reading = defining + "x = helper() or Orphan\n"
     assert _dead_definitions(reading, _names_read(reading)) == ["line 1: used"]
+
+
+# CPython 3.11's EnumType defines a Python-level __getattr__, so a read such
+# as Player.ALICE costs several times a module global: the per-move code of
+# these modules reads the members through module-level aliases instead.
+_ENUMS = {"Player", "RuleVariant"}
+_ALIASED = ("eternal_coloring/engine.py", "eternal_coloring/strategies.py")
+
+
+def _enum_reads_in_function_bodies(source: str) -> list[str]:
+    """The attribute reads on Player or RuleVariant inside a function body,
+    as 'line N: Enum.attr'.  Module-level code and a function's default
+    arguments run once, so they may read them."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for stmt in func.body if isinstance(func.body, list) else [func.body]:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in _ENUMS:
+                    found.add((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_engine_and_strategies_read_no_enum_member_in_a_function_body():
+    reads = {}
+    for name in _ALIASED:
+        found = _enum_reads_in_function_bodies((SRC / name).read_text())
+        if found:
+            reads[name] = found
+    assert reads == {}
+
+
+def test_the_check_finds_enum_reads_in_function_bodies():
+    # a known-false control: _place's mover flip as it read before the
+    # aliases, and the same read in a method and a lambda
+    flagged = (
+        "def _place(state, v, c):\n"
+        "    state.to_move = Player.BOB if state.to_move is Player.ALICE else Player.ALICE\n"
+        "class GameState:\n"
+        "    def greedy_applies(self):\n"
+        "        return self.variant is RuleVariant.GREEDY_BOTH\n"
+        "bob_to_move = lambda state: state.to_move is Player.BOB\n"
+    )
+    assert _enum_reads_in_function_bodies(flagged) == [
+        "line 2: Player.ALICE",
+        "line 2: Player.BOB",
+        "line 5: RuleVariant.GREEDY_BOTH",
+        "line 6: Player.BOB",
+    ]
+    # module-level aliases, default arguments, annotations and member
+    # attributes pass
+    passing = (
+        "ALICE, BOB = Player.ALICE, Player.BOB\n"
+        "def play(variant: RuleVariant = RuleVariant.STANDARD, mover: Player = Player.ALICE):\n"
+        "    return BOB if mover is ALICE else variant.value\n"
+    )
+    assert _enum_reads_in_function_bodies(passing) == []
