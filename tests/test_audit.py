@@ -291,6 +291,20 @@ class TestHoeffding:
             with pytest.raises(ValueError, match=f"^{name} must"):
                 check(n, p, eps)
 
+    @pytest.mark.parametrize(
+        "n, p, eps, message",
+        [
+            (10, Fraction(3, 2), Fraction(1, 10), "p must lie in [0, 1], got 3/2"),
+            (10, Fraction(-1, 2), Fraction(1, 10), "p must lie in [0, 1], got -1/2"),
+            (10, Fraction(1, 2), Fraction(-1, 10), "epsilon must be >= 0, got -1/10"),
+            (-1, Fraction(1, 2), Fraction(1, 10), "n must be >= 0, got -1"),
+        ],
+    )
+    def test_refusal_messages_name_the_value(self, n, p, eps, message):
+        with pytest.raises(ValueError) as refused:
+            audit._tails(n, p, eps)
+        assert str(refused.value) == message
+
     @pytest.mark.parametrize("order", ["epsilon_innermost", "np_innermost", "interleaved"])
     def test_shared_term_table_in_any_call_order(self, order):
         points = [(n, p, eps) for n, p in _TAIL_GRID_NP for eps in _TAIL_GRID_EPS]

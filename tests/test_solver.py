@@ -182,12 +182,39 @@ class TestLockstepOracle:
         ],
     )
     def test_tables_match_their_pinned_digests(self, size, k, variant, symmetric, states, digests):
-        # stars too large for the reference: SHA-256 of each table's repr,
-        # in the order _states, _moves, _start, _rank
+        # stars too large for the reference
         res = solve_eternal(make_named("star", size), k, variant, color_symmetry=symmetric)
         assert res.states_explored == states
-        tables = (res._states, res._moves, res._start, res._rank)
-        assert tuple(hashlib.sha256(repr(list(t)).encode()).hexdigest() for t in tables) == digests
+        assert _table_digests(res) == digests
+
+    @pytest.mark.parametrize(
+        "kind, size, k, variant, states, digests",
+        [
+            ("cycle", 8, 3, RuleVariant.GREEDY_BOB, 31613, (
+                "3f8e94826f1e74c05e53e9e96c9c383e1aac595cfd11472adebbf8f528de07fc",
+                "80d4f54d97d8904cd7fc9eea62feb346f3ec966db9ce10d75f777c78dd10a1b1",
+                "eb0729811b2f26b23eb57a28eb84f6d8407a898a59d72d514705a6a9283573f6",
+                "ee936b5768ef5ebce4ca24e8f51b42a1623556a3c2690709dc7010d1a44cc889",
+            )),
+            ("path", 9, 2, RuleVariant.STANDARD, 3363, (
+                "77c9905e4858a147501fba40339ec33e726ffb001b250664107255ea22983e27",
+                "3e2d1a625c55798fce4ebcd46ef98c35627536504226853280c9d82ad6bff88d",
+                "f65485d0d23b111a3e891286ccb3cf1d659e89a3fe59b1a2cef6c13b7ae00dff",
+                "955c527ac9e43972a3c6d0daf767a3fc07e13b7227a663c491faad2b9e255093",
+            )),
+        ],
+    )
+    def test_sparse_tables_match_their_pinned_digests(self, kind, size, k, variant, states, digests):
+        # twin-free graphs, where nearly every position has a colouring of its own
+        res = solve_eternal(make_named(kind, size), k, variant)
+        assert res.states_explored == states
+        assert _table_digests(res) == digests
+
+
+def _table_digests(res) -> tuple:
+    """SHA-256 of each table's repr, in the order _states, _moves, _start, _rank."""
+    tables = (res._states, res._moves, res._start, res._rank)
+    return tuple(hashlib.sha256(repr(list(t)).encode()).hexdigest() for t in tables)
 
 
 class TestSolveEternal:
