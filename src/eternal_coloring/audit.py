@@ -214,14 +214,15 @@ def _tail_numerators(n: int, num: int, den: int) -> tuple[tuple[int, ...], tuple
 
 def _tails(n: int, p: Fraction, epsilon: Fraction) -> tuple[int, int, int]:
     """Numerators of P(Bin >= (p+eps)n) and P(Bin <= (p-eps)n) over den^n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     num, den = p.numerator, p.denominator
     e_num, e_den = epsilon.numerator, epsilon.denominator
+    # the range checks on the integer parts: a Fraction's denominator is positive
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if not 0 <= num <= den:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if e_num < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     scale = den * e_den
     upper_from = max(-(-(num * e_den + e_num * den) * n // scale), 0)  # ceil((p+eps)n)
     lower_to = min((num * e_den - e_num * den) * n // scale, n)  # floor((p-eps)n)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, perm
 
@@ -73,20 +74,30 @@ def _block_count_weight(m: int, k: int, l: int, form: str) -> Fraction:
     raise ValueError(f"unknown form {form!r}")
 
 
+@lru_cache(maxsize=None)
+def _block_counts(l: int) -> dict[frozenset, tuple]:
+    """A -> the partitions of {0..l-1} holding A as a block, by block count
+    - 1, from one pass over the partitions.  No k enters, so each l is
+    enumerated once; weight_identity_check caps l at 7, so the cache holds
+    at most 7 entries."""
+    counts: defaultdict = defaultdict(lambda: [0] * l)
+    for T in enumerate_partitions(l):
+        for A in T:
+            counts[A][len(T) - 1] += 1
+    return {A: tuple(c) for A, c in counts.items()}
+
+
 def weight_identity_check(k: int, l: int, form: str = "proof") -> dict[frozenset, bool]:
     """Verify the defining identity for every nonempty A; exact equality.
 
-    One pass over the partitions counts, for each block A, the partitions
-    holding A by their number of blocks; A's sum is then those counts times
+    For each block A, the partitions holding A are counted by their number
+    of blocks (see ``_block_counts``); A's sum is then those counts times
     the l weights, one per block count.
     """
     if k > 6 or l > 7:
         raise ValueError("identity check is capped at k <= 6, l <= 7")
     weight = [_block_count_weight(m, k, l, form) for m in range(1, l + 1)]
-    counts: defaultdict = defaultdict(lambda: [0] * l)  # A -> partitions holding A, by block count - 1
-    for T in enumerate_partitions(l):
-        for A in T:
-            counts[A][len(T) - 1] += 1
+    counts = _block_counts(l)
     p = Fraction(1, k)
     report: dict[frozenset, bool] = {}
     for size in range(1, l + 1):

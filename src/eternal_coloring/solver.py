@@ -20,14 +20,19 @@ a move rather than a pointer to a separately allocated int.  Under the
 default state cap no move int reaches 2^63: that takes 2^(63 - tshift)
 states, over 10^8 while k < 2^28, and the cap refuses any larger k.  The
 positions are an ``array("q")`` too when a key fits, in width * n + n + 2
-<= 63 bits, and a list of ints otherwise.  Which
-colours are legal at a vertex depends only on the colouring and on whether
-the mover plays greedily, so a solve builds each colouring's move templates
-once, not once per position: per vertex v and legal colour c, the XOR that
-takes a parent key to the child's, and the move int into state 0 (the
-child's id, shifted to the target field, is added to it).  Under colour
-symmetry every child's colours are renumbered, through a cache of the
-renumbered colour fields.  Each state's in-degree is counted as it is
+<= 63 bits, and a list of ints otherwise.
+
+Which colours are legal at a vertex v depends only on the colours in N[v]
+and on whether the mover plays greedily.  So each vertex keeps its own dict
+of move templates, keyed by those colour fields and the greedy flag, and a
+template is built only when v meets a closed-neighbourhood colouring it has
+not met before, not once per position or per colouring.  A template holds,
+per colour c legal at v, the XOR that takes a parent key to the child's, and
+the move int into state 0 (the child's id, shifted to the target field, is
+added to it); equal templates are shared by (v, old colour, legal).  A
+position looks up only its unplayed vertices, listed once per played mask.
+Under colour symmetry every child's colours are renumbered, through a cache
+of the renumbered colour fields.  Each state's in-degree is counted as it is
 explored, so the predecessor table needs one pass over the moves.
 """
 
@@ -40,7 +45,7 @@ from itertools import accumulate
 from math import comb
 from typing import Optional
 
-from .engine import GameState, Player, RuleVariant, Strategy, legal_mask
+from .engine import ALICE, BOB, GREEDY_BOTH, STANDARD, GameState, Player, RuleVariant, Strategy, legal_mask
 from .graph import Graph, iter_bits
 
 
@@ -48,7 +53,7 @@ class SolverInfeasible(RuntimeError):
     """State-space bound above the cap; no approximation is attempted."""
 
 
-ALICE, BOB = 0, 1
+ALICE_MOVES, BOB_MOVES = 0, 1  # the mover bit of a position key
 
 
 @dataclass
@@ -145,7 +150,7 @@ def solve_eternal(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if color_symmetry and variant is not RuleVariant.STANDARD:
+    if color_symmetry and variant is not STANDARD:
         raise ValueError("colour-symmetry reduction is only sound for STANDARD rules")
     n = graph.n
     # counts[m]: the colourings of m coloured vertices, up to renaming under colour symmetry
@@ -155,65 +160,65 @@ def solve_eternal(
         raise SolverInfeasible(f"up to {bound} reachable states exceeds cap {state_cap}")
 
     full = graph.full_mask
-    closed = [tuple(iter_bits(m)) for m in graph.closed]  # N[v] for the walk below
     palette = ((1 << k) - 1) << 1
     width = k.bit_length()
     cmask = (1 << width) - 1
     shifts = [width * v for v in range(n)]
     pshift = width * n  # the played field
     colour_fields = (1 << pshift) - 1
+    greedy_bit = 1 << pshift  # the greedy flag, at the played field's low bit of a colouring
     mover_bit = _mover_bit(n, k)
     phase_bit = mover_bit << 1
     tshift = _target_shift(n, k)
-    greedy_for = (variant is RuleVariant.GREEDY_BOTH, variant is not RuleVariant.STANDARD)  # by mover
+    greedy_for = (variant is GREEDY_BOTH, variant is not STANDARD)  # by mover
+    # per vertex v: the shifts of N[v]'s colour fields, and (v, nmask[v]),
+    # where nmask[v] covers those fields and the greedy flag, on which alone
+    # v's legal colours depend
+    closed = [[shifts[u] for u in iter_bits(m)] for m in graph.closed]
+    nmasks = [(v, sum(cmask << s for s in fields) | greedy_bit) for v, fields in enumerate(closed)]
 
-    initial = _pack([0] * n, 0, ALICE, 0, k)
+    initial = _pack([0] * n, 0, ALICE_MOVES, 0, k)
     index: dict[int, int] = {initial: 0}
     get = index.get
     states = array("q", [initial]) if pshift + n + 2 <= 63 else [initial]
     moves = array("q")
     start = array("q", [0])
     indeg, sink = [0], 0  # indeg[s]: the moves into state s so far; sink: the stuck-vertex moves
-    # move templates, one row per colouring keyed by the colour fields with the
-    # greedy flag at the played field's low bit: row[v] holds (xor, tail) per
-    # colour c legal at v, shared by (v, old colour, legal)
-    rows: dict[int, tuple] = {}
+    # move templates: (xor, tail) per colour c legal at v, shared by (v, old
+    # colour, legal); vertex v's dict holds its template by colouring & nmask[v]
     templates: dict[tuple, tuple] = {}
+    by_vertex: list[dict[int, tuple]] = [{} for _ in range(n)]
+    unplayed: dict[int, tuple] = {}  # played mask -> the (v, nmask[v]) of each unplayed v, ascending
     relabelled: dict[int, int] = {}  # child colour fields -> the same renumbered
     sid = 0
     while sid < len(states):  # ids are handed out in discovery order: breadth-first
         key = states[sid]
         sid += 1
         played = key >> pshift & full
-        greedy = greedy_for[key >> pshift + n & 1]
-        colouring = key & colour_fields | greedy << pshift
-        row = rows.get(colouring)
-        if row is None:
-            cols = [key >> s & cmask for s in shifts]
-            row = []
-            for v, old, s in zip(range(n), cols, shifts):
+        colouring = key & colour_fields | greedy_for[key >> pshift + n & 1] << pshift
+        free = unplayed.get(played)
+        if free is None:
+            free = unplayed[played] = tuple(nmasks[v] for v in iter_bits(full & ~played))
+        if len(free) == 1:  # one vertex left: its move turns the round over
+            key ^= full << pshift | phase_bit & ~key
+        for v, nmask in free:
+            tpl = by_vertex[v].get(near := colouring & nmask)
+            if tpl is None:
                 seen = 0
-                for u in closed[v]:
-                    seen |= 1 << cols[u]  # bit 0 (uncoloured) lies outside the palette
-                legal = legal_mask(seen, palette, greedy)
+                for s in closed[v]:
+                    seen |= 1 << (key >> s & cmask)  # bit 0 (uncoloured) lies outside the palette
+                legal = legal_mask(seen, palette, colouring & greedy_bit)
+                old = key >> shifts[v] & cmask
                 tpl = templates.get(tkey := (v, old, legal))
                 if tpl is None:  # a child is key ^ xor: mover flipped, v played, its old colour swapped for c
                     flip = mover_bit | 1 << pshift + v
                     tpl = templates[tkey] = tuple(
-                        (flip | (old ^ c) << s, 1 << tshift | v << width | c) for c in iter_bits(legal))
-                row.append(tpl)
-            row = rows[colouring] = tuple(row)
-        m = full & ~played
-        if not m & m - 1:  # one vertex left: its move turns the round over
-            key ^= full << pshift | phase_bit & ~key
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            if not row[v]:  # v is stuck: a move into the sink
+                        (flip | (old ^ c) << shifts[v], 1 << tshift | v << width | c) for c in iter_bits(legal))
+                by_vertex[v][near] = tpl
+            if not tpl:  # v is stuck: a move into the sink
                 moves.append(v << width)
                 sink += 1
-            for xor, tail in row[v]:
+            for xor, tail in tpl:
                 child = key ^ xor
                 if color_symmetry:  # colours numbered 1, 2, ... by first appearance
                     fields = child & colour_fields
@@ -233,7 +238,7 @@ def solve_eternal(
                     indeg[tid] += 1
                 moves.append((tid << tshift) + tail)
         start.append(len(moves))
-    del index, get, rows, templates, relabelled  # exploration only: free them before the attractor's tables
+    del index, get, templates, by_vertex, unplayed, relabelled  # exploration only: free them before the attractor's tables
 
     num = len(states)
     # Backward fixed point over nodes t = state id + 1, from the sink t = 0.
@@ -269,7 +274,7 @@ def solve_eternal(
                 queue.append(u)
 
     return SolveResult(
-        winner=Player.ALICE if rank[1] is None else Player.BOB,
+        winner=ALICE if rank[1] is None else BOB,
         states_explored=num,
         graph=graph,
         k=k,
@@ -316,7 +321,7 @@ class WitnessStrategy(Strategy):
 
     def select(self, state: GameState):
         res = self.result
-        mover = ALICE if state.to_move is Player.ALICE else BOB
+        mover = ALICE_MOVES if state.to_move is ALICE else BOB_MOVES
         sid = self._index.get(_pack(state.colors, state.played, mover, 0 if state.round == 1 else 1, res.k))
         if sid is None:
             raise RuntimeError("position not in solved table (unreachable under the rules?)")
@@ -324,7 +329,7 @@ class WitnessStrategy(Strategy):
         width, tshift = res.k.bit_length(), _target_shift(res.graph.n, res.k)
         row = res._moves[res._start[sid]:res._start[sid + 1]]
         best = None
-        if self.player is Player.BOB:
+        if self.player is BOB:
             # the first move of least rank into the attractor (the sink ranks 0)
             for mv in row:
                 t = mv >> tshift
@@ -361,7 +366,7 @@ def eternal_game_chromatic_number(
     for k in range(1, graph.max_degree() + 3):
         res = solve_eternal(graph, k, variant, state_cap=state_cap)
         winners[k] = res.winner
-        if res.winner is Player.ALICE:
+        if res.winner is ALICE:
             k_star = k
             break
     return ChromaticScan(k_star=k_star, winners=winners)

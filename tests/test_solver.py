@@ -289,25 +289,23 @@ class TestSolveEternal:
         assert not attractor_is_fixed_point(res)
 
     def test_retained_bytes_per_state(self):
-        # 49.9 B a state retained and 208.4 at the solve's peak, with the
-        # positions in an array("q"); 82.0 and 222.2 in a list of ints.
+        # 49.9 B a state retained and 186.6 at the solve's peak, with the
+        # positions in an array("q"); 82.0 and 222.2 in a list of ints (both
+        # peaks with one template row per colouring, which peaked at 208.4).
         # Keeping the position index retained 149.0; filling the predecessor
         # table through a second offsets list peaked at 256.6, and both at 341.9
-        graph = make_named("star", 3)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            res = solve_eternal(graph, 4, RuleVariant.GREEDY_BOB)
-            peak = tracemalloc.get_traced_memory()[1] - before
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        res, retained, peak = _bytes_per_state(make_named("star", 3), 4, RuleVariant.GREEDY_BOB)
         assert res.states_explored == 1684
-        assert retained / res.states_explored < 115
-        assert peak / res.states_explored < 240
+        assert retained < 115
+        assert peak < 240
+
+    def test_peak_bytes_per_state_on_a_path(self):
+        # a twin-free graph, where nearly every position brings a new
+        # colouring: one template row per colouring peaked at 364.0 B a
+        # state, the per-vertex templates keyed by N[v]'s colours at 213.5
+        res, _, peak = _bytes_per_state(make_named("path", 9), 2, RuleVariant.STANDARD)
+        assert res.states_explored == 3363
+        assert peak < 240
 
     def test_color_symmetry_preserves_winner(self):
         for kind, size, k in [("star", 3, 2), ("star", 3, 3), ("path", 3, 2), ("path", 4, 3)]:
@@ -327,6 +325,23 @@ class TestSolveEternal:
                 solve_eternal(make_named("star", 2), k)
             with pytest.raises(ValueError, match="^k must be >= 1$"):
                 GameState(make_named("star", 2), k)
+
+
+def _bytes_per_state(graph, k, variant) -> tuple:
+    """(result, bytes a state retained, bytes a state at the solve's peak),
+    as tracemalloc counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res = solve_eternal(graph, k, variant)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return res, retained / res.states_explored, peak / res.states_explored
 
 
 class TestChromaticScan:
