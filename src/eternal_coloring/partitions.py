@@ -75,16 +75,19 @@ def _block_count_weight(m: int, k: int, l: int, form: str) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _block_counts(l: int) -> dict[frozenset, tuple]:
-    """A -> the partitions of {0..l-1} holding A as a block, by block count
-    - 1, from one pass over the partitions.  No k enters, so each l is
-    enumerated once; weight_identity_check caps l at 7, so the cache holds
-    at most 7 entries."""
+def _block_counts(l: int) -> tuple[tuple[frozenset, tuple], ...]:
+    """(A, the partitions of {0..l-1} holding A as a block, by block count
+    - 1) for every nonempty A, by size and then in combinations order, from
+    one pass over the partitions.  No k enters, so each l is enumerated
+    once; weight_identity_check caps l at 7, so the cache holds at most 7
+    entries, each immutable."""
     counts: defaultdict = defaultdict(lambda: [0] * l)
     for T in enumerate_partitions(l):
         for A in T:
             counts[A][len(T) - 1] += 1
-    return {A: tuple(c) for A, c in counts.items()}
+    return tuple(
+        (A, tuple(counts[A])) for size in range(1, l + 1) for A in map(frozenset, combinations(range(l), size))
+    )
 
 
 def weight_identity_check(k: int, l: int, form: str = "proof") -> dict[frozenset, bool]:
@@ -97,14 +100,11 @@ def weight_identity_check(k: int, l: int, form: str = "proof") -> dict[frozenset
     if k > 6 or l > 7:
         raise ValueError("identity check is capped at k <= 6, l <= 7")
     weight = [_block_count_weight(m, k, l, form) for m in range(1, l + 1)]
-    counts = _block_counts(l)
     p = Fraction(1, k)
     report: dict[frozenset, bool] = {}
-    for size in range(1, l + 1):
-        for A in map(frozenset, combinations(range(l), size)):
-            total = sum((c * w for c, w in zip(counts[A], weight) if c), Fraction(0))
-            target = p**size * (1 - p) ** (l - size)
-            report[A] = total == target
+    for A, counts in _block_counts(l):
+        total = sum((c * w for c, w in zip(counts, weight) if c), Fraction(0))
+        report[A] = total == p ** len(A) * (1 - p) ** (l - len(A))
     return report
 
 
