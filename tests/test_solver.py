@@ -290,8 +290,8 @@ class TestSolveEternal:
 
     def test_retained_bytes_per_state(self):
         # 49.9 B a state retained and 186.6 at the solve's peak, with the
-        # positions in an array("q"); 82.0 and 222.2 in a list of ints (both
-        # peaks with one template row per colouring, which peaked at 208.4).
+        # positions in an array("q") (208.4 at the peak with one template row
+        # per colouring); 82.0 and 222.2 in a list of ints, with those rows.
         # Keeping the position index retained 149.0; filling the predecessor
         # table through a second offsets list peaked at 256.6, and both at 341.9
         res, retained, peak = _bytes_per_state(make_named("star", 3), 4, RuleVariant.GREEDY_BOB)
