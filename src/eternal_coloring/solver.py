@@ -16,9 +16,12 @@ field down (see ``_target_shift``).  Target id -1, with c = 0, is a stuck
 vertex: Bob's win.
 
 The move table and its per-state offsets are ``array("q")`` buffers, 8 bytes
-a move rather than a pointer to a separately allocated int.  Under the
-default state cap no move int reaches 2^63: that takes 2^(63 - tshift)
-states, over 10^8 while k < 2^28, and the cap refuses any larger k.  The
+a move rather than a pointer to a separately allocated int.  Every state
+id is below the up-front bound of solve_eternal, itself at most the state
+cap, so under the default cap, 10^8 < 2^27, a move int is below
+2^(27 + tshift).  A plain bound is at least (k + 1)^n, so there k < 2^27,
+n < 27 and tshift <= 32; a colour-symmetric one, at least 2^n, does not grow
+with k, and there tshift < 36 while k < 2^31.  No move int reaches 2^63.  The
 positions are an ``array("q")`` too when a key fits, in width * n + n + 2
 <= 63 bits, and a list of ints otherwise.
 
@@ -41,6 +44,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from math import comb
 from typing import Optional
@@ -64,7 +68,7 @@ class SolveResult:
     k: int
     variant: RuleVariant
     # state id -> position key: array("q") when a key fits in 63 bits, else a
-    # list; a witness builds the reverse lookup it needs
+    # list; _index is its reverse
     _states: array | list
     # _rank is indexed by node = state id + 1: a node's attractor rank, None
     # outside Bob's attractor; node 0 is the stuck-vertex sink, of rank 0
@@ -77,6 +81,12 @@ class SolveResult:
     def max_rank(self) -> int:
         """The deepest attractor rank; 0 when only the stuck-vertex sink is ranked."""
         return max(r for r in self._rank if r is not None)
+
+    @cached_property
+    def _index(self) -> dict:
+        """Position key -> state id, built on a witness's first move and
+        shared by every witness of this result."""
+        return {key: sid for sid, key in enumerate(self._states)}
 
     def witness_strategy(self, player: Player) -> "WitnessStrategy":
         return WitnessStrategy(self, player)
@@ -140,13 +150,13 @@ def solve_eternal(
 
     color_symmetry canonicalizes colour labels; it is only sound for the
     STANDARD variant (greedy rules depend on colour order) and is rejected
-    otherwise.  An instance is refused up front when an upper bound of its
-    reachable positions exceeds state_cap.  With c_m the colourings of m
-    vertices (k^m, or up to renaming under colour symmetry), first-round
-    positions number at most sum_m C(n, m) c_m, (k+1)^n plainly (the played
-    set is the coloured set, and its parity fixes the mover), later ones at
-    most c_n 2^n, twice that for odd n, where either player may open a
-    round.
+    otherwise.  An instance is refused, up front and only then, when an
+    upper bound of its reachable positions exceeds state_cap.  With c_m the
+    colourings of m vertices (k^m, or up to renaming under colour symmetry),
+    first-round positions number at most sum_m C(n, m) c_m, (k+1)^n plainly
+    (the played set is the coloured set, and its parity fixes the mover),
+    later ones at most c_n 2^n, twice that for odd n, where either player
+    may open a round.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -228,10 +238,7 @@ def solve_eternal(
                     child ^= fields ^ renumbered
                 tid = get(child)
                 if tid is None:
-                    tid = len(states)
-                    if tid >= state_cap:
-                        raise SolverInfeasible(f"reachable states exceed cap {state_cap}")
-                    index[child] = tid
+                    tid = index[child] = len(states)
                     states.append(child)
                     indeg.append(1)
                 else:
@@ -313,7 +320,6 @@ class WitnessStrategy(Strategy):
             raise ValueError("witness extraction needs a solve without colour-symmetry reduction")
         self.result = result
         self.player = player
-        self._index = {key: sid for sid, key in enumerate(result._states)}  # position key -> state id
 
     def reset(self, graph, k, variant, seed=None):
         if graph != self.result.graph or k != self.result.k or variant is not self.result.variant:
@@ -322,7 +328,7 @@ class WitnessStrategy(Strategy):
     def select(self, state: GameState):
         res = self.result
         mover = ALICE_MOVES if state.to_move is ALICE else BOB_MOVES
-        sid = self._index.get(_pack(state.colors, state.played, mover, 0 if state.round == 1 else 1, res.k))
+        sid = res._index.get(_pack(state.colors, state.played, mover, 0 if state.round == 1 else 1, res.k))
         if sid is None:
             raise RuntimeError("position not in solved table (unreachable under the rules?)")
         rank = res._rank

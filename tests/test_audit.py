@@ -63,6 +63,11 @@ class TestDegreeBounds:
         report = check_degree_bounds(g, p=0.5, epsilon=50)
         assert report.all_hold
 
+    def test_by_name_refuses_an_unknown_check(self):
+        report = check_degree_bounds(make_named("path", 4), p=0.5, epsilon=50)
+        with pytest.raises(KeyError, match="mean_degree"):
+            report.by_name("mean_degree")
+
     def test_witnesses_revalidate(self):
         g = gnp_generate(GnpSpec(60, 0.5, 4))
         report = check_degree_bounds(g, p=0.5, epsilon=0.01)

@@ -118,6 +118,11 @@ class TestPlayGame:
         with pytest.raises(ValueError, match="max_rounds"):
             play_game(make_named("empty", 1), 2, GreedyFirstFit(), GreedyFirstFit(), max_rounds=0)
 
+    def test_a_strategy_without_select_is_an_error_not_a_fault(self):
+        # the base class is no policy: play stops rather than scoring a fault
+        with pytest.raises(NotImplementedError):
+            play_game(make_named("empty", 1), 2, Strategy(), GreedyFirstFit())
+
     def test_k2_on_single_vertex_alice_survives(self):
         out = play_game(make_named("empty", 1), 2, GreedyFirstFit(), GreedyFirstFit(), max_rounds=10)
         assert out.winner is Player.ALICE

@@ -132,6 +132,10 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    def test_repr_names_order_and_size(self):
+        assert repr(make_named("path", 3)) == "Graph(n=3, m=2)"
+        assert repr(Graph(0, [])) == "Graph(n=0, m=0)"
+
     def test_serialization_format(self):
         g = make_named("path", 3)
         assert g.to_text() == "3 2\n0 1\n1 2\n"

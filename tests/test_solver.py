@@ -140,6 +140,21 @@ _LOCKSTEP_RULES = [(variant, False) for variant in RuleVariant] + [(RuleVariant.
 
 
 @lru_cache(maxsize=None)
+def _first_appearance_colourings(n, k) -> tuple:
+    """(colourings of n vertices by 0..k, by 1..k), each counted once per
+    renaming: those whose colours first appear in the order 1, 2, ..."""
+    first = sum(_canonical_colors(c) == c for c in product(range(k + 1), repeat=n))
+    later = sum(_canonical_colors(c) == c for c in product(range(1, k + 1), repeat=n))
+    return first, later
+
+
+def _state_bound(n, k, symmetric) -> int:
+    """solve_eternal's up-front bound, from its docstring's formula."""
+    first, later = _first_appearance_colourings(n, k) if symmetric else ((k + 1) ** n, k**n)
+    return first + later * 2**n * (1 + n % 2)
+
+
+@lru_cache(maxsize=None)
 def _default_solve(graph, k):
     """solve_eternal(graph, k), solved once per session and shared by the
     tests that need it: a SolveResult is read-only once built."""
@@ -150,6 +165,7 @@ class TestLockstepOracle:
     @pytest.mark.parametrize("variant, symmetric", _LOCKSTEP_RULES, ids=lambda r: getattr(r, "value", r))
     def test_tables_match_the_tuple_keyed_reference(self, variant, symmetric):
         for graph in _LOCKSTEP_GRAPHS:
+            alice_won = False
             for k in range(1, 5):
                 where = (graph.n, sorted(graph.edges()), k, variant, symmetric)
                 if (variant, symmetric) == (RuleVariant.STANDARD, False):
@@ -160,9 +176,14 @@ class TestLockstepOracle:
                 assert res.winner is winner and res.states_explored == len(states), where
                 assert _decoded(res) == (states, moves, in_attr, rank), where
                 assert res._rank[0] == 0, where
-                if not symmetric:  # only a plain solve has a witness, which owns the key lookup
-                    lookup = res.witness_strategy(res.winner)._index
-                    assert all(lookup[key] == sid for sid, key in enumerate(res._states)), where
+                # the up-front bound is the solver's only refusal, so it must hold every reachable position
+                assert res.states_explored <= _state_bound(graph.n, k, symmetric), where
+                # a scan stops at the first Alice win: a larger palette must not hand the game back to Bob
+                assert not (alice_won and res.winner is Player.BOB), where
+                alice_won = res.winner is Player.ALICE
+                lookup = res._index
+                assert len(lookup) == res.states_explored, where
+                assert all(lookup[key] == sid for sid, key in enumerate(res._states)), where
 
     @pytest.mark.parametrize(
         "size, k, variant, symmetric, states, digests",
@@ -237,18 +258,16 @@ class TestSolveEternal:
         # 2.7e8 under the old (k+1)^n 2^n 2 estimate, yet 6,897 reachable states
         res = solve_eternal(make_named("star", 8), 3, RuleVariant.GREEDY_BOTH)
         assert res.winner is Player.BOB and res.states_explored == 6897
-        # at a cap equal to the bound, neither the bound nor the live cap refuses
+        # a cap equal to the bound admits the solve, and one below refuses it
         for graph, k in [(make_named("path", 1), 1), (make_named("star", 3), 3), (make_named("cycle", 4), 2)]:
             n = graph.n
-            bound = (k + 1) ** n + k**n * 2**n * (1 + n % 2)
+            bound = _state_bound(n, k, False)
             for variant in RuleVariant:
                 assert solve_eternal(graph, k, variant, state_cap=bound).states_explored <= bound
             with pytest.raises(SolverInfeasible):
                 solve_eternal(graph, k, state_cap=bound - 1)
             # colour symmetry: the same count over colourings numbered by first appearance
-            first = sum(_canonical_colors(c) == c for c in product(range(k + 1), repeat=n))
-            later = sum(_canonical_colors(c) == c for c in product(range(1, k + 1), repeat=n))
-            bound = first + later * 2**n * (1 + n % 2)
+            bound = _state_bound(n, k, True)
             assert solve_eternal(graph, k, color_symmetry=True, state_cap=bound).states_explored <= bound
             with pytest.raises(SolverInfeasible):
                 solve_eternal(graph, k, color_symmetry=True, state_cap=bound - 1)
@@ -296,6 +315,7 @@ class TestSolveEternal:
         # table through a second offsets list peaked at 256.6, and both at 341.9
         res, retained, peak = _bytes_per_state(make_named("star", 3), 4, RuleVariant.GREEDY_BOB)
         assert res.states_explored == 1684
+        assert "_index" not in vars(res)  # the position lookup waits for a witness's first move
         assert retained < 115
         assert peak < 240
 
@@ -440,6 +460,22 @@ class TestWitnesses:
         assert state.to_move is winner
         with pytest.raises(RuntimeError, match=refusal):
             witness.select(state)
+
+    def test_witnesses_share_one_position_lookup_built_on_demand(self):
+        g = make_named("star", 3)
+        res = solve_eternal(g, 2)
+        first, second = res.witness_strategy(Player.BOB), res.witness_strategy(Player.BOB)
+        # a witness keeps its result and side, and making one builds nothing
+        assert vars(first) == vars(second) == {"result": res, "player": Player.BOB}
+        assert "_index" not in vars(res)
+        assert play_game(g, 2, GreedyFirstFit(), first, max_rounds=60).winner is Player.BOB
+        lookup = vars(res)["_index"]
+        assert len(lookup) == res.states_explored
+        for alice in [RandomLegal(0), RandomLegal(1)]:
+            for witness in (first, second):
+                assert play_game(g, 2, alice, witness, max_rounds=60).winner is Player.BOB
+        assert vars(res)["_index"] is lookup  # built once, read by both witnesses
+        assert vars(first) == vars(second) == {"result": res, "player": Player.BOB}
 
     def test_witness_bound_to_its_instance(self):
         res = solve_eternal(make_named("empty", 1), 2)

@@ -1,7 +1,7 @@
 """Source hygiene: every module under src/ reads what it imports, keeps no
 strong cache at module level, and defines no function or class that nothing
 reads; the engine, the strategies and the solver read no enum member in a
-function body."""
+function body; and only the solver reads a SolveResult's private fields."""
 
 import ast
 from pathlib import Path
@@ -239,3 +239,41 @@ def test_the_check_finds_enum_reads_in_function_bodies():
         "    return BOB if mover is ALICE else variant.value\n"
     )
     assert _enum_reads_in_function_bodies(passing) == []
+
+
+# A SolveResult's tables are the solver's own layout: another module reads a
+# result through its public fields, max_rank and witness_strategy.
+_SOLVE_RESULT_PRIVATE = {"_states", "_rank", "_moves", "_start", "_canonical", "_index"}
+
+
+def _solve_result_private_reads(source: str) -> list[str]:
+    """The attribute reads of a SolveResult private field, as 'line N: .attr'."""
+    found = {
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in _SOLVE_RESULT_PRIVATE
+    }
+    return [f"line {line}: .{attr}" for line, attr in sorted(found)]
+
+
+def test_only_the_solver_reads_solve_result_private_fields():
+    reads = {}
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "solver.py":
+            found = _solve_result_private_reads(path.read_text())
+            if found:
+                reads[str(path.relative_to(SRC))] = found
+    assert reads == {}
+
+
+def test_the_check_finds_solve_result_private_reads():
+    # a known-false control: a witness's table reads, made outside the solver
+    flagged = (
+        "def select(self, state):\n"
+        "    row = self.result._moves[self.result._start[sid]:]\n"
+        "    return self._index.get(key), res._rank[0]\n"
+    )
+    assert _solve_result_private_reads(flagged) == ["line 2: ._moves", "line 2: ._start", "line 3: ._index", "line 3: ._rank"]
+    # public fields, a bare name and a longer private name pass
+    passing = "_rank = res.winner, res.states_explored, res.max_rank\nplan._states_seen = 1\n"
+    assert _solve_result_private_reads(passing) == []
